@@ -64,19 +64,6 @@ class Rrep:
     origin: int
 
 
-class ActionKind(enum.Enum):
-    DELIVER = "deliver"
-    FORWARD = "forward"
-    DROP = "drop"
-
-
-@dataclass(frozen=True)
-class ForwardAction:
-    kind: ActionKind
-    next_hop: Optional[int] = None
-    cause: Optional[DropCause] = None
-
-
 class AodvNode:
     """Per-node routing agent driven by engine delivery events."""
 
@@ -134,28 +121,21 @@ class AodvNode:
         if pkt.dst not in self._discovering:
             self.originate_route_discovery(pkt.dst)
 
-    def decide_forward(self, pkt: DataPacket) -> ForwardAction:
-        """Routing decision for a packet addressed through this node."""
-        if pkt.dst == self.id:
-            return ForwardAction(ActionKind.DELIVER)
-        if self.behavior is Behavior.BLACKHOLE:
-            return ForwardAction(ActionKind.DROP, cause=DropCause.BLACKHOLE_ABSORBED)
-        route = self.live_route(pkt.dst)
-        if route is None:
-            return ForwardAction(ActionKind.DROP, cause=DropCause.NO_ROUTE)
-        return ForwardAction(ActionKind.FORWARD, next_hop=route.next_hop)
-
     def handle_data(self, pkt: DataPacket, prev_hop: int) -> None:
-        action = self.decide_forward(pkt)
-        if action.kind is ActionKind.DELIVER:
+        """Deliver, relay or drop a data packet addressed through this node."""
+        if pkt.dst == self.id:
             self.monitor.observe_rx(pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes)
-        elif action.kind is ActionKind.FORWARD:
-            self.counters["data_forwarded"] += 1
-            self._transmit_data(action.next_hop, pkt)
+            return
+        if self.behavior is Behavior.BLACKHOLE:
+            cause = DropCause.BLACKHOLE_ABSORBED
         else:
-            self.monitor.observe_drop(
-                pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, action.cause
-            )
+            route = self.live_route(pkt.dst)
+            if route is not None:
+                self.counters["data_forwarded"] += 1
+                self._transmit_data(route.next_hop, pkt)
+                return
+            cause = DropCause.NO_ROUTE
+        self.monitor.observe_drop(pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, cause)
 
     def _transmit_data(self, next_hop: int, pkt: DataPacket) -> None:
         self.counters["data_tx"] += 1
@@ -226,7 +206,7 @@ class AodvNode:
                 del self._discovering[dest]
                 self._fail_pending(dest)
 
-        self.engine.schedule_in(self.config.rreq_retry_delay_ns, check, target=self.id)
+        self.engine.schedule_in(self.config.rreq_retry_delay_ns, check)
 
     def _fail_pending(self, dest: int) -> None:
         for pkt in self._pending.pop(dest, []):

@@ -87,7 +87,10 @@ class ScenarioConfig:
             )
         if self.arena.length_m <= 0 or self.arena.width_m <= 0:
             raise ConfigError("arena dimensions must be positive")
-        self.radio.validate()
+        try:
+            self.radio.validate()
+        except ValueError as e:
+            raise ConfigError(f"radio: {e}") from None
         if self.speed_min_mps < 0 or self.speed_max_mps < self.speed_min_mps:
             raise ConfigError("need 0 <= speed_min_mps <= speed_max_mps")
         if self.balance is not None:
@@ -187,7 +190,7 @@ class ScenarioConfig:
                 cfg.stratified_split = bool(raw["stratified_split"])
         except ConfigError:
             raise
-        except (TypeError, ValueError, KeyError, IndexError) as e:
+        except (TypeError, ValueError, OverflowError, KeyError, IndexError) as e:
             raise ConfigError(f"malformed config value: {e}") from None
         cfg.validate()
         return cfg

@@ -8,11 +8,13 @@ node within range, with latency floor(size*8/bandwidth) plus propagation.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import SchedulingInPast, UnknownNode
 
@@ -60,26 +62,25 @@ class RadioConfig:
     prop_delay_s_per_m: float = 3.336e-9
 
     def validate(self) -> None:
-        if self.range_m <= 0:
-            raise ValueError("range_m must be > 0")
+        # chained comparisons are False for NaN, so NaN is rejected too
+        if not 0 < self.range_m < math.inf:
+            raise ValueError("range_m must be finite and > 0")
         if self.bandwidth_bps <= 0:
             raise ValueError("bandwidth_bps must be > 0")
-
-
-@dataclass(order=True)
-class Event:
-    fire_time: SimTime
-    seq: int
-    target: Optional[int] = field(compare=False, default=None)
-    payload: Any = field(compare=False, default=None)
-    action: Optional[Callable[[], None]] = field(compare=False, default=None, repr=False)
+        if not 0 <= self.prop_delay_s_per_m < math.inf:
+            raise ValueError("prop_delay_s_per_m must be finite and >= 0")
 
 
 @dataclass
 class _NodeState:
     position: tuple[float, float]
     velocity: tuple[float, float]
-    receiver: Optional[Callable[[int, Any], None]]
+    receiver: Callable[[int, Any], None]
+
+
+def _discard(src: int, payload: Any) -> None:
+    """Receiver of a node registered without one: frames still arrive
+    (and count as events) but go nowhere."""
 
 
 class Engine:
@@ -89,9 +90,11 @@ class Engine:
         self.radio = radio or RadioConfig()
         self.radio.validate()
         self.clock: SimTime = 0
-        self._queue: list[Event] = []
+        # (fire_time, seq, action); seq is unique, so actions never compare
+        self._queue: list[tuple[SimTime, int, Callable[[], None]]] = []
         self._seq = 0
         self._nodes: dict[int, _NodeState] = {}
+        self._ids: list[int] = []  # registered ids, ascending
         # called as drop_hook(src, dst, payload) when a unicast has no
         # in-range receiver; wired to the flow monitor by the scenario
         self.drop_hook: Optional[Callable[[int, int, Any], None]] = None
@@ -105,13 +108,9 @@ class Engine:
         velocity: tuple[float, float] = (0.0, 0.0),
         receiver: Optional[Callable[[int, Any], None]] = None,
     ) -> None:
-        self._nodes[node_id] = _NodeState(position, velocity, receiver)
-
-    def set_receiver(self, node_id: int, receiver: Callable[[int, Any], None]) -> None:
-        self._state(node_id).receiver = receiver
-
-    def node_ids(self) -> list[int]:
-        return sorted(self._nodes)
+        if node_id not in self._nodes:
+            bisect.insort(self._ids, node_id)
+        self._nodes[node_id] = _NodeState(position, velocity, receiver or _discard)
 
     def _state(self, node_id: int) -> _NodeState:
         try:
@@ -121,47 +120,25 @@ class Engine:
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, ev: Event) -> None:
-        if ev.fire_time < self.clock:
-            raise SchedulingInPast(
-                f"event at t={ev.fire_time} but clock is {self.clock}"
-            )
-        heapq.heappush(self._queue, ev)
-
-    def schedule_at(
-        self,
-        fire_time: SimTime,
-        action: Callable[[], None],
-        target: Optional[int] = None,
-        payload: Any = None,
-    ) -> Event:
-        ev = Event(fire_time, self._next_seq(), target, payload, action)
-        self.schedule(ev)
-        return ev
-
-    def schedule_in(
-        self,
-        delay: SimTime,
-        action: Callable[[], None],
-        target: Optional[int] = None,
-        payload: Any = None,
-    ) -> Event:
-        return self.schedule_at(self.clock + delay, action, target, payload)
-
-    def _next_seq(self) -> int:
+    def schedule_at(self, fire_time: SimTime, action: Callable[[], None]) -> None:
+        if fire_time < self.clock:
+            raise SchedulingInPast(f"event at t={fire_time} but clock is {self.clock}")
         self._seq += 1
-        return self._seq
+        heapq.heappush(self._queue, (fire_time, self._seq, action))
+
+    def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> None:
+        self.schedule_at(self.clock + delay, action)
 
     def run_until(self, t_end: SimTime) -> int:
         """Execute every event with fire_time <= t_end; returns the count."""
         if t_end < self.clock:
             raise ValueError(f"t_end {t_end} is before clock {self.clock}")
+        queue = self._queue
+        pop = heapq.heappop
         executed = 0
-        while self._queue and self._queue[0].fire_time <= t_end:
-            ev = heapq.heappop(self._queue)
-            self.clock = ev.fire_time
-            if ev.action is not None:
-                ev.action()
+        while queue and queue[0][0] <= t_end:
+            self.clock, _, action = pop(queue)
+            action()
             executed += 1
         self.clock = t_end
         return executed
@@ -174,20 +151,27 @@ class Engine:
         return (st.position[0] + st.velocity[0] * dt, st.position[1] + st.velocity[1] * dt)
 
     def distance(self, a: int, b: int, t: SimTime) -> float:
-        pa = self.position_at(a, t)
-        pb = self.position_at(b, t)
-        return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+        # position_at's arithmetic, inlined: this is the radio's inner loop
+        sa, sb = self._state(a), self._state(b)
+        dt = t / NS_PER_S
+        (ax, ay), (avx, avy) = sa.position, sa.velocity
+        (bx, by), (bvx, bvy) = sb.position, sb.velocity
+        return math.hypot((ax + avx * dt) - (bx + bvx * dt), (ay + avy * dt) - (by + bvy * dt))
+
+    def _reach(self, src: int, candidates: Iterable[int], t: SimTime):
+        """(node, distance) for each candidate inside src's unit disk at t,
+        in candidate order: one distance per pair, src itself excluded."""
+        range_m = self.radio.range_m
+        for other in candidates:
+            if other != src:
+                d = self.distance(src, other, t)
+                if d <= range_m:
+                    yield other, d
 
     def neighbors(self, node_id: int, t: SimTime) -> list[int]:
         """All other nodes within radio range at time t, ascending id."""
         self._state(node_id)
-        out = []
-        for other in sorted(self._nodes):
-            if other == node_id:
-                continue
-            if self.distance(node_id, other, t) <= self.radio.range_m:
-                out.append(other)
-        return out
+        return [other for other, _ in self._reach(node_id, self._ids, t)]
 
     # -- radio -----------------------------------------------------------
 
@@ -200,31 +184,23 @@ class Engine:
     def transmit(self, src: int, dst: int, size_bytes: int, payload: Any) -> None:
         """Schedule delivery of one frame.
 
-        dst == BROADCAST reaches every in-range node; a unicast to an
-        out-of-range (or unknown-position) destination is silently lost,
-        reported through drop_hook.
+        dst == BROADCAST reaches every in-range node, scheduled in
+        ascending id order; a unicast to an out-of-range destination (or
+        to src itself) is silently lost, reported through drop_hook.
         """
         self._state(src)
         if size_bytes <= 0:
             raise ValueError("size_bytes must be > 0")
+        clock = self.clock
         if dst == BROADCAST:
-            receivers = self.neighbors(src, self.clock)
+            reached = self._reach(src, self._ids, clock)
         else:
             self._state(dst)
-            receivers = [dst] if dst in self.neighbors(src, self.clock) else []
-            if not receivers and self.drop_hook is not None:
+            reached = list(self._reach(src, (dst,), clock))
+            if not reached and self.drop_hook is not None:
                 self.drop_hook(src, dst, payload)
-        for rcv in receivers:
-            dist = self.distance(src, rcv, self.clock)
-            state = self._state(rcv)
-
-            def deliver(state=state, src=src, payload=payload):
-                if state.receiver is not None:
-                    state.receiver(src, payload)
-
+        for rcv, dist in reached:
             self.schedule_at(
-                self.clock + self.latency_ns(size_bytes, dist),
-                deliver,
-                target=rcv,
-                payload=payload,
+                clock + self.latency_ns(size_bytes, dist),
+                partial(self._nodes[rcv].receiver, src, payload),
             )

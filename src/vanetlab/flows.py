@@ -287,7 +287,7 @@ def start_flow(engine, node, monitor: FlowMonitor, spec: FlowSpec) -> None:
             monitor.observe_tx(key, i, engine.clock, spec.packet_size_bytes)
             node.send_data(pkt)
 
-        engine.schedule_at(spec.start + i * interval, emit, target=spec.src)
+        engine.schedule_at(spec.start + i * interval, emit)
 
 
 def recompute_from_log(

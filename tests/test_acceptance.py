@@ -3,10 +3,12 @@
 Each test prints a `[criterion N] PASS/FAIL` line with the measured
 numbers before asserting, so a full run always shows the scoreboard.
 Criteria 3 and 6 share a module fixture that runs the default pipeline
-twice; everything else builds its own small inputs.
+twice, and the artifact digest lock reads the same runs; everything else
+builds its own small inputs.
 """
 
 import collections
+import hashlib
 import json
 import math
 import random
@@ -360,6 +362,25 @@ def test_criterion_6_pipeline_determinism(pipeline_runs):
         f"two pipeline runs byte-identical ({sizes})" if not mismatched
         else f"differs: {', '.join(mismatched)}",
     )
+
+
+# SHA-256 of the default-config pipeline artifacts. A change that moves
+# any of these alters behaviour and must re-pin with its reason recorded.
+PINNED_SHA256 = {
+    "flows.csv": "c841ceb50c1bc15f401cd1fefdd6504a7ef79a3c84284b39733dd982fd43934f",
+    "dataset.csv": "c532a0ce7a1a7ec4728c6f5fe2fb5e58e3dd64ed327a0773551df39ae6e37bfa",
+    "report.json": "3f7bf3bf88d3649856d29bd3bdf5238bca722647417bfea483bdc441a75e2123",
+    "roc.csv": "ccea589a8f19b45f3e54d599d6f9711f80a41e07a83d4ebad6f7cfeb2be19930",
+}
+
+
+def test_default_pipeline_artifacts_match_pinned_digests(pipeline_runs):
+    (run1, _), _ = pipeline_runs
+    digests = {
+        name: hashlib.sha256((run1 / name).read_bytes()).hexdigest()
+        for name in PINNED_SHA256
+    }
+    assert digests == PINNED_SHA256
 
 
 def test_criterion_7_flow_accounting():

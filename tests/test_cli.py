@@ -176,6 +176,13 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     "{not json",
     '{"seeed": 3}',
     '{"vehicles": [65, 10]}',
+    '{"radio": {"range_m": 0}}',
+    '{"radio": {"range_m": NaN}}',
+    '{"radio": {"range_m": Infinity}}',
+    '{"radio": {"bandwidth_bps": -5}}',
+    '{"radio": {"bandwidth_bps": Infinity}}',
+    '{"radio": {"prop_delay_s_per_m": -1e-9}}',
+    '{"radio": {"prop_delay_s_per_m": NaN}}',
 ])
 def test_bad_config_exits_two(tmp_path, payload):
     cfg_path = tmp_path / "config.json"

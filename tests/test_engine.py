@@ -12,7 +12,6 @@ from vanetlab.engine import (
     BROADCAST,
     NS_PER_S,
     Engine,
-    Event,
     RadioConfig,
     mix64,
     seconds,
@@ -92,7 +91,7 @@ def test_scheduling_in_the_past_rejected():
     eng = Engine()
     eng.run_until(seconds(3))
     with pytest.raises(SchedulingInPast):
-        eng.schedule(Event(fire_time=seconds(2), seq=1, action=lambda: None))
+        eng.schedule_at(seconds(2), lambda: None)
 
 
 def test_position_static_node():
@@ -240,6 +239,23 @@ def test_distance_matches_hypot():
     assert eng.distance(0, 1, 0) == pytest.approx(math.hypot(3.0, 4.0))
 
 
+def test_distance_is_bitwise_hypot_of_positions():
+    # exact equality: a last-ulp difference could flip latency_ns
+    eng = Engine()
+    rng = substream(5, 0)
+    for n in range(12):
+        eng.register_node(
+            n,
+            (rng.uniform(0.0, 2000.0), rng.uniform(0.0, 20.0)),
+            (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+        )
+    for t in (0, 1, seconds(0.3), seconds(17.123456789), seconds(29.9)):
+        for a in range(12):
+            for b in range(12):
+                (ax, ay), (bx, by) = eng.position_at(a, t), eng.position_at(b, t)
+                assert eng.distance(a, b, t) == math.hypot(ax - bx, ay - by)
+
+
 def test_identical_schedules_execute_identically():
     def build():
         eng = Engine()
@@ -257,3 +273,85 @@ def test_radio_config_validation():
         RadioConfig(range_m=0.0).validate()
     with pytest.raises(ValueError):
         RadioConfig(bandwidth_bps=0).validate()
+
+
+def _reference_frames(eng, ids, frames, radio):
+    """Brute-force deliveries of `frames` [(t, src, dst, size)]: every
+    node in `ids` but src (or dst only, for a unicast) whose hypot
+    distance at t is within range, arriving after the raw latency
+    formula, ordered by arrival time, then transmit order, then id.
+    Returns (deliveries [(arrival, rcv, src, frame)], dropped frames)."""
+    out, dropped = [], []
+    for k, (t, src, dst, size) in enumerate(frames):
+        sx, sy = eng.position_at(src, t)
+        hits = []
+        for rcv in (sorted(ids) if dst == BROADCAST else [dst]):
+            rx, ry = eng.position_at(rcv, t)
+            d = math.hypot(sx - rx, sy - ry)
+            if rcv != src and d <= radio.range_m:
+                tx = (size * 8 * NS_PER_S) // radio.bandwidth_bps
+                prop = int(radio.prop_delay_s_per_m * d * NS_PER_S)
+                hits.append((t + max(1, tx + prop), k, rcv))
+        if dst != BROADCAST and not hits:
+            dropped.append(k)
+        out.extend(hits)
+    out.sort()
+    return [(at, rcv, frames[k][1], k) for at, k, rcv in out], dropped
+
+
+@pytest.mark.parametrize("prop_delay", [3.336e-9, 0.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_transmit_matches_brute_force_reference(seed, prop_delay):
+    # zero propagation delay makes every receiver of one frame arrive at
+    # the same instant, so the tie order (ascending id) is exercised
+    radio = RadioConfig(range_m=150.0, bandwidth_bps=6_000_000, prop_delay_s_per_m=prop_delay)
+    eng = Engine(radio)
+    rng = substream(seed, 7)
+    got = []
+    ids = rng.sample(range(60), 18)  # registered out of id order
+    for n in ids:
+        eng.register_node(
+            n,
+            (rng.uniform(0.0, 700.0), rng.uniform(0.0, 40.0)),
+            (rng.uniform(-30.0, 30.0), rng.uniform(-2.0, 2.0)),
+            receiver=lambda src, k, n=n: got.append((eng.clock, n, src, k)),
+        )
+    drops = []
+    eng.drop_hook = lambda src, dst, k: drops.append(k)
+    frames = []
+    for step in range(40):
+        t = seconds(step // 4 * 0.7)  # four frames per instant
+        eng.run_until(t)
+        src = rng.choice(ids)
+        dst = BROADCAST if rng.random() < 0.4 else rng.choice(ids)
+        size = rng.choice((64, 512, 1500))
+        frames.append((t, src, dst, size))
+        eng.transmit(src, dst, size, len(frames) - 1)
+    eng.run_until(seconds(60))
+    expected, dropped = _reference_frames(eng, ids, frames, radio)
+    assert got == expected
+    assert drops == dropped
+    assert len(expected) > 40 and dropped  # the layouts exercise both outcomes
+
+
+def test_transmit_edge_cases():
+    eng = Engine(RadioConfig(range_m=250.0))
+    got, drops = [], []
+    eng.drop_hook = lambda src, dst, p: drops.append((src, dst, p))
+    for n, x in ((0, 0.0), (1, 250.0), (2, 250.5)):
+        eng.register_node(n, (x, 0.0), receiver=lambda s, p, n=n: got.append((n, s, p)))
+    eng.register_node(3, (10.0, 0.0))  # no receiver: its frames arrive nowhere
+
+    eng.transmit(0, 0, 64, "self")
+    eng.transmit(0, 2, 64, "far")
+    assert drops == [(0, 0, "self"), (0, 2, "far")]
+    assert eng.run_until(seconds(1)) == 0
+
+    eng.transmit(0, 1, 64, "edge")
+    eng.transmit(0, 3, 64, "mute")
+    eng.transmit(0, BROADCAST, 64, "all")
+    assert eng.run_until(seconds(2)) == 4  # edge, mute, all to nodes 1 and 3
+    assert got == [(1, 0, "edge"), (1, 0, "all")]
+    assert len(drops) == 2
+    with pytest.raises(UnknownNode):
+        eng.transmit(0, 9, 64, "nobody")
