@@ -32,7 +32,6 @@ class GradientBoosting(Classifier):
         n_estimators: int = 50,
         learning_rate: float = 0.1,
         max_depth: int = 10,
-        seed: int = 0,
     ):
         super().__init__()
         if n_estimators < 1 or learning_rate <= 0 or max_depth < 1:
@@ -40,7 +39,6 @@ class GradientBoosting(Classifier):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.seed = seed
         self.f0: float = 0.0
         self.trees: list[dict] = []
         self.loss_history: list[float] = []
@@ -82,10 +80,7 @@ class GradientBoosting(Classifier):
         return raw
 
     def _score(self, X: np.ndarray) -> np.ndarray:
-        raw = np.full(X.shape[0], self.f0)
-        for tree in self.trees:
-            raw += self.learning_rate * tree_apply(tree, X)
-        return sigmoid(raw)
+        return sigmoid(self.decision_function(X))
 
     def to_state(self) -> dict:
         return {
@@ -93,7 +88,6 @@ class GradientBoosting(Classifier):
             "n_estimators": self.n_estimators,
             "learning_rate": self.learning_rate,
             "max_depth": self.max_depth,
-            "seed": self.seed,
             "n_features": self.n_features_,
             "f0": self.f0,
             "trees": self.trees,
@@ -105,7 +99,6 @@ class GradientBoosting(Classifier):
             n_estimators=state["n_estimators"],
             learning_rate=state["learning_rate"],
             max_depth=state["max_depth"],
-            seed=state["seed"],
         )
         model.n_features_ = state["n_features"]
         model.f0 = state["f0"]

@@ -2,11 +2,13 @@
 optimization on the dual.
 
 Labels map to {-1,+1} internally and features are standardized before
-the kernel sees them. The optimizer keeps a full error cache; the
-partner index j for a violating i is chosen to maximize |E_i - E_j|,
-falling back to a deterministic rotation when that pair cannot move.
-Training stops after max_passes consecutive sweeps without an update,
-or gives up (converged=False) after max_passes * 50 sweeps total.
+the kernel sees them. The solver is LIBSVM's (Fan, Chen & Lin, JMLR
+6:1889-1918, 2005): it keeps the full kernel matrix and the residual
+F = -y*G (G the dual gradient), picks the maximal violator i and the
+partner j with the largest second-order decrease (WSS2), and takes the
+clipped two-variable step. It stops when the KKT gap m - M is at most
+tol, or gives up (converged=False) after max_iter pair updates. Ties
+break to the lowest index, so fits are deterministic.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .base import Classifier, Standardizer, labels_to_pm
 
 log = logging.getLogger("vanetlab.svm")
 
-SWEEP_CAP_FACTOR = 50
-MIN_ALPHA_STEP = 1e-5
+# curvature floor for pairs whose kernel rows coincide (LIBSVM's TAU)
+TAU = 1e-12
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -41,118 +43,79 @@ class SupportVectorMachine(Classifier):
         C: float = 1.0,
         gamma: float = 0.25,
         tol: float = 1e-3,
-        max_passes: int = 20,
+        max_iter: int = 100_000,
     ):
         super().__init__()
-        if C <= 0 or gamma <= 0 or tol <= 0 or max_passes < 1:
-            raise ValueError("C, gamma, tol and max_passes must be positive")
+        if C <= 0 or gamma <= 0 or tol <= 0 or max_iter < 1:
+            raise ValueError("C, gamma, tol and max_iter must be positive")
         self.C = C
         self.gamma = gamma
         self.tol = tol
-        self.max_passes = max_passes
+        self.max_iter = max_iter
         self.standardizer = Standardizer()
         self.sv_X: Optional[np.ndarray] = None
         self.sv_y: Optional[np.ndarray] = None
         self.sv_alpha: Optional[np.ndarray] = None
         self.b: float = 0.0
         self.converged: bool = False
-        self.sweeps_run: int = 0
-
-    def _try_pair(self, i: int, j: int, state: dict) -> bool:
-        """One SMO pair update; True when the alphas moved."""
-        if i == j:
-            return False
-        alpha, y, K, E = state["alpha"], state["y"], state["K"], state["E"]
-        ai_old, aj_old = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            L = max(0.0, aj_old - ai_old)
-            H = min(self.C, self.C + aj_old - ai_old)
-        else:
-            L = max(0.0, ai_old + aj_old - self.C)
-            H = min(self.C, ai_old + aj_old)
-        if L >= H:
-            return False
-        eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-        if eta >= 0.0:
-            return False
-        aj = aj_old - y[j] * (E[i] - E[j]) / eta
-        aj = min(max(aj, L), H)
-        if abs(aj - aj_old) < MIN_ALPHA_STEP:
-            return False
-        ai = ai_old + y[i] * y[j] * (aj_old - aj)
-        alpha[i], alpha[j] = ai, aj
-
-        d_i = y[i] * (ai - ai_old)
-        d_j = y[j] * (aj - aj_old)
-        b1 = self.b - E[i] - d_i * K[i, i] - d_j * K[i, j]
-        b2 = self.b - E[j] - d_i * K[i, j] - d_j * K[j, j]
-        if 0.0 < ai < self.C:
-            self.b = b1
-        elif 0.0 < aj < self.C:
-            self.b = b2
-        else:
-            self.b = (b1 + b2) / 2.0
-
-        state["u"] += d_i * K[i] + d_j * K[j]
-        state["E"] = state["u"] + self.b - y
-        return True
+        self.sweeps_run: int = 0  # pair updates made by the last fit
 
     def _fit(self, X: np.ndarray, y01: np.ndarray) -> None:
         Xs = self.standardizer.fit(X).transform(X)
         y = labels_to_pm(y01)
-        n = X.shape[0]
+        C = self.C
         K = rbf_kernel(Xs, Xs, self.gamma)
-        state = {
-            "alpha": np.zeros(n),
-            "y": y,
-            "K": K,
-            "u": np.zeros(n),
-            "E": -y.astype(np.float64),
-        }
-        self.b = 0.0
-        quiet_passes = 0
-        sweeps = 0
-        cap = self.max_passes * SWEEP_CAP_FACTOR
-        while quiet_passes < self.max_passes and sweeps < cap:
-            changed = 0
-            for i in range(n):
-                E, alpha = state["E"], state["alpha"]
-                r = E[i] * y[i]
-                if not (
-                    (r < -self.tol and alpha[i] < self.C)
-                    or (r > self.tol and alpha[i] > 0.0)
-                ):
-                    continue
-                gaps = np.abs(E - E[i])
-                gaps[i] = -1.0
-                if self._try_pair(i, int(np.argmax(gaps)), state):
-                    changed += 1
-                    continue
-                for step in range(1, n):
-                    if self._try_pair(i, (i + step) % n, state):
-                        changed += 1
-                        break
-            sweeps += 1
-            quiet_passes = quiet_passes + 1 if changed == 0 else 0
-        self.sweeps_run = sweeps
-        self.converged = quiet_passes >= self.max_passes
-        if not self.converged:
-            log.warning("SMO hit the sweep cap (%d) before settling", cap)
+        diag = K.diagonal()
+        alpha = np.zeros(X.shape[0])
+        # F = y - K @ (alpha * y): the offset each point would need to sit
+        # exactly on its margin
+        F = y.copy()
+        updates = 0
+        while True:
+            # I_up may raise y*alpha, I_low may lower it
+            up = np.where(y > 0, alpha < C, alpha > 0.0)
+            low = np.where(y > 0, alpha > 0.0, alpha < C)
+            F_up = np.where(up, F, -np.inf)
+            i = int(np.argmax(F_up))
+            m = F_up[i]
+            M = np.where(low, F, np.inf).min()
+            self.converged = bool(m - M <= self.tol)
+            if self.converged or updates == self.max_iter:
+                break
+            gain = m - F
+            curv = diag[i] + diag - 2.0 * K[i]
+            curv[curv <= 0.0] = TAU
+            j = int(np.argmin(np.where(low & (gain > 0.0), -gain * gain / curv, np.inf)))
 
-        alpha = state["alpha"]
-        keep = alpha > 1e-12
+            # move y_i*alpha_i up and y_j*alpha_j down by the same step
+            bound_i = C if y[i] > 0 else 0.0
+            bound_j = 0.0 if y[j] > 0 else C
+            room_i = abs(bound_i - alpha[i])
+            room_j = abs(bound_j - alpha[j])
+            step = min(gain[j] / curv[j], room_i, room_j)
+            new_i = bound_i if step == room_i else alpha[i] + y[i] * step
+            new_j = bound_j if step == room_j else alpha[j] - y[j] * step
+            F -= y[i] * (new_i - alpha[i]) * K[i] + y[j] * (new_j - alpha[j]) * K[j]
+            alpha[i], alpha[j] = new_i, new_j
+            updates += 1
+
+        self.sweeps_run = updates
+        if not self.converged:
+            log.warning(
+                "SMO hit the iteration cap (%d pair updates) with KKT gap %.3g",
+                self.max_iter, m - M,
+            )
+        # any b in [M, m] keeps every KKT residual within the gap
+        free = (alpha > 0.0) & (alpha < C)
+        self.b = float(F[free].mean()) if free.any() else float(m + M) / 2.0
+        keep = alpha > 0.0
         self.sv_X = Xs[keep]
         self.sv_y = y[keep]
         self.sv_alpha = alpha[keep]
 
     def decision_function(self, X) -> np.ndarray:
         """Pre-sign margin of Eq. 3's sum over retained support vectors."""
-        X = self._check_ready(X)
-        Xs = self.standardizer.transform(X)
-        if self.sv_X.shape[0] == 0:
-            return np.full(X.shape[0], self.b)
-        K = rbf_kernel(Xs, self.sv_X, self.gamma)
-        return K @ (self.sv_alpha * self.sv_y) + self.b
+        return self.score(X)
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         Xs = self.standardizer.transform(X)
@@ -167,7 +130,7 @@ class SupportVectorMachine(Classifier):
             "C": self.C,
             "gamma": self.gamma,
             "tol": self.tol,
-            "max_passes": self.max_passes,
+            "max_iter": self.max_iter,
             "n_features": self.n_features_,
             "standardizer": self.standardizer.to_state(),
             "sv_X": [list(map(float, row)) for row in self.sv_X],
@@ -183,7 +146,7 @@ class SupportVectorMachine(Classifier):
             C=state["C"],
             gamma=state["gamma"],
             tol=state["tol"],
-            max_passes=state["max_passes"],
+            max_iter=state["max_iter"],
         )
         model.n_features_ = state["n_features"]
         model.standardizer = Standardizer.from_state(state["standardizer"])

@@ -3,6 +3,7 @@ JSON config file format used by the command line."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,9 +65,10 @@ class ScenarioConfig:
             raise ConfigError("scenario_count and flows_per_scenario must be >= 1")
         if self.flow_pairs_per_scenario < 1:
             raise ConfigError("flow_pairs_per_scenario must be >= 1")
-        if self.sim_duration_s <= FLOW_START_MAX_S:
+        if not FLOW_START_MAX_S < self.sim_duration_s < math.inf:
             raise ConfigError(
-                f"sim_duration_s must exceed the flow start window ({FLOW_START_MAX_S}s)"
+                f"sim_duration_s must be finite and exceed the flow start window "
+                f"({FLOW_START_MAX_S}s)"
             )
         for name in ("vehicles", "malicious", "data_rate_kbps", "packet_count",
                      "packet_size_bytes"):
@@ -85,14 +87,14 @@ class ScenarioConfig:
                 f"scenario_count * flows_per_scenario exhausts the source port space "
                 f"(last port {last_port} > {MAX_PORT})"
             )
-        if self.arena.length_m <= 0 or self.arena.width_m <= 0:
-            raise ConfigError("arena dimensions must be positive")
+        if not (0 < self.arena.length_m < math.inf and 0 < self.arena.width_m < math.inf):
+            raise ConfigError("arena dimensions must be positive and finite")
         try:
             self.radio.validate()
         except ValueError as e:
             raise ConfigError(f"radio: {e}") from None
-        if self.speed_min_mps < 0 or self.speed_max_mps < self.speed_min_mps:
-            raise ConfigError("need 0 <= speed_min_mps <= speed_max_mps")
+        if not 0 <= self.speed_min_mps <= self.speed_max_mps < math.inf:
+            raise ConfigError("need 0 <= speed_min_mps <= speed_max_mps < inf")
         if self.balance is not None:
             if self.balance[0] < 1 or self.balance[1] < 1:
                 raise ConfigError("balance counts must be positive")

@@ -370,7 +370,7 @@ PINNED_SHA256 = {
     "flows.csv": "c841ceb50c1bc15f401cd1fefdd6504a7ef79a3c84284b39733dd982fd43934f",
     "dataset.csv": "c532a0ce7a1a7ec4728c6f5fe2fb5e58e3dd64ed327a0773551df39ae6e37bfa",
     "report.json": "3f7bf3bf88d3649856d29bd3bdf5238bca722647417bfea483bdc441a75e2123",
-    "roc.csv": "ccea589a8f19b45f3e54d599d6f9711f80a41e07a83d4ebad6f7cfeb2be19930",
+    "roc.csv": "279cf910f4fecec95ac8a0cbc10a1b8fa81a7c5b416cc22b39e351547b514ec4",
 }
 
 

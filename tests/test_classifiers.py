@@ -251,10 +251,8 @@ def reconstruct_alphas(model, X):
     return alpha
 
 
-def test_svm_satisfies_kkt_conditions(svm_forty):
-    X, y = svm_forty
-    model = SupportVectorMachine().fit(X, y)
-    assert model.converged
+def assert_kkt(model, X, y):
+    """Every point's margin obeys the KKT condition of its alpha to tol."""
     alpha = reconstruct_alphas(model, X)
     margins = (2.0 * y - 1.0) * model.decision_function(X)
     slack = model.tol + 1e-6
@@ -265,6 +263,23 @@ def test_svm_satisfies_kkt_conditions(svm_forty):
             assert m <= 1.0 + slack
         else:
             assert abs(m - 1.0) <= slack
+
+
+def test_svm_satisfies_kkt_conditions(svm_forty):
+    X, y = svm_forty
+    model = SupportVectorMachine().fit(X, y)
+    assert model.converged
+    assert_kkt(model, X, y)
+
+
+def test_svm_converges_on_training_split_sized_overlap():
+    """1200 overlapping rows, the size of the default training split."""
+    X, y = gauss_clusters(seed=23, n_per_class=600, sigma=15.0)
+    model = SupportVectorMachine().fit(X, y)
+    assert model.converged
+    assert model.sweeps_run < model.max_iter
+    assert 0 < model.sv_alpha.size < X.shape[0]
+    assert_kkt(model, X, y)
 
 
 def test_svm_fully_fits_xor():
@@ -308,12 +323,12 @@ def test_svm_flags_nonconvergence_and_still_predicts(caplog):
     n = 80
     X = np.array([[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(n)])
     y = np.array([1 if rng.random() < 0.5 else 0 for _ in range(n)])
-    model = SupportVectorMachine(max_passes=1)
+    model = SupportVectorMachine(max_iter=3)
     with caplog.at_level(logging.WARNING, logger="vanetlab.svm"):
         model.fit(X, y)
     assert not model.converged
-    assert model.sweeps_run == model.max_passes * 50
-    assert "sweep cap" in caplog.text
+    assert model.sweeps_run == model.max_iter
+    assert "iteration cap" in caplog.text
     pred = model.predict(X)
     assert pred.shape == (n,)
     assert set(pred.tolist()) <= {0, 1}
@@ -409,6 +424,14 @@ def test_gb_loss_history_descends_and_matches_decision(separable400):
     yf = y.astype(np.float64)
     assert hist[-1] == pytest.approx(log_loss(yf, model.decision_function(X)), abs=1e-12)
     assert hist[0] == pytest.approx(log_loss(yf, np.full(len(y), model.f0)), abs=1e-12)
+
+
+def test_gb_loads_a_state_that_still_carries_a_seed(separable400):
+    X, y = separable400
+    model = GradientBoosting(n_estimators=3).fit(X, y)
+    again = GradientBoosting.from_state({**model.to_state(), "seed": 0})
+    assert "seed" not in again.to_state()
+    assert np.array_equal(again.score(X), model.score(X))
 
 
 # -- cross-model contract -----------------------------------------------------

@@ -183,6 +183,12 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     '{"radio": {"bandwidth_bps": Infinity}}',
     '{"radio": {"prop_delay_s_per_m": -1e-9}}',
     '{"radio": {"prop_delay_s_per_m": NaN}}',
+    '{"sim_duration_s": NaN}',
+    '{"sim_duration_s": Infinity}',
+    '{"arena": {"length_m": NaN}}',
+    '{"arena": {"width_m": Infinity}}',
+    '{"mobility": {"speed_min_mps": NaN}}',
+    '{"mobility": {"speed_max_mps": Infinity}}',
 ])
 def test_bad_config_exits_two(tmp_path, payload):
     cfg_path = tmp_path / "config.json"
