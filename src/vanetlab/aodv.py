@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import BROADCAST, Engine, SimTime, seconds
 from .errors import InvalidSpec
@@ -37,7 +37,7 @@ class AodvConfig:
     queue_cap: int = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
     dest: int
     next_hop: int
@@ -46,8 +46,7 @@ class RouteEntry:
     expiry: SimTime
 
 
-@dataclass(frozen=True)
-class Rreq:
+class Rreq(NamedTuple):
     origin: int
     origin_seq: int
     rreq_id: int
@@ -56,8 +55,7 @@ class Rreq:
     hop_count: int
 
 
-@dataclass(frozen=True)
-class Rrep:
+class Rrep(NamedTuple):
     dest: int
     dest_seq: int
     hop_count: int

@@ -45,12 +45,19 @@ def save_model(model: Classifier, path) -> None:
 
 
 def load_model(path) -> Classifier:
+    """The model saved at `path`; SchemaError if the file holds no model state."""
     with open(path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
-    kind = state.get("kind")
+        try:
+            state = json.load(fh)
+        except ValueError as e:
+            raise SchemaError(f"{path}: not a JSON model state: {e}") from None
+    kind = state.get("kind") if isinstance(state, dict) else None
     if kind not in _REGISTRY:
         raise SchemaError(f"{path}: unknown model kind {kind!r}")
-    return _REGISTRY[kind].from_state(state)
+    try:
+        return _REGISTRY[kind].from_state(state)
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError(f"{path}: malformed {kind} model state: {e!r}") from None
 
 
 __all__ = [

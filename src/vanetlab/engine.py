@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from .errors import SchedulingInPast, UnknownNode
 
@@ -71,16 +71,14 @@ class RadioConfig:
             raise ValueError("prop_delay_s_per_m must be finite and >= 0")
 
 
-@dataclass
-class _NodeState:
-    position: tuple[float, float]
-    velocity: tuple[float, float]
-    receiver: Callable[[int, Any], None]
-
-
 def _discard(src: int, payload: Any) -> None:
     """Receiver of a node registered without one: frames still arrive
     (and count as events) but go nowhere."""
+
+
+#: Verlet skin as a fraction of the radio range: a broadcast's candidate
+#: list holds every node within range_m * (1 + SKIN_FRACTION) at build time
+SKIN_FRACTION = 0.25
 
 
 class Engine:
@@ -93,8 +91,16 @@ class Engine:
         # (fire_time, seq, action); seq is unique, so actions never compare
         self._queue: list[tuple[SimTime, int, Callable[[], None]]] = []
         self._seq = 0
-        self._nodes: dict[int, _NodeState] = {}
+        # node id -> (x, y, vx, vy) at t = 0, and node id -> receiver
+        self._kin: dict[int, tuple[float, float, float, float]] = {}
+        self._receivers: dict[int, Callable[[int, Any], None]] = {}
         self._ids: list[int] = []  # registered ids, ascending
+        # Verlet lists: node id -> (valid until, candidate ids ascending).
+        # No pair closes in faster than 2 * v_max, so a node beyond
+        # range + skin at build time stays out of range for skin / (2 v_max);
+        # a list lives 0.99 of that, a margin for rounding.
+        self._verlet: dict[int, tuple[float, list[int]]] = {}
+        self._v_max = 0.0
         # called as drop_hook(src, dst, payload) when a unicast has no
         # in-range receiver; wired to the flow monitor by the scenario
         self.drop_hook: Optional[Callable[[int, int, Any], None]] = None
@@ -108,15 +114,19 @@ class Engine:
         velocity: tuple[float, float] = (0.0, 0.0),
         receiver: Optional[Callable[[int, Any], None]] = None,
     ) -> None:
-        if node_id not in self._nodes:
+        if node_id not in self._kin:
             bisect.insort(self._ids, node_id)
-        self._nodes[node_id] = _NodeState(position, velocity, receiver or _discard)
+        (x, y), (vx, vy) = position, velocity
+        self._kin[node_id] = (x, y, vx, vy)
+        self._receivers[node_id] = receiver or _discard
+        self._verlet.clear()
+        # a re-registered node keeps the old maximum: the lists then
+        # expire early, which is safe
+        self._v_max = max(self._v_max, math.hypot(vx, vy))
 
-    def _state(self, node_id: int) -> _NodeState:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise UnknownNode(f"node {node_id} is not registered") from None
+    def _require(self, node_id: int) -> None:
+        if node_id not in self._kin:
+            raise UnknownNode(f"node {node_id} is not registered")
 
     # -- scheduling ----------------------------------------------------
 
@@ -128,6 +138,34 @@ class Engine:
 
     def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> None:
         self.schedule_at(self.clock + delay, action)
+
+    def schedule_series(
+        self, start: SimTime, interval: SimTime, count: int, action: Callable[[int], None]
+    ) -> None:
+        """Run action(i) at start + i * interval for i in range(count).
+
+        The series reserves `count` consecutive sequence numbers now, so it
+        interleaves with other events exactly as `count` schedule_at calls
+        made here would; but the heap holds only its next event.
+        """
+        if start < self.clock:
+            raise SchedulingInPast(f"event at t={start} but clock is {self.clock}")
+        if interval < 0 or count <= 0:
+            raise ValueError("a series needs interval >= 0 and count > 0")
+        first_seq = self._seq + 1
+        self._seq += count
+        queue = self._queue
+        i = 0  # index of the event `fire` runs next
+
+        def fire() -> None:
+            nonlocal i
+            now = i
+            i += 1
+            if i < count:
+                heapq.heappush(queue, (start + i * interval, first_seq + i, fire))
+            action(now)
+
+        heapq.heappush(queue, (start, first_seq, fire))
 
     def run_until(self, t_end: SimTime) -> int:
         """Execute every event with fire_time <= t_end; returns the count."""
@@ -146,32 +184,50 @@ class Engine:
     # -- positions and connectivity -------------------------------------
 
     def position_at(self, node_id: int, t: SimTime) -> tuple[float, float]:
-        st = self._state(node_id)
+        self._require(node_id)
+        x, y, vx, vy = self._kin[node_id]
         dt = t / NS_PER_S
-        return (st.position[0] + st.velocity[0] * dt, st.position[1] + st.velocity[1] * dt)
+        return (x + vx * dt, y + vy * dt)
 
     def distance(self, a: int, b: int, t: SimTime) -> float:
         # position_at's arithmetic, inlined: this is the radio's inner loop
-        sa, sb = self._state(a), self._state(b)
+        try:
+            ax, ay, avx, avy = self._kin[a]
+            bx, by, bvx, bvy = self._kin[b]
+        except KeyError as e:
+            raise UnknownNode(f"node {e.args[0]} is not registered") from None
         dt = t / NS_PER_S
-        (ax, ay), (avx, avy) = sa.position, sa.velocity
-        (bx, by), (bvx, bvy) = sb.position, sb.velocity
         return math.hypot((ax + avx * dt) - (bx + bvx * dt), (ay + avy * dt) - (by + bvy * dt))
-
-    def _reach(self, src: int, candidates: Iterable[int], t: SimTime):
-        """(node, distance) for each candidate inside src's unit disk at t,
-        in candidate order: one distance per pair, src itself excluded."""
-        range_m = self.radio.range_m
-        for other in candidates:
-            if other != src:
-                d = self.distance(src, other, t)
-                if d <= range_m:
-                    yield other, d
 
     def neighbors(self, node_id: int, t: SimTime) -> list[int]:
         """All other nodes within radio range at time t, ascending id."""
-        self._state(node_id)
-        return [other for other, _ in self._reach(node_id, self._ids, t)]
+        self._require(node_id)
+        range_m = self.radio.range_m
+        return [
+            other for other in self._ids
+            if other != node_id and self.distance(node_id, other, t) <= range_m
+        ]
+
+    def _candidates(self, src: int, t: SimTime) -> list[int]:
+        """Src's Verlet list at t: ascending ids of every other node that
+        can be in range until the list expires, rebuilt once it has."""
+        entry = self._verlet.get(src)
+        if entry is not None and t <= entry[0]:
+            return entry[1]
+        skin = self.radio.range_m * SKIN_FRACTION
+        reach = self.radio.range_m + skin
+        life_ns = 0.99 * skin / (2 * self._v_max) * NS_PER_S if self._v_max > 0 else math.inf
+        dt = t / NS_PER_S
+        kin = self._kin
+        x, y, vx, vy = kin[src]
+        px, py = x + vx * dt, y + vy * dt
+        out = []
+        for other in self._ids:
+            ox, oy, ovx, ovy = kin[other]
+            if other != src and math.hypot(px - (ox + ovx * dt), py - (oy + ovy * dt)) <= reach:
+                out.append(other)
+        self._verlet[src] = (t + life_ns, out)
+        return out
 
     # -- radio -----------------------------------------------------------
 
@@ -187,20 +243,33 @@ class Engine:
         dst == BROADCAST reaches every in-range node, scheduled in
         ascending id order; a unicast to an out-of-range destination (or
         to src itself) is silently lost, reported through drop_hook.
+        Each receiver is confirmed with one scalar distance() and its
+        arrival time follows latency_ns().
         """
-        self._state(src)
+        self._require(src)
         if size_bytes <= 0:
             raise ValueError("size_bytes must be > 0")
-        clock = self.clock
+        clock, radio, distance = self.clock, self.radio, self.distance
+        range_m = radio.range_m
         if dst == BROADCAST:
-            reached = self._reach(src, self._ids, clock)
+            reached = [
+                (other, d) for other in self._candidates(src, clock)
+                if (d := distance(src, other, clock)) <= range_m
+            ]
+        elif dst != src and (d := distance(src, dst, clock)) <= range_m:
+            reached = ((dst, d),)
         else:
-            self._state(dst)
-            reached = list(self._reach(src, (dst,), clock))
-            if not reached and self.drop_hook is not None:
+            if self.drop_hook is not None:
                 self.drop_hook(src, dst, payload)
-        for rcv, dist in reached:
-            self.schedule_at(
-                clock + self.latency_ns(size_bytes, dist),
-                partial(self._nodes[rcv].receiver, src, payload),
+            return
+        tx = (size_bytes * 8 * NS_PER_S) // radio.bandwidth_bps
+        prop = radio.prop_delay_s_per_m
+        queue, receivers, seq = self._queue, self._receivers, self._seq
+        for rcv, d in reached:
+            seq += 1
+            heapq.heappush(
+                queue,
+                (clock + max(1, tx + int(prop * d * NS_PER_S)), seq,
+                 partial(receivers[rcv], src, payload)),
             )
+        self._seq = seq

@@ -35,7 +35,7 @@ class InsufficientClassCount(VanetlabError):
 
 
 class SchemaError(VanetlabError):
-    """A CSV file does not match the expected schema."""
+    """A CSV table or saved model does not match the expected schema."""
 
 
 class ConfigError(VanetlabError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .engine import NS_PER_S, SimTime
 from .errors import DuplicateTerminal, InvalidSpec
@@ -32,8 +32,7 @@ class DropCause(enum.Enum):
     END_OF_SIM = "end_of_sim"
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     src_addr: int
     dst_addr: int
     src_port: int
@@ -73,7 +72,7 @@ class FlowSpec:
         return (self.packet_size_bytes * 8 * NS_PER_S) // self.data_rate_bps
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     key: FlowKey
     seq: int
@@ -89,8 +88,7 @@ class ObsKind(enum.Enum):
     DROP = "drop"
 
 
-@dataclass(frozen=True)
-class FlowObservation:
+class FlowObservation(NamedTuple):
     kind: ObsKind
     key: FlowKey
     seq: int
@@ -128,7 +126,7 @@ class FlowRecord:
         return FlowKey(self.src_addr, self.dst_addr, self.src_port, self.dst_port)
 
 
-@dataclass
+@dataclass(slots=True)
 class _FlowAccumulator:
     key: FlowKey
     time_first_tx: Optional[SimTime] = None
@@ -159,11 +157,6 @@ class FlowMonitor:
         self._flows: dict[FlowKey, _FlowAccumulator] = {}
         self.log: list[FlowObservation] = []
 
-    def _acc(self, key: FlowKey) -> _FlowAccumulator:
-        if key not in self._flows:
-            self._flows[key] = _FlowAccumulator(key)
-        return self._flows[key]
-
     # -- observation entry points ---------------------------------------
 
     def observe_tx(self, key: FlowKey, seq: int, time: SimTime, size_bytes: int) -> None:
@@ -178,39 +171,40 @@ class FlowMonitor:
         self.observe(FlowObservation(ObsKind.DROP, key, seq, time, size_bytes, cause))
 
     def observe(self, o: FlowObservation) -> None:
-        acc = self._acc(o.key)
-        if o.kind is ObsKind.TX:
-            if o.seq in acc.tx_times:
-                raise DuplicateTerminal(f"duplicate Tx for {o.key} seq {o.seq}")
-            acc.tx_times[o.seq] = o.time
-            acc.open_seqs.add(o.seq)
+        kind, key, seq, time, size_bytes, cause = o
+        acc = self._flows.get(key)
+        if acc is None:
+            acc = self._flows[key] = _FlowAccumulator(key)
+        if kind is ObsKind.TX:
+            if seq in acc.tx_times:
+                raise DuplicateTerminal(f"duplicate Tx for {key} seq {seq}")
+            acc.tx_times[seq] = time
+            acc.open_seqs.add(seq)
             acc.tx_packets += 1
-            acc.tx_bytes += o.size_bytes
+            acc.tx_bytes += size_bytes
             if acc.time_first_tx is None:
-                acc.time_first_tx = o.time
-            acc.time_last_tx = o.time
+                acc.time_first_tx = time
+            acc.time_last_tx = time
         else:
-            if o.seq not in acc.tx_times:
-                raise DuplicateTerminal(f"terminal before Tx for {o.key} seq {o.seq}")
-            if o.seq not in acc.open_seqs:
-                raise DuplicateTerminal(
-                    f"second terminal observation for {o.key} seq {o.seq}"
-                )
-            acc.open_seqs.discard(o.seq)
-            if o.kind is ObsKind.RX:
-                delay = o.time - acc.tx_times[o.seq]
+            if seq not in acc.tx_times:
+                raise DuplicateTerminal(f"terminal before Tx for {key} seq {seq}")
+            if seq not in acc.open_seqs:
+                raise DuplicateTerminal(f"second terminal observation for {key} seq {seq}")
+            acc.open_seqs.discard(seq)
+            if kind is ObsKind.RX:
+                delay = time - acc.tx_times[seq]
                 if acc.rx_packets > 0:
                     acc.jitter_sum += abs(delay - acc.last_delay)
                 acc.last_delay = delay
                 acc.delay_sum += delay
                 acc.rx_packets += 1
-                acc.rx_bytes += o.size_bytes
+                acc.rx_bytes += size_bytes
                 if acc.time_first_rx is None:
-                    acc.time_first_rx = o.time
-                acc.time_last_rx = o.time
+                    acc.time_first_rx = time
+                acc.time_last_rx = time
             else:
                 acc.lost_packets += 1
-                if o.cause is DropCause.BLACKHOLE_ABSORBED:
+                if cause is DropCause.BLACKHOLE_ABSORBED:
                     acc.blackhole_absorbed += 1
         self.log.append(o)
 
@@ -225,9 +219,7 @@ class FlowMonitor:
                     acc.key, seq, t_end, 0, DropCause.END_OF_SIM
                 )
         records = []
-        for key in sorted(
-            self._flows, key=lambda k: (k.src_addr, k.dst_addr, k.src_port, k.dst_port)
-        ):
+        for key in sorted(self._flows):
             acc = self._flows[key]
             records.append(
                 FlowRecord(
@@ -264,7 +256,7 @@ def _throughput_bps(acc: _FlowAccumulator) -> float:
 
 
 def start_flow(engine, node, monitor: FlowMonitor, spec: FlowSpec) -> None:
-    """Schedule the flow's packets on the engine.
+    """Schedule the flow's packets on the engine as one series.
 
     `node` is the source's routing agent; each packet is handed to it via
     send_data() right after the Tx observation is recorded, so every packet
@@ -272,22 +264,14 @@ def start_flow(engine, node, monitor: FlowMonitor, spec: FlowSpec) -> None:
     """
     spec.validate()
     key = spec.key
-    interval = spec.interval_ns
-    for i in range(spec.packet_count):
+    src, dst, size = spec.src, spec.dst, spec.packet_size_bytes
 
-        def emit(i=i):
-            pkt = DataPacket(
-                key=key,
-                seq=i,
-                src=spec.src,
-                dst=spec.dst,
-                size_bytes=spec.packet_size_bytes,
-                tx_time=engine.clock,
-            )
-            monitor.observe_tx(key, i, engine.clock, spec.packet_size_bytes)
-            node.send_data(pkt)
+    def emit(i: int) -> None:
+        now = engine.clock
+        monitor.observe_tx(key, i, now, size)
+        node.send_data(DataPacket(key, i, src, dst, size, now))
 
-        engine.schedule_at(spec.start + i * interval, emit)
+    engine.schedule_series(spec.start, spec.interval_ns, spec.packet_count, emit)
 
 
 def recompute_from_log(

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from vanetlab.cli import cmd_pipeline
+from vanetlab.cli import cmd_pipeline, cmd_simulate
 from vanetlab.classifiers import (
     GaussianNaiveBayes,
     GradientBoosting,
@@ -381,6 +381,33 @@ def test_default_pipeline_artifacts_match_pinned_digests(pipeline_runs):
         for name in PINNED_SHA256
     }
     assert digests == PINNED_SHA256
+
+
+# flows.csv SHA-256 of the benchmark's two simulator workloads at config
+# seed 1729: a dense corridor on a 60 kb/s radio (multi-hop unicast
+# forwarding) and a split corridor (route-discovery floods, retries and
+# no_route drops), which weight the radio and routing paths differently
+# from the default run.
+SIMULATOR_PINNED_SHA256 = {
+    "sim-connected": (
+        {"vehicles": [55, 65], "malicious": [1, 1], "scenario_count": 6,
+         "radio": {"bandwidth_bps": 60_000}},
+        "538411caa4ca0472ba4fc4067c79c02b1a3005c82a25840f57e382293ed794ba",
+    ),
+    "sim-partitioned": (
+        {"vehicles": [10, 50], "malicious": [1, 8], "scenario_count": 9},
+        "daa70fab9c4fd478734233cda6bab8799a5a6b531a220009ebf1412cb3732073",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SIMULATOR_PINNED_SHA256))
+def test_simulator_workload_flows_match_pinned_digests(workload, tmp_path):
+    overrides, want = SIMULATOR_PINNED_SHA256[workload]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**overrides, "seed": 1729}) + "\n")
+    cmd_simulate(str(config_path), str(tmp_path / "flows.csv"))
+    assert hashlib.sha256((tmp_path / "flows.csv").read_bytes()).hexdigest() == want
 
 
 def test_criterion_7_flow_accounting():

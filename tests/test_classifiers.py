@@ -7,6 +7,7 @@ SVM dual, and hand-built stub trees for the vote rules of the ensemble
 models.
 """
 
+import json
 import logging
 import math
 
@@ -523,6 +524,21 @@ def test_load_model_rejects_unknown_kind(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "XGB"}\n')
     with pytest.raises(SchemaError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("case", ["LR-without-fields", "SVM-with-max_passes", "not-JSON"])
+def test_load_model_rejects_malformed_state(case, separable400, tmp_path):
+    path = tmp_path / "old.json"
+    if case == "LR-without-fields":
+        path.write_text('{"kind": "LR"}\n')
+    elif case == "SVM-with-max_passes":  # saved before the rename to max_iter
+        state = make("SVM").fit(*separable400).to_state()
+        state["max_passes"] = state.pop("max_iter")
+        path.write_text(json.dumps(state) + "\n")
+    else:
+        path.write_text('{"kind": "LR", \n')
+    with pytest.raises(SchemaError, match="old.json"):
         load_model(path)
 
 

@@ -115,6 +115,13 @@ def test_unknown_node_raises():
         eng.position_at(99, 0)
     with pytest.raises(UnknownNode):
         eng.neighbors(99, 0)
+    eng.register_node(0, (0.0, 0.0))
+    for a, b in ((99, 0), (0, 99)):
+        with pytest.raises(UnknownNode):
+            eng.distance(a, b, 0)
+    for src, dst in ((99, BROADCAST), (99, 0), (0, 99)):
+        with pytest.raises(UnknownNode):
+            eng.transmit(src, dst, 64, "x")
 
 
 def test_neighbors_collinear_chain():
@@ -256,6 +263,56 @@ def test_distance_is_bitwise_hypot_of_positions():
                 assert eng.distance(a, b, t) == math.hypot(ax - bx, ay - by)
 
 
+def _series_trace(lazy: bool):
+    """Run three flow-like series plus one-off events, some scheduled by
+    the series' own actions at the same nanosecond as other series
+    events; lazily with schedule_series, or eagerly with one schedule_at
+    per event. Returns (trace, events executed)."""
+    eng = Engine()
+    trace = []
+
+    def series(tag, start, interval, count):
+        def act(i):
+            trace.append((eng.clock, tag, i))
+            if i % 2 == 0:  # runtime events tied with series events
+                eng.schedule_at(eng.clock, lambda: trace.append((eng.clock, tag, i, "now")))
+                eng.schedule_in(10, lambda: trace.append((eng.clock, tag, i, "later")))
+
+        if lazy:
+            eng.schedule_series(start, interval, count, act)
+        else:
+            for i in range(count):
+                eng.schedule_at(start + i * interval, lambda i=i: act(i))
+
+    eng.schedule_at(20, lambda: trace.append((eng.clock, "one-off")))
+    series("a", 0, 10, 6)
+    series("b", 10, 10, 5)  # every b packet ties with an a packet
+    eng.schedule_at(20, lambda: trace.append((eng.clock, "one-off, later seq")))
+    series("c", 20, 0, 3)  # zero interval: all at one instant
+    executed = eng.run_until(25)
+    series("d", 30, 5, 4)  # started mid-run
+    series("e", 40, 10, 1)
+    executed += eng.run_until(200)
+    return trace, executed
+
+
+def test_series_runs_in_eager_schedule_order():
+    lazy, eager = _series_trace(True), _series_trace(False)
+    assert lazy == eager
+    assert len(lazy[0]) == lazy[1] == 6 + 5 + 3 + 4 + 1 + 2 + 2 * (3 + 3 + 2 + 2 + 1)
+
+
+def test_series_rejects_bad_arguments():
+    eng = Engine()
+    eng.run_until(seconds(1))
+    with pytest.raises(SchedulingInPast):
+        eng.schedule_series(0, 10, 3, lambda i: None)
+    for interval, count in ((-1, 3), (10, 0)):
+        with pytest.raises(ValueError):
+            eng.schedule_series(seconds(2), interval, count, lambda i: None)
+    assert eng.run_until(seconds(5)) == 0
+
+
 def test_identical_schedules_execute_identically():
     def build():
         eng = Engine()
@@ -308,22 +365,33 @@ def test_transmit_matches_brute_force_reference(seed, prop_delay):
     eng = Engine(radio)
     rng = substream(seed, 7)
     got = []
-    ids = rng.sample(range(60), 18)  # registered out of id order
-    for n in ids:
+    ids = rng.sample(range(60), 24)  # registered out of id order
+    for i, n in enumerate(ids):
+        # a third of the nodes drive at 200-240 m/s either way, so a
+        # broadcast list lives about 0.08 s, over which a head-on pair
+        # closes in by nearly the whole skin
+        if i % 3 == 0:
+            vx = rng.choice((-1, 1)) * rng.uniform(200.0, 240.0)
+        else:
+            vx = rng.uniform(-30.0, 30.0)
         eng.register_node(
             n,
             (rng.uniform(0.0, 700.0), rng.uniform(0.0, 40.0)),
-            (rng.uniform(-30.0, 30.0), rng.uniform(-2.0, 2.0)),
+            (vx, rng.uniform(-2.0, 2.0)),
             receiver=lambda src, k, n=n: got.append((eng.clock, n, src, k)),
         )
     drops = []
     eng.drop_hook = lambda src, dst, k: drops.append(k)
     frames = []
-    for step in range(40):
-        t = seconds(step // 4 * 0.7)  # four frames per instant
+    for step in range(240):
+        # four frames per instant: 0.01 s apart and mostly broadcasts
+        # first, so lists are reused while pairs cross in and out of the
+        # skin; then 0.7 s apart, so every list has expired
+        fine = step < 200
+        t = seconds(step // 4 * 0.01 if fine else 0.5 + (step - 200) // 4 * 0.7)
         eng.run_until(t)
         src = rng.choice(ids)
-        dst = BROADCAST if rng.random() < 0.4 else rng.choice(ids)
+        dst = BROADCAST if rng.random() < (0.8 if fine else 0.4) else rng.choice(ids)
         size = rng.choice((64, 512, 1500))
         frames.append((t, src, dst, size))
         eng.transmit(src, dst, size, len(frames) - 1)
@@ -331,7 +399,24 @@ def test_transmit_matches_brute_force_reference(seed, prop_delay):
     expected, dropped = _reference_frames(eng, ids, frames, radio)
     assert got == expected
     assert drops == dropped
-    assert len(expected) > 40 and dropped  # the layouts exercise both outcomes
+    assert len(expected) > 120 and dropped  # the layouts exercise both outcomes
+
+
+def test_reregistered_node_invalidates_broadcast_lists():
+    # static nodes: a broadcast list would otherwise never expire
+    eng = Engine(RadioConfig(range_m=100.0))
+    got = []
+    for n, x in ((0, 0.0), (1, 500.0), (2, 90.0)):
+        eng.register_node(n, (x, 0.0), receiver=lambda s, p, n=n: got.append((n, p)))
+    eng.transmit(0, BROADCAST, 64, "before")
+    eng.run_until(seconds(1))
+    eng.register_node(1, (50.0, 0.0), receiver=lambda s, p: got.append((1, p)))  # moved in
+    eng.register_node(2, (400.0, 0.0), receiver=lambda s, p: got.append((2, p)))  # moved out
+    eng.register_node(3, (-80.0, 0.0), receiver=lambda s, p: got.append((3, p)))  # new
+    eng.transmit(0, BROADCAST, 64, "after")
+    eng.run_until(seconds(2))
+    assert got == [(2, "before"), (1, "after"), (3, "after")]
+    assert eng.neighbors(0, eng.clock) == [1, 3]
 
 
 def test_transmit_edge_cases():
