@@ -60,14 +60,10 @@ def load_config(path: str) -> ScenarioConfig:
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # bad JSON, bad UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return ScenarioConfig.from_dict(raw)
-
-
-def config_digest(cfg: ScenarioConfig) -> str:
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def run_sweep(cfg: ScenarioConfig):
@@ -100,6 +96,23 @@ def _write_json(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_manifest(cfg: ScenarioConfig, meta, out_dir: str, outputs: dict,
+                    class_counts: dict) -> dict:
+    """Write out_dir/manifest.json: the config, its digest, the
+    per-scenario rows, the output names and the class counts."""
+    config = cfg.to_dict()
+    canonical = json.dumps(config, sort_keys=True)
+    manifest = {
+        "config": config,
+        "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "scenarios": meta,
+        "outputs": outputs,
+        "class_counts": class_counts,
+    }
+    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    return manifest
 
 
 def _load_any_dataset(path: str) -> Dataset:
@@ -195,16 +208,11 @@ def cmd_simulate(config_path: str, out_path: str) -> dict:
     records, meta = run_sweep(cfg)
     write_flows_csv(records, out_path)
     positive = sum(1 for r in records if r.blackhole_absorbed >= 1)
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_sha256": config_digest(cfg),
-        "scenarios": meta,
-        "outputs": {"flows": os.path.basename(out_path)},
-        "class_counts": {"positive": positive, "negative": len(records) - positive},
-    }
-    manifest_path = os.path.join(os.path.dirname(os.path.abspath(out_path)), "manifest.json")
-    _write_json(manifest, manifest_path)
-    return manifest
+    return _write_manifest(
+        cfg, meta, os.path.dirname(os.path.abspath(out_path)),
+        {"flows": os.path.basename(out_path)},
+        {"positive": positive, "negative": len(records) - positive},
+    )
 
 
 def cmd_evaluate(
@@ -243,31 +251,25 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
         os.path.join(out_dir, "roc.csv"),
     )
     positive, negative = ds.class_counts()
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_sha256": config_digest(cfg),
-        "scenarios": meta,
-        "outputs": {
-            "flows": "flows.csv",
-            "dataset": "dataset.csv",
-            "report": "report.json",
-            "roc": "roc.csv",
-        },
-        "class_counts": {
-            "raw": {"positive": raw_positive, "negative": raw_negative},
-            "dataset": {"positive": positive, "negative": negative},
-        },
-    }
-    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    _write_manifest(
+        cfg, meta, out_dir,
+        {"flows": "flows.csv", "dataset": "dataset.csv",
+         "report": "report.json", "roc": "roc.csv"},
+        {"raw": {"positive": raw_positive, "negative": raw_negative},
+         "dataset": {"positive": positive, "negative": negative}},
+    )
     return report
 
 
 def _parse_balance(text: str):
     try:
         pos, neg = text.split(":")
-        return (int(pos), int(neg))
+        counts = (int(pos), int(neg))
     except ValueError:
         raise ConfigError(f"--balance expects POS:NEG, got {text!r}") from None
+    if min(counts) < 1:
+        raise ConfigError(f"--balance counts must be positive, got {text!r}")
+    return counts
 
 
 def build_parser() -> argparse.ArgumentParser:

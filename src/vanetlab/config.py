@@ -4,10 +4,10 @@ JSON config file format used by the command line."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from typing import Optional, get_type_hints
 
-from .engine import RadioConfig, mix64, seconds, substream
+from .engine import NS_PER_S, RadioConfig, mix64, seconds, substream
 from .errors import ConfigError
 from .flows import FlowSpec
 from .scenario import ArenaConfig, ScenarioParams
@@ -23,7 +23,7 @@ FLOW_START_MAX_S = 5.0
 _SAMPLE = 103
 
 
-def _int_range(value, name: str) -> tuple[int, int]:
+def _int_range(value, name: str) -> None:
     try:
         lo, hi = int(value[0]), int(value[1])
     except (TypeError, ValueError, IndexError):
@@ -32,7 +32,14 @@ def _int_range(value, name: str) -> tuple[int, int]:
         raise ConfigError(f"{name}: lo {lo} exceeds hi {hi}")
     if lo <= 0:
         raise ConfigError(f"{name}: bounds must be positive")
-    return lo, hi
+
+
+@dataclass
+class MobilityConfig:
+    """Each vehicle's speed is drawn uniformly from [min, max]."""
+
+    speed_min_mps: float = 0.4
+    speed_max_mps: float = 1.0
 
 
 @dataclass
@@ -52,8 +59,7 @@ class ScenarioConfig:
     packet_size_bytes: tuple[int, int] = (1024, 1800)
     arena: ArenaConfig = field(default_factory=lambda: ArenaConfig(1760.0, 20.0))
     radio: RadioConfig = field(default_factory=RadioConfig)
-    speed_min_mps: float = 0.4
-    speed_max_mps: float = 1.0
+    mobility: MobilityConfig = field(default_factory=MobilityConfig)
     balance: Optional[tuple[int, int]] = (500, 1500)
     split_fraction: float = 0.6
     stratified_split: bool = False
@@ -65,9 +71,11 @@ class ScenarioConfig:
             raise ConfigError("scenario_count and flows_per_scenario must be >= 1")
         if self.flow_pairs_per_scenario < 1:
             raise ConfigError("flow_pairs_per_scenario must be >= 1")
-        if not FLOW_START_MAX_S < self.sim_duration_s < math.inf:
+        # finite in nanoseconds, where the simulator keeps time
+        if not (FLOW_START_MAX_S < self.sim_duration_s
+                and math.isfinite(self.sim_duration_s * NS_PER_S)):
             raise ConfigError(
-                f"sim_duration_s must be finite and exceed the flow start window "
+                f"sim_duration_s must be finite in ns and exceed the flow start window "
                 f"({FLOW_START_MAX_S}s)"
             )
         for name in ("vehicles", "malicious", "data_rate_kbps", "packet_count",
@@ -93,7 +101,8 @@ class ScenarioConfig:
             self.radio.validate()
         except ValueError as e:
             raise ConfigError(f"radio: {e}") from None
-        if not 0 <= self.speed_min_mps <= self.speed_max_mps < math.inf:
+        m = self.mobility
+        if not 0 <= m.speed_min_mps <= m.speed_max_mps < math.inf:
             raise ConfigError("need 0 <= speed_min_mps <= speed_max_mps < inf")
         if self.balance is not None:
             if self.balance[0] < 1 or self.balance[1] < 1:
@@ -102,100 +111,64 @@ class ScenarioConfig:
             raise ConfigError("split_fraction must lie in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "scenario_count": self.scenario_count,
-            "flows_per_scenario": self.flows_per_scenario,
-            "flow_pairs_per_scenario": self.flow_pairs_per_scenario,
-            "sim_duration_s": self.sim_duration_s,
-            "vehicles": list(self.vehicles),
-            "malicious": list(self.malicious),
-            "data_rate_kbps": list(self.data_rate_kbps),
-            "packet_count": list(self.packet_count),
-            "packet_size_bytes": list(self.packet_size_bytes),
-            "arena": {"length_m": self.arena.length_m, "width_m": self.arena.width_m},
-            "radio": {
-                "range_m": self.radio.range_m,
-                "bandwidth_bps": self.radio.bandwidth_bps,
-                "prop_delay_s_per_m": self.radio.prop_delay_s_per_m,
-            },
-            "mobility": {
-                "speed_min_mps": self.speed_min_mps,
-                "speed_max_mps": self.speed_max_mps,
-            },
-            "balance": list(self.balance) if self.balance is not None else None,
-            "split_fraction": self.split_fraction,
-            "stratified_split": self.stratified_split,
-        }
+        return asdict(self, dict_factory=_json_pairs)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        cfg = cls()
-        known = {
-            "seed", "scenario_count", "flows_per_scenario",
-            "flow_pairs_per_scenario", "sim_duration_s",
-            "vehicles", "malicious", "data_rate_kbps", "packet_count",
-            "packet_size_bytes", "arena", "radio", "mobility", "balance",
-            "split_fraction", "stratified_split",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            if "seed" in raw:
-                cfg.seed = int(raw["seed"])
-            if "scenario_count" in raw:
-                cfg.scenario_count = int(raw["scenario_count"])
-            if "flows_per_scenario" in raw:
-                cfg.flows_per_scenario = int(raw["flows_per_scenario"])
-            if "flow_pairs_per_scenario" in raw:
-                cfg.flow_pairs_per_scenario = int(raw["flow_pairs_per_scenario"])
-            if "sim_duration_s" in raw:
-                cfg.sim_duration_s = float(raw["sim_duration_s"])
-            for name in ("vehicles", "malicious", "data_rate_kbps", "packet_count",
-                         "packet_size_bytes"):
-                if name in raw:
-                    setattr(cfg, name, _int_range(raw[name], name))
-            if "arena" in raw:
-                a = dict(raw["arena"])
-                cfg.arena = ArenaConfig(
-                    length_m=float(a.pop("length_m", cfg.arena.length_m)),
-                    width_m=float(a.pop("width_m", cfg.arena.width_m)),
-                )
-                if a:
-                    raise ConfigError(f"unknown arena keys: {sorted(a)}")
-            if "radio" in raw:
-                r = dict(raw["radio"])
-                cfg.radio = RadioConfig(
-                    range_m=float(r.pop("range_m", cfg.radio.range_m)),
-                    bandwidth_bps=int(r.pop("bandwidth_bps", cfg.radio.bandwidth_bps)),
-                    prop_delay_s_per_m=float(
-                        r.pop("prop_delay_s_per_m", cfg.radio.prop_delay_s_per_m)
-                    ),
-                )
-                if r:
-                    raise ConfigError(f"unknown radio keys: {sorted(r)}")
-            if "mobility" in raw:
-                m = dict(raw["mobility"])
-                cfg.speed_min_mps = float(m.pop("speed_min_mps", cfg.speed_min_mps))
-                cfg.speed_max_mps = float(m.pop("speed_max_mps", cfg.speed_max_mps))
-                if m:
-                    raise ConfigError(f"unknown mobility keys: {sorted(m)}")
-            if "balance" in raw:
-                b = raw["balance"]
-                cfg.balance = None if b is None else (int(b[0]), int(b[1]))
-            if "split_fraction" in raw:
-                cfg.split_fraction = float(raw["split_fraction"])
-            if "stratified_split" in raw:
-                cfg.stratified_split = bool(raw["stratified_split"])
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError, KeyError, IndexError) as e:
-            raise ConfigError(f"malformed config value: {e}") from None
+        """Parse a JSON config object: every key optional, types exact, an
+        omitted key (or a key omitted from a section) keeps its default."""
+        cfg = _parse(raw, cls, "config", cls())
         cfg.validate()
         return cfg
+
+
+def _json_pairs(items) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
+
+
+_PAIR = tuple[int, int]
+_OPTIONAL_PAIR = Optional[_PAIR]
+# scalar field type -> (the exact Python types json may give for it, wording)
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+            bool: ((bool,), "true or false")}
+
+
+def _parse(value, hint, name: str, default):
+    """`value`, read from JSON, as a field of type `hint`. Types are
+    checked exactly: bool is an int subclass and must not pass for a
+    count. A section starts from `default`, so a partial one keeps the
+    rest of it."""
+    if is_dataclass(hint):
+        if type(value) is not dict:
+            raise ConfigError(f"{name} must be a JSON object")
+        hints = _FIELDS[hint]
+        unknown = value.keys() - hints.keys()
+        if unknown:
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        return replace(default, **{
+            key: _parse(item, hints[key], f"{name}.{key}", getattr(default, key))
+            for key, item in value.items()
+        })
+    if hint == _OPTIONAL_PAIR and value is None:
+        return None
+    if hint in (_PAIR, _OPTIONAL_PAIR):
+        if type(value) is not list or len(value) != 2 or any(type(v) is not int for v in value):
+            raise ConfigError(f"{name} must be a [lo, hi] integer pair")
+        return tuple(value)
+    types, wording = _SCALARS[hint]
+    if type(value) not in types:
+        raise ConfigError(f"{name} must be {wording}, got {value!r}")
+    try:
+        return hint(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
+
+
+# field name -> type of every config section, resolved once at import
+_FIELDS = {
+    cls: get_type_hints(cls)
+    for cls in (ScenarioConfig, ArenaConfig, RadioConfig, MobilityConfig)
+}
 
 
 def default_config() -> ScenarioConfig:
@@ -254,11 +227,9 @@ def sample_scenario(cfg: ScenarioConfig, index: int) -> ScenarioParams:
         blackholes=blackholes,
         flows=flows,
         sim_duration_ns=seconds(cfg.sim_duration_s),
-        arena=ArenaConfig(cfg.arena.length_m, cfg.arena.width_m),
-        radio=RadioConfig(
-            cfg.radio.range_m, cfg.radio.bandwidth_bps, cfg.radio.prop_delay_s_per_m
-        ),
-        speed_range_mps=(cfg.speed_min_mps, cfg.speed_max_mps),
+        arena=replace(cfg.arena),
+        radio=replace(cfg.radio),
+        speed_range_mps=(cfg.mobility.speed_min_mps, cfg.mobility.speed_max_mps),
     )
 
 

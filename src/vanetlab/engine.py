@@ -69,6 +69,9 @@ class RadioConfig:
             raise ValueError("bandwidth_bps must be > 0")
         if not 0 <= self.prop_delay_s_per_m < math.inf:
             raise ValueError("prop_delay_s_per_m must be finite and >= 0")
+        # no receiver is farther than range_m, so this bounds every delay
+        if not math.isfinite(self.prop_delay_s_per_m * self.range_m * NS_PER_S):
+            raise ValueError("prop_delay_s_per_m * range_m must be finite in ns")
 
 
 def _discard(src: int, payload: Any) -> None:

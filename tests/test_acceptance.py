@@ -371,6 +371,7 @@ PINNED_SHA256 = {
     "dataset.csv": "c532a0ce7a1a7ec4728c6f5fe2fb5e58e3dd64ed327a0773551df39ae6e37bfa",
     "report.json": "3f7bf3bf88d3649856d29bd3bdf5238bca722647417bfea483bdc441a75e2123",
     "roc.csv": "279cf910f4fecec95ac8a0cbc10a1b8fa81a7c5b416cc22b39e351547b514ec4",
+    "manifest.json": "87a99fda1606c25ad2a0af22ecfbfb62f1c532b97a7ed90894282741b115560d",
 }
 
 
@@ -383,20 +384,22 @@ def test_default_pipeline_artifacts_match_pinned_digests(pipeline_runs):
     assert digests == PINNED_SHA256
 
 
-# flows.csv SHA-256 of the benchmark's two simulator workloads at config
-# seed 1729: a dense corridor on a 60 kb/s radio (multi-hop unicast
-# forwarding) and a split corridor (route-discovery floods, retries and
-# no_route drops), which weight the radio and routing paths differently
-# from the default run.
+# flows.csv and manifest.json SHA-256 of the benchmark's two simulator
+# workloads at config seed 1729: a dense corridor on a 60 kb/s radio
+# (multi-hop unicast forwarding) and a split corridor (route-discovery
+# floods, retries and no_route drops), which weight the radio and routing
+# paths differently from the default run.
 SIMULATOR_PINNED_SHA256 = {
     "sim-connected": (
         {"vehicles": [55, 65], "malicious": [1, 1], "scenario_count": 6,
          "radio": {"bandwidth_bps": 60_000}},
-        "538411caa4ca0472ba4fc4067c79c02b1a3005c82a25840f57e382293ed794ba",
+        {"flows.csv": "538411caa4ca0472ba4fc4067c79c02b1a3005c82a25840f57e382293ed794ba",
+         "manifest.json": "b1b86e8171091472b98f28c615c08f4c20d5285cdefddf248ddf526f403b8c51"},
     ),
     "sim-partitioned": (
         {"vehicles": [10, 50], "malicious": [1, 8], "scenario_count": 9},
-        "daa70fab9c4fd478734233cda6bab8799a5a6b531a220009ebf1412cb3732073",
+        {"flows.csv": "daa70fab9c4fd478734233cda6bab8799a5a6b531a220009ebf1412cb3732073",
+         "manifest.json": "df8de9d5fbd3627d665326d482a463d315abdc7789d25558825fea237a42ba69"},
     ),
 }
 
@@ -407,7 +410,8 @@ def test_simulator_workload_flows_match_pinned_digests(workload, tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**overrides, "seed": 1729}) + "\n")
     cmd_simulate(str(config_path), str(tmp_path / "flows.csv"))
-    assert hashlib.sha256((tmp_path / "flows.csv").read_bytes()).hexdigest() == want
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert digests == want
 
 
 def test_criterion_7_flow_accounting():

@@ -189,10 +189,28 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     '{"arena": {"width_m": Infinity}}',
     '{"mobility": {"speed_min_mps": NaN}}',
     '{"mobility": {"speed_max_mps": Infinity}}',
+    # finite, but not in integer nanoseconds
+    '{"sim_duration_s": 1e300}',
+    '{"radio": {"prop_delay_s_per_m": 1e300}}',
+    # types are exact: nothing is coerced, truncated or cut short
+    '{"stratified_split": "no"}',
+    '{"seed": 1.7}',
+    '{"seed": "12"}',
+    '{"balance": "12"}',
+    '{"vehicles": [10, 65, 99]}',
+    '{"balance": [1, 2, 3]}',
+    '{"scenario_count": 2.9}',
+    '{"arena": [["length_m", 500]]}',
+    '{"radio": {"bandwidth_bps": 1.9}}',
+    '{"split_fraction": "0.5"}',
+    pytest.param('{"split_fraction": %s}' % ("9" * 400), id="split_fraction-400-digits"),
+    # json.load cannot decode these
+    pytest.param('{"seed": %s}' % ("1" * 5000), id="int-past-digit-limit"),
+    pytest.param(b'{"seed": "\xff"}', id="not-utf8"),
 ])
 def test_bad_config_exits_two(tmp_path, payload):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(payload)
+    cfg_path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "f.csv")])
     assert rc == 2
 
@@ -212,6 +230,9 @@ def test_bad_evaluate_flags_exit_two(bridged_flows, tmp_path):
     assert main(base + ["--seed", "-1"]) == 2
     assert main(base + ["--balance", "500:x"]) == 2
     assert main(base + ["--balance", "2000"]) == 2
+    assert main(base + ["--balance=-1:5"]) == 2
+    assert main(base + ["--balance=3:-2"]) == 2
+    assert main(base + ["--balance=0:5"]) == 2
 
 
 def test_missing_dataset_exits_three(tmp_path):
@@ -260,3 +281,6 @@ def test_parse_balance():
         _parse_balance("500")
     with pytest.raises(ConfigError):
         _parse_balance("a:b")
+    for text in ("-1:5", "3:-2", "0:5", "5:0"):
+        with pytest.raises(ConfigError):
+            _parse_balance(text)

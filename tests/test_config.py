@@ -1,6 +1,8 @@
 """Configuration and sweep-sampling tests."""
 
 import dataclasses
+import json
+import random
 
 import pytest
 
@@ -9,13 +11,14 @@ from vanetlab.config import (
     FLOW_START_MAX_S,
     FLOW_START_MIN_S,
     SRC_PORT_BASE,
+    MobilityConfig,
     ScenarioConfig,
     _grid,
     default_config,
     derived_seed,
     sample_scenario,
 )
-from vanetlab.engine import mix64, seconds
+from vanetlab.engine import Engine, mix64, seconds
 from vanetlab.errors import ConfigError
 
 
@@ -126,8 +129,8 @@ def test_from_dict_rejects_malformed_values():
     {"scenario_count": 80, "flows_per_scenario": 250},
     {"split_fraction": 0.0},
     {"split_fraction": 1.0},
-    {"speed_min_mps": -0.1},
-    {"speed_max_mps": 0.1, "speed_min_mps": 0.4},
+    {"mobility": MobilityConfig(speed_min_mps=-0.1, speed_max_mps=1.0)},
+    {"mobility": MobilityConfig(speed_min_mps=0.4, speed_max_mps=0.1)},
     {"balance": (0, 100)},
 ])
 def test_validate_error_catalogue(patch):
@@ -136,6 +139,133 @@ def test_validate_error_catalogue(patch):
         setattr(cfg, key, value)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_partial_section_keeps_the_sweep_defaults():
+    """A section given in part starts from ScenarioConfig's default for
+    it (a 1760 x 20 m corridor), not from ArenaConfig's own 1000 x 50 m."""
+    cfg = ScenarioConfig.from_dict({"arena": {"length_m": 500}})
+    assert cfg.arena.length_m == 500.0
+    assert cfg.arena.width_m == 20.0
+    cfg = ScenarioConfig.from_dict({"radio": {"range_m": 100}, "mobility": {"speed_max_mps": 2}})
+    assert cfg.radio.bandwidth_bps == ScenarioConfig().radio.bandwidth_bps
+    assert cfg.mobility.speed_min_mps == 0.4
+
+
+def test_float_fields_accept_integers_and_serialise_as_floats():
+    cfg = ScenarioConfig.from_dict({"sim_duration_s": 30, "arena": {"width_m": 20}})
+    assert json.dumps(cfg.to_dict()) == json.dumps(default_config().to_dict())
+
+
+_DEFAULT = ScenarioConfig().to_dict()
+_SECTIONS = {key: list(value) for key, value in _DEFAULT.items() if isinstance(value, dict)}
+# every key and nested key, a section as a whole too, and some unknown ones
+_LEAVES = [(key,) for key in _DEFAULT] + [
+    (key, name) for key, names in _SECTIONS.items() for name in names
+] + [("seeed",), ("speed_min_mps",), ("arena", "height_m"), ("radio", "")]
+_SPECIAL = [0, -1, 2**64, 10**400, 0.5, 1e300, float("nan"), float("inf"), float("-inf"),
+            True, False, "12", "0.5", None, [], [1], [1, 2, 3], [1.0, 2], [True, 2], {}]
+
+
+def _fuzz_value(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.randint(1, 300)
+    if roll < 0.25:
+        return rng.uniform(0.0, 600.0)
+    if roll < 0.35:
+        return sorted(rng.randint(1, 80) for _ in range(2))
+    if depth < 2 and roll < 0.45:
+        return [_fuzz_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    if depth < 2 and roll < 0.5:
+        return {key: _fuzz_value(rng, depth + 1) for (key, *_) in rng.sample(_LEAVES, 2)}
+    return rng.choice(_SPECIAL)
+
+
+def _near(rng, default):
+    """A value of the default's own JSON type, often a valid one; a
+    random value where there is no scalar or pair default."""
+    if isinstance(default, bool):
+        return rng.random() < 0.5
+    if isinstance(default, int):
+        return rng.randint(1, 2 * default)
+    if isinstance(default, float):
+        return default * rng.uniform(0.5, 2.0)
+    if isinstance(default, list):
+        return sorted(_near(rng, end) for end in default)
+    return _fuzz_value(rng)
+
+
+def _fuzz_config(rng):
+    """One to three keys (or nested keys) set to a value near their
+    default or to a random one."""
+    raw = {}
+    for path in rng.sample(_LEAVES, rng.randint(1, 3)):
+        default = _DEFAULT
+        for key in path:
+            default = default.get(key) if isinstance(default, dict) else None
+        value = _near(rng, default) if rng.random() < 0.5 else _fuzz_value(rng)
+        if len(path) == 1:
+            raw[path[0]] = value
+        elif isinstance(raw.setdefault(path[0], {}), dict):
+            raw[path[0]][path[1]] = value
+    return raw
+
+
+def _json_types(value):
+    if isinstance(value, dict):
+        return {key: _json_types(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [type(item) for item in value]
+    return type(value)
+
+
+def _kept(given, got) -> bool:
+    """`got` holds `given` unchanged, bar an int given for a float field."""
+    if type(given) is dict:
+        return type(got) is dict and all(_kept(v, got[k]) for k, v in given.items())
+    if type(given) is list:
+        return type(got) is list and len(got) == len(given) and all(map(_kept, given, got))
+    if type(given) is int and type(got) is float:
+        return got == given
+    return type(got) is type(given) and got == given
+
+
+def _accepts(raw) -> bool:
+    """Parse `raw`: False if ConfigError refuses it, else check that the
+    simulator can time the config, that it holds the given values
+    unchanged with the default's JSON types, and that it reads back as
+    itself from plain, finite JSON. Any other exception escapes."""
+    try:
+        cfg = ScenarioConfig.from_dict(raw)
+    except ConfigError:
+        return False
+    seconds(cfg.sim_duration_s)
+    Engine(cfg.radio).latency_ns(1, cfg.radio.range_m)
+    got = cfg.to_dict()
+    assert _kept(raw, got)
+    types = _json_types(got)
+    if got["balance"] is None:
+        types["balance"] = _json_types(_DEFAULT["balance"])
+    assert types == _json_types(_DEFAULT)
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(got, allow_nan=False))) == cfg
+    return True
+
+
+@pytest.mark.parametrize("path", _LEAVES, ids=".".join)
+def test_from_dict_takes_each_special_value_or_refuses_it(path):
+    for value in _SPECIAL:
+        _accepts({path[0]: value} if len(path) == 1 else {path[0]: {path[1]: value}})
+
+
+def test_from_dict_fuzz_returns_a_config_or_raises_config_error():
+    """Random objects over the real keys: each parses into a config that
+    _accepts checks, or is refused with ConfigError. No simulation runs."""
+    rng = random.Random(20240)
+    cases = 500
+    accepted = sum(_accepts(_fuzz_config(rng)) for _ in range(cases))
+    # both outcomes occur, so neither branch is vacuous
+    assert 0.05 * cases < accepted < 0.95 * cases
 
 
 def test_honest_room_guard_checks_both_ends():
