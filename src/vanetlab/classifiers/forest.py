@@ -57,11 +57,6 @@ class RandomForest(Classifier):
             )
             self.trees.append(tree)
 
-    def tree_votes(self, X) -> np.ndarray:
-        """Per-tree label matrix (n_trees x N), for vote auditing."""
-        X = self._check_ready(X)
-        return np.stack([tree_apply(t, X) for t in self.trees])
-
     def _score(self, X: np.ndarray) -> np.ndarray:
         votes = np.stack([tree_apply(t, X) for t in self.trees])
         return votes.sum(axis=0) / self.n_trees

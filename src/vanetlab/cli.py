@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 data or schema error,
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import logging
@@ -24,6 +25,7 @@ from .dataset import (
     label_flows,
     read_csv,
     read_flows_csv,
+    record_label,
     split,
     write_csv,
     write_flows_csv,
@@ -77,7 +79,7 @@ def run_sweep(cfg: ScenarioConfig):
             i, params.vehicles, len(params.blackholes),
         )
         result = run_scenario(params)
-        positive = sum(1 for r in result.records if r.blackhole_absorbed >= 1)
+        positive = sum(map(record_label, result.records))
         meta.append(
             {
                 "index": i,
@@ -203,11 +205,20 @@ def train_and_report(
     return report
 
 
+def _check_out_dirs(*paths: str) -> None:
+    """Fail before any work when an output's directory is missing."""
+    for path in paths:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(errno.ENOENT, "output directory does not exist", parent)
+
+
 def cmd_simulate(config_path: str, out_path: str) -> dict:
     cfg = load_config(config_path)
+    _check_out_dirs(out_path)
     records, meta = run_sweep(cfg)
     write_flows_csv(records, out_path)
-    positive = sum(1 for r in records if r.blackhole_absorbed >= 1)
+    positive = sum(map(record_label, records))
     return _write_manifest(
         cfg, meta, os.path.dirname(os.path.abspath(out_path)),
         {"flows": os.path.basename(out_path)},
@@ -223,6 +234,7 @@ def cmd_evaluate(
     roc_path: str,
     balance_counts=None,
 ) -> dict:
+    _check_out_dirs(report_path, roc_path)
     ds = _load_any_dataset(dataset_path)
     return train_and_report(
         ds, seed, split_fraction, False, balance_counts, report_path, roc_path

@@ -10,11 +10,14 @@ from typing import Optional, get_type_hints
 from .engine import NS_PER_S, RadioConfig, mix64, seconds, substream
 from .errors import ConfigError
 from .flows import FlowSpec
-from .scenario import ArenaConfig, ScenarioParams
+from .scenario import ArenaConfig, MobilityConfig, ScenarioParams
 
 SRC_PORT_BASE = 49153
 DST_PORT = 9
 MAX_PORT = 0xFFFF
+
+# sample_scenario builds the whole conversation pool up front
+MAX_FLOW_PAIRS = 10_000
 
 FLOW_START_MIN_S = 1.0
 FLOW_START_MAX_S = 5.0
@@ -35,14 +38,6 @@ def _int_range(value, name: str) -> None:
 
 
 @dataclass
-class MobilityConfig:
-    """Each vehicle's speed is drawn uniformly from [min, max]."""
-
-    speed_min_mps: float = 0.4
-    speed_max_mps: float = 1.0
-
-
-@dataclass
 class ScenarioConfig:
     """Everything a sweep needs. Ranges are inclusive [lo, hi] bounds
     sampled uniformly per scenario (per flow for the traffic ranges)."""
@@ -57,7 +52,7 @@ class ScenarioConfig:
     data_rate_kbps: tuple[int, int] = (600, 1800)
     packet_count: tuple[int, int] = (7, 70)
     packet_size_bytes: tuple[int, int] = (1024, 1800)
-    arena: ArenaConfig = field(default_factory=lambda: ArenaConfig(1760.0, 20.0))
+    arena: ArenaConfig = field(default_factory=ArenaConfig)
     radio: RadioConfig = field(default_factory=RadioConfig)
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
     balance: Optional[tuple[int, int]] = (500, 1500)
@@ -69,8 +64,8 @@ class ScenarioConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.scenario_count < 1 or self.flows_per_scenario < 1:
             raise ConfigError("scenario_count and flows_per_scenario must be >= 1")
-        if self.flow_pairs_per_scenario < 1:
-            raise ConfigError("flow_pairs_per_scenario must be >= 1")
+        if not 1 <= self.flow_pairs_per_scenario <= MAX_FLOW_PAIRS:
+            raise ConfigError(f"flow_pairs_per_scenario must lie in [1, {MAX_FLOW_PAIRS}]")
         # finite in nanoseconds, where the simulator keeps time
         if not (FLOW_START_MAX_S < self.sim_duration_s
                 and math.isfinite(self.sim_duration_s * NS_PER_S)):
@@ -229,7 +224,7 @@ def sample_scenario(cfg: ScenarioConfig, index: int) -> ScenarioParams:
         sim_duration_ns=seconds(cfg.sim_duration_s),
         arena=replace(cfg.arena),
         radio=replace(cfg.radio),
-        speed_range_mps=(cfg.mobility.speed_min_mps, cfg.mobility.speed_max_mps),
+        mobility=replace(cfg.mobility),
     )
 
 

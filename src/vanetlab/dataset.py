@@ -9,23 +9,33 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Iterable, Optional, get_type_hints
 
 from .errors import InsufficientClassCount, SchemaError, TooFewRows
 from .flows import FlowRecord
 
 DATASET_HEADER = "src_addr,dst_addr,src_port,dst_port,label"
 
-FLOWS_HEADER = (
-    "src_addr,dst_addr,src_port,dst_port,"
-    "time_first_tx_ns,time_first_rx_ns,time_last_tx_ns,time_last_rx_ns,"
-    "delay_sum_ns,jitter_sum_ns,last_delay_ns,"
-    "tx_packets,rx_packets,lost_packets,tx_bytes,rx_bytes,"
-    "throughput_bps,blackhole_absorbed,label"
-)
-
 _UNSET_TIME = -1  # CSV sentinel for rx timestamps of flows with no Rx
+
+# flows.csv column type -> (parse, format)
+_CODECS = {
+    int: (int, str),
+    float: (float, repr),
+    Optional[int]: (lambda text: None if int(text) == _UNSET_TIME else int(text),
+                    lambda value: str(_UNSET_TIME if value is None else value)),
+}
+_FLOW_HINTS = get_type_hints(FlowRecord)
+# (column, FlowRecord field, parse, format) in field order; time columns carry _ns
+_FLOW_COLUMNS = [
+    (f.name + "_ns" if f.metadata.get("unit") == "ns" else f.name, f.name,
+     *_CODECS[_FLOW_HINTS[f.name]])
+    for f in fields(FlowRecord)
+]
+FLOWS_HEADER = ",".join([column for column, *_ in _FLOW_COLUMNS] + ["label"])
+_flow_values = attrgetter(*(name for _, name, _, _ in _FLOW_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -161,20 +171,12 @@ def read_csv(path) -> Dataset:
 
 def write_flows_csv(records: Iterable[FlowRecord], path) -> None:
     """Full 17-feature flow table plus ground truth and label."""
-
-    def t(v):
-        return _UNSET_TIME if v is None else v
-
+    formats = [fmt for *_, fmt in _FLOW_COLUMNS]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(FLOWS_HEADER + "\n")
         for r in records:
-            fh.write(
-                f"{r.src_addr},{r.dst_addr},{r.src_port},{r.dst_port},"
-                f"{r.time_first_tx},{t(r.time_first_rx)},{r.time_last_tx},{t(r.time_last_rx)},"
-                f"{r.delay_sum},{r.jitter_sum},{r.last_delay},"
-                f"{r.tx_packets},{r.rx_packets},{r.lost_packets},{r.tx_bytes},{r.rx_bytes},"
-                f"{r.throughput_bps!r},{r.blackhole_absorbed},{record_label(r)}\n"
-            )
+            values = ",".join(fmt(v) for fmt, v in zip(formats, _flow_values(r)))
+            fh.write(f"{values},{record_label(r)}\n")
 
 
 def read_flows_csv(path) -> list[FlowRecord]:
@@ -182,40 +184,20 @@ def read_flows_csv(path) -> list[FlowRecord]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != FLOWS_HEADER:
         raise SchemaError(f"bad flows header in {path}")
+    width = len(_FLOW_COLUMNS) + 1
     records = []
     for ln, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 19:
-            raise SchemaError(f"{path}:{ln}: expected 19 fields, got {len(fields)}")
+        texts = line.split(",")
+        if len(texts) != width:
+            raise SchemaError(f"{path}:{ln}: expected {width} fields, got {len(texts)}")
         try:
-            ints = [int(f) for f in fields[:16]]
-            throughput = float(fields[16])
-            absorbed = int(fields[17])
-            label = int(fields[18])
+            rec = FlowRecord(**{name: parse(text) for (_, name, parse, _), text
+                                in zip(_FLOW_COLUMNS, texts)})
+            label = int(texts[-1])
         except ValueError as e:
             raise SchemaError(f"{path}:{ln}: bad field ({e})") from None
         if label not in (0, 1):
             raise SchemaError(f"{path}:{ln}: label must be 0 or 1, got {label}")
-        rec = FlowRecord(
-            src_addr=ints[0],
-            dst_addr=ints[1],
-            src_port=ints[2],
-            dst_port=ints[3],
-            time_first_tx=ints[4],
-            time_first_rx=None if ints[5] == _UNSET_TIME else ints[5],
-            time_last_tx=ints[6],
-            time_last_rx=None if ints[7] == _UNSET_TIME else ints[7],
-            delay_sum=ints[8],
-            jitter_sum=ints[9],
-            last_delay=ints[10],
-            tx_packets=ints[11],
-            rx_packets=ints[12],
-            lost_packets=ints[13],
-            tx_bytes=ints[14],
-            rx_bytes=ints[15],
-            throughput_bps=throughput,
-            blackhole_absorbed=absorbed,
-        )
         if record_label(rec) != label:
             raise SchemaError(f"{path}:{ln}: label inconsistent with ground truth")
         records.append(rec)

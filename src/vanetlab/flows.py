@@ -97,64 +97,52 @@ class FlowObservation(NamedTuple):
     cause: Optional[DropCause] = None
 
 
+_NS = {"unit": "ns"}  # flows.csv writes these columns with an _ns suffix
+_NOT_SENT = object()  # FlowMonitor's marker for a seq with no Tx observation
+
+
 @dataclass
 class FlowRecord:
-    """Finalized per-flow statistics; rx timestamps stay None when nothing
-    was received."""
+    """Per-flow statistics, accumulated in place by FlowMonitor; the field
+    order is the flows.csv column order. rx timestamps stay None when
+    nothing was received."""
 
     src_addr: int
     dst_addr: int
     src_port: int
     dst_port: int
-    time_first_tx: SimTime
-    time_first_rx: Optional[SimTime]
-    time_last_tx: SimTime
-    time_last_rx: Optional[SimTime]
-    delay_sum: int
-    jitter_sum: int
-    last_delay: int
-    tx_packets: int
-    rx_packets: int
-    lost_packets: int
-    tx_bytes: int
-    rx_bytes: int
-    throughput_bps: float
-    blackhole_absorbed: int  # ground truth, not one of the 17 features
+    time_first_tx: SimTime = field(metadata=_NS)
+    time_first_rx: Optional[SimTime] = field(metadata=_NS)
+    time_last_tx: SimTime = field(metadata=_NS)
+    time_last_rx: Optional[SimTime] = field(metadata=_NS)
+    delay_sum: int = field(default=0, metadata=_NS)
+    jitter_sum: int = field(default=0, metadata=_NS)
+    last_delay: int = field(default=0, metadata=_NS)
+    tx_packets: int = 0
+    rx_packets: int = 0
+    lost_packets: int = 0
+    tx_bytes: int = 0
+    rx_bytes: int = 0
+    throughput_bps: float = 0.0
+    blackhole_absorbed: int = 0  # ground truth, not one of the 17 features
 
     @property
     def key(self) -> FlowKey:
         return FlowKey(self.src_addr, self.dst_addr, self.src_port, self.dst_port)
 
 
-@dataclass(slots=True)
-class _FlowAccumulator:
-    key: FlowKey
-    time_first_tx: Optional[SimTime] = None
-    time_first_rx: Optional[SimTime] = None
-    time_last_tx: Optional[SimTime] = None
-    time_last_rx: Optional[SimTime] = None
-    delay_sum: int = 0
-    jitter_sum: int = 0
-    last_delay: int = 0
-    tx_packets: int = 0
-    rx_packets: int = 0
-    lost_packets: int = 0
-    tx_bytes: int = 0
-    rx_bytes: int = 0
-    blackhole_absorbed: int = 0
-    tx_times: dict[int, SimTime] = field(default_factory=dict)
-    open_seqs: set[int] = field(default_factory=set)
-
-
 class FlowMonitor:
-    """Collects Tx/Rx/Drop observations and finalizes them into FlowRecords.
+    """Collects Tx/Rx/Drop observations straight into one FlowRecord per
+    flow; finalize returns the monitor's own records.
 
-    The raw observation log is kept so accumulators can be re-derived and
-    audited after a run.
+    Per flow it keeps `(record, sent)`, where `sent` maps each seq to its
+    Tx time, or to None once the packet has its terminal observation. The
+    raw observation log is kept so records can be re-derived and audited
+    after a run.
     """
 
     def __init__(self) -> None:
-        self._flows: dict[FlowKey, _FlowAccumulator] = {}
+        self._flows: dict[FlowKey, tuple[FlowRecord, dict[int, Optional[SimTime]]]] = {}
         self.log: list[FlowObservation] = []
 
     # -- observation entry points ---------------------------------------
@@ -172,87 +160,56 @@ class FlowMonitor:
 
     def observe(self, o: FlowObservation) -> None:
         kind, key, seq, time, size_bytes, cause = o
-        acc = self._flows.get(key)
-        if acc is None:
-            acc = self._flows[key] = _FlowAccumulator(key)
+        entry = self._flows.get(key)
         if kind is ObsKind.TX:
-            if seq in acc.tx_times:
+            if entry is None:
+                entry = self._flows[key] = (FlowRecord(*key, time, None, time, None), {})
+            rec, sent = entry
+            if seq in sent:
                 raise DuplicateTerminal(f"duplicate Tx for {key} seq {seq}")
-            acc.tx_times[seq] = time
-            acc.open_seqs.add(seq)
-            acc.tx_packets += 1
-            acc.tx_bytes += size_bytes
-            if acc.time_first_tx is None:
-                acc.time_first_tx = time
-            acc.time_last_tx = time
+            sent[seq] = time
+            rec.tx_packets += 1
+            rec.tx_bytes += size_bytes
+            rec.time_last_tx = time
         else:
-            if seq not in acc.tx_times:
+            tx_time = _NOT_SENT if entry is None else entry[1].get(seq, _NOT_SENT)
+            if tx_time is _NOT_SENT:
                 raise DuplicateTerminal(f"terminal before Tx for {key} seq {seq}")
-            if seq not in acc.open_seqs:
+            if tx_time is None:
                 raise DuplicateTerminal(f"second terminal observation for {key} seq {seq}")
-            acc.open_seqs.discard(seq)
+            rec, sent = entry
+            sent[seq] = None
             if kind is ObsKind.RX:
-                delay = time - acc.tx_times[seq]
-                if acc.rx_packets > 0:
-                    acc.jitter_sum += abs(delay - acc.last_delay)
-                acc.last_delay = delay
-                acc.delay_sum += delay
-                acc.rx_packets += 1
-                acc.rx_bytes += size_bytes
-                if acc.time_first_rx is None:
-                    acc.time_first_rx = time
-                acc.time_last_rx = time
+                delay = time - tx_time
+                if rec.rx_packets > 0:
+                    rec.jitter_sum += abs(delay - rec.last_delay)
+                rec.last_delay = delay
+                rec.delay_sum += delay
+                rec.rx_packets += 1
+                rec.rx_bytes += size_bytes
+                if rec.time_first_rx is None:
+                    rec.time_first_rx = time
+                rec.time_last_rx = time
             else:
-                acc.lost_packets += 1
+                rec.lost_packets += 1
                 if cause is DropCause.BLACKHOLE_ABSORBED:
-                    acc.blackhole_absorbed += 1
+                    rec.blackhole_absorbed += 1
         self.log.append(o)
 
     # -- finalize ---------------------------------------------------------
 
     def finalize(self, t_end: SimTime) -> list[FlowRecord]:
-        """Close still-open packets as end-of-sim drops and emit one record
-        per flow, ordered by flow key."""
-        for acc in self._flows.values():
-            for seq in sorted(acc.open_seqs):
-                self.observe_drop(
-                    acc.key, seq, t_end, 0, DropCause.END_OF_SIM
-                )
-        records = []
-        for key in sorted(self._flows):
-            acc = self._flows[key]
-            records.append(
-                FlowRecord(
-                    src_addr=key.src_addr,
-                    dst_addr=key.dst_addr,
-                    src_port=key.src_port,
-                    dst_port=key.dst_port,
-                    time_first_tx=acc.time_first_tx if acc.time_first_tx is not None else 0,
-                    time_first_rx=acc.time_first_rx,
-                    time_last_tx=acc.time_last_tx if acc.time_last_tx is not None else 0,
-                    time_last_rx=acc.time_last_rx,
-                    delay_sum=acc.delay_sum,
-                    jitter_sum=acc.jitter_sum,
-                    last_delay=acc.last_delay,
-                    tx_packets=acc.tx_packets,
-                    rx_packets=acc.rx_packets,
-                    lost_packets=acc.lost_packets,
-                    tx_bytes=acc.tx_bytes,
-                    rx_bytes=acc.rx_bytes,
-                    throughput_bps=_throughput_bps(acc),
-                    blackhole_absorbed=acc.blackhole_absorbed,
-                )
-            )
+        """Close still-open packets as end-of-sim drops, set each flow's
+        throughput and return the records ordered by flow key."""
+        for key, (_, sent) in self._flows.items():
+            for seq in sorted(seq for seq, tx_time in sent.items() if tx_time is not None):
+                self.observe_drop(key, seq, t_end, 0, DropCause.END_OF_SIM)
+        records = [self._flows[key][0] for key in sorted(self._flows)]
+        for rec in records:
+            window_ns = rec.time_last_rx - rec.time_first_tx if rec.rx_packets else 0
+            if window_ns > 0:
+                rec.throughput_bps = rec.rx_bytes * 8 / (window_ns / NS_PER_S)
         return records
-
-
-def _throughput_bps(acc: _FlowAccumulator) -> float:
-    if acc.rx_packets == 0 or acc.time_last_rx is None or acc.time_first_tx is None:
-        return 0.0
-    window_ns = acc.time_last_rx - acc.time_first_tx
-    if window_ns <= 0:
-        return 0.0
-    return acc.rx_bytes * 8 / (window_ns / NS_PER_S)
 
 
 def start_flow(engine, node, monitor: FlowMonitor, spec: FlowSpec) -> None:

@@ -3,9 +3,9 @@ collect flow records."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .aodv import AodvConfig, AodvNode, Behavior
+from .aodv import AodvNode, Behavior
 from .engine import Engine, RadioConfig, SimTime, substream
 from .flows import DataPacket, DropCause, FlowMonitor, FlowRecord, FlowSpec, start_flow
 
@@ -26,8 +26,16 @@ MIN_GAP_M = 60.0
 
 @dataclass
 class ArenaConfig:
-    length_m: float = 1000.0
-    width_m: float = 50.0
+    length_m: float = 1760.0
+    width_m: float = 20.0
+
+
+@dataclass
+class MobilityConfig:
+    """Each vehicle's speed is drawn uniformly from [min, max]."""
+
+    speed_min_mps: float = 0.4
+    speed_max_mps: float = 1.0
 
 
 @dataclass
@@ -40,10 +48,9 @@ class ScenarioParams:
     blackholes: tuple[int, ...]
     flows: list[FlowSpec]
     sim_duration_ns: SimTime
-    arena: ArenaConfig = field(default_factory=ArenaConfig)
-    radio: RadioConfig = field(default_factory=RadioConfig)
-    speed_range_mps: tuple[float, float] = (0.0, 0.0)
-    aodv: AodvConfig = field(default_factory=AodvConfig)
+    arena: ArenaConfig
+    radio: RadioConfig
+    mobility: MobilityConfig
 
 
 @dataclass
@@ -90,6 +97,7 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
     place_rng = substream(params.seed, params.index, _PLACEMENT)
     speed_rng = substream(params.seed, params.index, _VELOCITY)
     blackhole_set = set(params.blackholes)
+    mobility = params.mobility
 
     xs = _layout_positions(params, place_rng)
 
@@ -99,10 +107,10 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
             y = params.arena.width_m / 2.0
         else:
             y = place_rng.uniform(0.0, params.arena.width_m)
-        speed = speed_rng.uniform(*params.speed_range_mps)
+        speed = speed_rng.uniform(mobility.speed_min_mps, mobility.speed_max_mps)
         direction = 1.0 if speed_rng.random() < 0.5 else -1.0
         behavior = Behavior.BLACKHOLE if n in blackhole_set else Behavior.HONEST
-        node = AodvNode(n, engine, monitor, behavior=behavior, config=params.aodv)
+        node = AodvNode(n, engine, monitor, behavior=behavior)
         nodes[n] = node
         engine.register_node(
             n, (xs[n], y), (speed * direction, 0.0), receiver=node.on_frame

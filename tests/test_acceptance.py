@@ -28,9 +28,10 @@ from vanetlab.classifiers import (
     log_loss,
     loss_and_grad,
 )
+from vanetlab.classifiers.tree import tree_apply
 from vanetlab.config import default_config, sample_scenario
 from vanetlab.dataset import record_label
-from vanetlab.engine import seconds, substream
+from vanetlab.engine import RadioConfig, seconds, substream
 from vanetlab.flows import FlowSpec, recompute_from_log
 from vanetlab.metrics import (
     ConfusionCounts,
@@ -38,7 +39,7 @@ from vanetlab.metrics import (
     compute_metrics,
     single_point_auc,
 )
-from vanetlab.scenario import ArenaConfig, ScenarioParams, run_scenario
+from vanetlab.scenario import ArenaConfig, MobilityConfig, ScenarioParams, run_scenario
 
 LEGEND_POINTS = {
     "GB": (0.86713287, 0.02116402, 0.923),
@@ -182,7 +183,8 @@ def chain_params(blackhole: bool) -> ScenarioParams:
         flows=[flow],
         sim_duration_ns=seconds(10),
         arena=ArenaConfig(length_m=length, width_m=2.0),
-        speed_range_mps=(0.0, 0.0),
+        radio=RadioConfig(),
+        mobility=MobilityConfig(speed_min_mps=0.0, speed_max_mps=0.0),
     )
 
 
@@ -329,7 +331,7 @@ def test_criterion_5_classifier_oracles():
 
     # RF: prediction equals the mode of the tree votes on every test row
     rf = RandomForest(n_trees=25, seed=5).fit(X, y)
-    votes = rf.tree_votes(probes)
+    votes = np.stack([tree_apply(t, probes) for t in rf.trees])
     mode = (votes.sum(axis=0) * 2 > 25).astype(int)
     checks.append(("RF vote mode", np.array_equal(rf.predict(probes), mode)))
 

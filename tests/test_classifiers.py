@@ -33,6 +33,7 @@ from vanetlab.classifiers import (
     sigmoid,
 )
 from vanetlab.classifiers.base import check_labels, check_matrix
+from vanetlab.classifiers.tree import tree_apply
 from vanetlab.dataset import Dataset, DatasetRow
 from vanetlab.engine import substream
 from vanetlab.errors import (
@@ -353,7 +354,7 @@ def rf_state(trees, n_trees, n_features=2):
 def test_rf_label_is_majority_of_tree_votes(separable400):
     X, y = separable400
     model = RandomForest(n_trees=9, seed=3).fit(X, y)
-    votes = model.tree_votes(X[::10])
+    votes = np.stack([tree_apply(t, X[::10]) for t in model.trees])
     majority = (votes.sum(axis=0) >= 5).astype(int)
     assert np.array_equal(model.predict(X[::10]), majority)
     assert np.allclose(model.score(X[::10]), votes.sum(axis=0) / 9)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from vanetlab import cli
 from vanetlab.cli import _parse_balance, main
 from vanetlab.dataset import DATASET_HEADER, FLOWS_HEADER
 from vanetlab.errors import ConfigError
@@ -172,6 +173,10 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     assert (out / "roc.csv").read_text().startswith("classifier,fpr,tpr\n")
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran the work that should have been refused first")
+
+
 @pytest.mark.parametrize("payload", [
     "{not json",
     '{"seeed": 3}',
@@ -189,6 +194,10 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     '{"arena": {"width_m": Infinity}}',
     '{"mobility": {"speed_min_mps": NaN}}',
     '{"mobility": {"speed_max_mps": Infinity}}',
+    # sample_scenario would build the whole conversation pool
+    '{"flow_pairs_per_scenario": 10001}',
+    '{"flow_pairs_per_scenario": 1000000000000}',
+    pytest.param('{"flow_pairs_per_scenario": %d}' % 10**30, id="flow-pairs-1e30"),
     # finite, but not in integer nanoseconds
     '{"sim_duration_s": 1e300}',
     '{"radio": {"prop_delay_s_per_m": 1e300}}',
@@ -208,7 +217,9 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     pytest.param('{"seed": %s}' % ("1" * 5000), id="int-past-digit-limit"),
     pytest.param(b'{"seed": "\xff"}', id="not-utf8"),
 ])
-def test_bad_config_exits_two(tmp_path, payload):
+def test_bad_config_exits_two(tmp_path, monkeypatch, payload):
+    # a config that got through would simulate, without bound for a huge pool
+    monkeypatch.setattr(cli, "run_sweep", _must_not_run)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "f.csv")])
@@ -233,6 +244,27 @@ def test_bad_evaluate_flags_exit_two(bridged_flows, tmp_path):
     assert main(base + ["--balance=-1:5"]) == 2
     assert main(base + ["--balance=3:-2"]) == 2
     assert main(base + ["--balance=0:5"]) == 2
+
+
+def test_simulate_checks_the_output_directory_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("{}")
+    rc = main(["simulate", "--config", str(cfg_path),
+               "--out", str(tmp_path / "missing" / "flows.csv")])
+    assert rc == 3
+
+
+@pytest.mark.parametrize("missing", ["report", "roc"])
+def test_evaluate_checks_the_output_directories_first(bridged_flows, tmp_path, monkeypatch,
+                                                      missing):
+    _, _, flows = bridged_flows
+    monkeypatch.setattr(cli, "train_and_report", _must_not_run)
+    paths = {"report": tmp_path / "r.json", "roc": tmp_path / "c.csv"}
+    paths[missing] = tmp_path / "missing" / paths[missing].name
+    rc = main(["evaluate", "--dataset", str(flows),
+               "--report", str(paths["report"]), "--roc", str(paths["roc"])])
+    assert rc == 3
 
 
 def test_missing_dataset_exits_three(tmp_path):

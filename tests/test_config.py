@@ -10,7 +10,9 @@ from vanetlab.config import (
     DST_PORT,
     FLOW_START_MAX_S,
     FLOW_START_MIN_S,
+    MAX_FLOW_PAIRS,
     SRC_PORT_BASE,
+    ArenaConfig,
     MobilityConfig,
     ScenarioConfig,
     _grid,
@@ -18,7 +20,7 @@ from vanetlab.config import (
     derived_seed,
     sample_scenario,
 )
-from vanetlab.engine import Engine, mix64, seconds
+from vanetlab.engine import Engine, RadioConfig, mix64, seconds
 from vanetlab.errors import ConfigError
 
 
@@ -121,6 +123,9 @@ def test_from_dict_rejects_malformed_values():
     {"scenario_count": 0},
     {"flows_per_scenario": 0},
     {"flow_pairs_per_scenario": 0},
+    {"flow_pairs_per_scenario": MAX_FLOW_PAIRS + 1},
+    {"flow_pairs_per_scenario": 10**12},
+    {"flow_pairs_per_scenario": 10**30},
     {"sim_duration_s": 5.0},
     {"vehicles": (0, 10)},
     {"vehicles": (10, 300)},
@@ -142,8 +147,8 @@ def test_validate_error_catalogue(patch):
 
 
 def test_partial_section_keeps_the_sweep_defaults():
-    """A section given in part starts from ScenarioConfig's default for
-    it (a 1760 x 20 m corridor), not from ArenaConfig's own 1000 x 50 m."""
+    """A section given in part keeps the rest of ScenarioConfig's default
+    for it (a 1760 x 20 m corridor)."""
     cfg = ScenarioConfig.from_dict({"arena": {"length_m": 500}})
     assert cfg.arena.length_m == 500.0
     assert cfg.arena.width_m == 20.0
@@ -288,7 +293,24 @@ def test_arena_and_radio_are_copied_not_shared():
     params = sample_scenario(cfg, 0)
     assert params.arena is not cfg.arena
     assert params.radio is not cfg.radio
-    assert params.arena.length_m == cfg.arena.length_m
+    assert params.mobility is not cfg.mobility
+    assert (params.arena, params.radio, params.mobility) == (cfg.arena, cfg.radio, cfg.mobility)
+
+
+def test_each_section_has_one_default():
+    """The sweep's sections are their classes' own defaults, so a second
+    default (say, a different arena for scenarios) cannot come back."""
+    cfg = ScenarioConfig()
+    assert cfg.arena == ArenaConfig()
+    assert cfg.radio == RadioConfig()
+    assert cfg.mobility == MobilityConfig()
+    assert (cfg.arena.length_m, cfg.arena.width_m) == (1760.0, 20.0)
+
+
+def test_flow_pair_cap_is_inclusive():
+    cfg = default_config()
+    cfg.flow_pairs_per_scenario = MAX_FLOW_PAIRS
+    cfg.validate()
 
 
 def test_flow_pairs_reuse_endpoints():

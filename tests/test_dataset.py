@@ -1,7 +1,10 @@
 """Dataset labeling, splitting, balancing, and CSV schema tests."""
 
+import dataclasses
+
 import pytest
 
+from vanetlab.config import default_config, sample_scenario
 from vanetlab.dataset import (
     DATASET_HEADER,
     FLOWS_HEADER,
@@ -19,6 +22,7 @@ from vanetlab.dataset import (
 )
 from vanetlab.errors import InsufficientClassCount, SchemaError, TooFewRows
 from vanetlab.flows import FlowRecord
+from vanetlab.scenario import run_scenario
 
 
 def make_record(absorbed=0, lost=0, rx=10, src=0, dst=1, port=49153):
@@ -197,6 +201,22 @@ def test_flows_csv_round_trip_with_unset_rx(tmp_path):
     assert again == records
     assert again[1].time_first_rx is None
     assert again[1].time_last_rx is None
+
+
+def test_flows_csv_round_trips_simulator_records(tmp_path):
+    """Real records, not hand-made ones: received, blackholed and
+    never-received flows come back equal from flows.csv."""
+    cfg = dataclasses.replace(default_config(), flows_per_scenario=40)
+    records = run_scenario(sample_scenario(cfg, 9)).records
+    assert {record_label(r) for r in records} == {0, 1}
+    assert any(r.time_first_rx is None for r in records)
+    assert any(r.rx_packets > 0 and r.blackhole_absorbed > 0 for r in records)
+    path, again = tmp_path / "flows.csv", tmp_path / "again.csv"
+    write_flows_csv(records, path)
+    assert read_flows_csv(path) == records
+    # equality alone would let 5.0 pass for 5; the bytes would not
+    write_flows_csv(read_flows_csv(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_flows_csv_header_frozen(tmp_path):

@@ -1,7 +1,7 @@
 """Scenario layout and end-to-end run tests."""
 
 from vanetlab.config import default_config, sample_scenario
-from vanetlab.engine import seconds, substream
+from vanetlab.engine import RadioConfig, seconds, substream
 from vanetlab.flows import FlowSpec
 from vanetlab.scenario import (
     ATTACKER_JITTER_M,
@@ -9,6 +9,7 @@ from vanetlab.scenario import (
     PLATOON_HEADWAY_M,
     SPAN_FRACTION,
     ArenaConfig,
+    MobilityConfig,
     ScenarioParams,
     _layout_positions,
     _PLACEMENT,
@@ -26,7 +27,8 @@ def make_params(vehicles, blackholes, length_m=2000.0, seed=7, index=0,
         flows=flows or [],
         sim_duration_ns=seconds(duration),
         arena=ArenaConfig(length_m=length_m, width_m=20.0),
-        speed_range_mps=speeds,
+        radio=RadioConfig(),
+        mobility=MobilityConfig(speed_min_mps=speeds[0], speed_max_mps=speeds[1]),
     )
 
 
