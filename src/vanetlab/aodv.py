@@ -85,19 +85,22 @@ class AodvNode:
         self._pending: dict[int, list[DataPacket]] = {}
         self._discovering: dict[int, int] = {}  # dest -> attempt number
         self.counters = {"rreq_tx": 0, "rrep_tx": 0, "data_tx": 0, "data_forwarded": 0}
+        # exact payload type -> handler(payload, prev_hop)
+        self._handlers = {
+            Rreq: self.blackhole_handle_rreq
+            if behavior is Behavior.BLACKHOLE else self.handle_rreq,
+            Rrep: self.handle_rrep,
+            DataPacket: self.handle_data,
+        }
 
     # -- engine wiring ---------------------------------------------------
 
     def on_frame(self, prev_hop: int, payload) -> None:
-        if isinstance(payload, Rreq):
-            if self.behavior is Behavior.BLACKHOLE:
-                self.blackhole_handle_rreq(payload, prev_hop)
-            else:
-                self.handle_rreq(payload, prev_hop)
-        elif isinstance(payload, Rrep):
-            self.handle_rrep(payload, prev_hop)
-        elif isinstance(payload, DataPacket):
-            self.handle_data(payload, prev_hop)
+        """Hand a received frame to its type's handler; other payloads are
+        ignored."""
+        handler = self._handlers.get(type(payload))
+        if handler is not None:
+            handler(payload, prev_hop)
 
     # -- data plane -------------------------------------------------------
 
@@ -105,9 +108,10 @@ class AodvNode:
         """Origin entry point: route if possible, else queue and discover."""
         if pkt.dst == self.id:
             raise InvalidSpec("packet addressed to its own source")
-        route = self.live_route(pkt.dst)
-        if route is not None:
-            self._transmit_data(route.next_hop, pkt)
+        route = self.routes.get(pkt.dst)
+        if route is not None and route.expiry > self.engine.clock:
+            self.counters["data_tx"] += 1
+            self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt)
             return
         queue = self._pending.setdefault(pkt.dst, [])
         if len(queue) >= self.config.queue_cap:
@@ -127,17 +131,14 @@ class AodvNode:
         if self.behavior is Behavior.BLACKHOLE:
             cause = DropCause.BLACKHOLE_ABSORBED
         else:
-            route = self.live_route(pkt.dst)
-            if route is not None:
+            route = self.routes.get(pkt.dst)
+            if route is not None and route.expiry > self.engine.clock:
                 self.counters["data_forwarded"] += 1
-                self._transmit_data(route.next_hop, pkt)
+                self.counters["data_tx"] += 1
+                self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt)
                 return
             cause = DropCause.NO_ROUTE
         self.monitor.observe_drop(pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, cause)
-
-    def _transmit_data(self, next_hop: int, pkt: DataPacket) -> None:
-        self.counters["data_tx"] += 1
-        self.engine.transmit(self.id, next_hop, pkt.size_bytes, pkt)
 
     # -- route table --------------------------------------------------------
 
@@ -218,7 +219,8 @@ class AodvNode:
             return
         self._discovering.pop(dest, None)
         for pkt in self._pending.pop(dest, []):
-            self._transmit_data(route.next_hop, pkt)
+            self.counters["data_tx"] += 1
+            self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt)
 
     # -- control plane -----------------------------------------------------------
 

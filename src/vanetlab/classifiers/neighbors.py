@@ -33,14 +33,21 @@ class KNearestNeighbors(Classifier):
         self.train_y = y.copy()
 
     def _neighbors(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, distances) of the k nearest per query row."""
+        """(indices, distances) of the k nearest per query row.
+
+        The k-th smallest squared distance comes from a partition; only the
+        rows not above it are then stably sorted, so the k kept are those a
+        full stable argsort would keep: ties go to the lower row index, and
+        NaN distances (a standardizer that overflowed) sort last.
+        """
         k = min(self.k, self.train_X.shape[0])
         idx = np.empty((Xs.shape[0], k), dtype=np.int64)
         dist = np.empty((Xs.shape[0], k))
         for q in range(Xs.shape[0]):
             diff = self.train_X - Xs[q]
             d2 = (diff * diff).sum(axis=1)
-            order = np.argsort(d2, kind="stable")[:k]
+            near = np.flatnonzero(~(d2 > np.partition(d2, k - 1)[k - 1]))
+            order = near[np.argsort(d2[near], kind="stable")[:k]]
             idx[q] = order
             dist[q] = np.sqrt(d2[order])
         return idx, dist

@@ -198,6 +198,13 @@ def read_flows_csv(path) -> list[FlowRecord]:
             raise SchemaError(f"{path}:{ln}: bad field ({e})") from None
         if label not in (0, 1):
             raise SchemaError(f"{path}:{ln}: label must be 0 or 1, got {label}")
+        if rec.rx_packets + rec.lost_packets != rec.tx_packets:
+            raise SchemaError(f"{path}:{ln}: rx_packets + lost_packets != tx_packets")
+        received = rec.rx_packets > 0
+        if not received == (rec.time_first_rx is not None) == (rec.time_last_rx is not None):
+            raise SchemaError(f"{path}:{ln}: rx times must be set exactly when rx_packets > 0")
+        if rec.blackhole_absorbed > rec.lost_packets:
+            raise SchemaError(f"{path}:{ln}: blackhole_absorbed exceeds lost_packets")
         if record_label(rec) != label:
             raise SchemaError(f"{path}:{ln}: label inconsistent with ground truth")
         records.append(rec)

@@ -8,6 +8,7 @@ builds its own small inputs.
 """
 
 import collections
+import functools
 import hashlib
 import json
 import math
@@ -16,7 +17,9 @@ import time
 
 import numpy as np
 import pytest
+from flow_audit import recompute_from_log
 
+from vanetlab import scenario
 from vanetlab.cli import cmd_pipeline, cmd_simulate
 from vanetlab.classifiers import (
     GaussianNaiveBayes,
@@ -32,7 +35,7 @@ from vanetlab.classifiers.tree import tree_apply
 from vanetlab.config import default_config, sample_scenario
 from vanetlab.dataset import record_label
 from vanetlab.engine import RadioConfig, seconds, substream
-from vanetlab.flows import FlowSpec, recompute_from_log
+from vanetlab.flows import FlowMonitor, FlowSpec
 from vanetlab.metrics import (
     ConfusionCounts,
     auc_trapezoid,
@@ -416,7 +419,8 @@ def test_simulator_workload_flows_match_pinned_digests(workload, tmp_path):
     assert digests == want
 
 
-def test_criterion_7_flow_accounting():
+def test_criterion_7_flow_accounting(monkeypatch):
+    monkeypatch.setattr(scenario, "FlowMonitor", functools.partial(FlowMonitor, keep_log=True))
     cfg = default_config()
     flows_checked = 0
     conservation_bad = 0

@@ -45,10 +45,10 @@ def bfs_hops(positions, src, dst, radio_range=RANGE_M):
     return dist.get(dst)
 
 
-def build_static(positions, blackholes=(), config=None):
+def build_static(positions, blackholes=(), config=None, keep_log=False):
     """Wire a static topology: engine, monitor, and one AodvNode per entry."""
     engine = Engine()
-    monitor = FlowMonitor()
+    monitor = FlowMonitor(keep_log=keep_log)
     nodes = {}
     for node_id, pos in positions.items():
         behavior = Behavior.BLACKHOLE if node_id in blackholes else Behavior.HONEST
@@ -186,7 +186,7 @@ def test_route_expiry_triggers_rediscovery():
 
 def test_unreachable_destination_retries_then_fails():
     positions = {0: (0.0, 0.0), 1: (600.0, 0.0)}
-    engine, monitor, nodes = build_static(positions)
+    engine, monitor, nodes = build_static(positions, keep_log=True)
     records = run_flow(engine, monitor, nodes, 0, 1, count=10, until=20.0)
     # initial request plus two retries
     assert nodes[0].counters["rreq_tx"] == 3
@@ -194,6 +194,7 @@ def test_unreachable_destination_retries_then_fails():
     assert rec.rx_packets == 0
     assert rec.lost_packets == 10
     drops = [o for o in monitor.log if o.kind.value == "drop"]
+    assert len(drops) == 10
     assert all(o.cause is DropCause.NO_ROUTE for o in drops)
     # discovery started at 1 s; failure lands after the 3 s retry window
     assert all(o.time == seconds(4) for o in drops)
@@ -201,7 +202,7 @@ def test_unreachable_destination_retries_then_fails():
 
 def test_queue_overflow_sheds_excess_packets():
     positions = {0: (0.0, 0.0), 1: (600.0, 0.0)}
-    engine, monitor, nodes = build_static(positions)
+    engine, monitor, nodes = build_static(positions, keep_log=True)
     # 70 packets injected every 1 ms overwhelm the 64-slot pending queue
     # long before the discovery window closes
     records = run_flow(engine, monitor, nodes, 0, 1, count=70,
@@ -282,7 +283,7 @@ def test_stale_route_drops_out_of_range():
     """A receding node keeps using its cached route past the radio edge;
     those frames must surface as out-of-range losses, never vanish."""
     engine = Engine()
-    monitor = FlowMonitor()
+    monitor = FlowMonitor(keep_log=True)
     a = AodvNode(0, engine, monitor)
     b = AodvNode(1, engine, monitor)
     engine.register_node(0, (0.0, 0.0), (-0.5, 0.0), receiver=a.on_frame)

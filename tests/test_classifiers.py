@@ -103,6 +103,61 @@ def test_knn_matches_exhaustive_oracle(separable400):
         assert got_scores[q] == pytest.approx(score, abs=1e-12)
 
 
+def knn_neighbors_full_sort(train_X, Xs, k):
+    """The full stable argsort per query that the partition search replaced."""
+    k = min(k, train_X.shape[0])
+    idx = np.empty((Xs.shape[0], k), dtype=np.int64)
+    dist = np.empty((Xs.shape[0], k))
+    for q in range(Xs.shape[0]):
+        diff = train_X - Xs[q]
+        d2 = (diff * diff).sum(axis=1)
+        order = np.argsort(d2, kind="stable")[:k]
+        idx[q] = order
+        dist[q] = np.sqrt(d2[order])
+    return idx, dist
+
+
+@pytest.mark.parametrize("k", [1, 5, 8, 30, 64, 90])
+def test_knn_neighbors_match_full_stable_sort(k):
+    """Same rows and distances as a full stable argsort, down to which of
+    several rows tied at the k-th distance are kept; k == n_train (64)
+    and k > n_train (the clamp) included."""
+    rng = substream(15, 2)
+    # a 4 x 4 integer grid: every point repeats, with mixed labels
+    X = np.array([[rng.randrange(4), rng.randrange(4)] for _ in range(60)], dtype=float)
+    X = np.vstack([X, X[:4]])  # and some rows duplicated outright
+    y = np.array([rng.randrange(2) for _ in range(X.shape[0])])
+    model = KNearestNeighbors(k=k).fit(X, y)
+    grid = np.array([[a / 2, b / 2] for a in range(-1, 9) for b in range(-1, 9)])
+    queries = model.standardizer.transform(grid)
+    idx, dist = model._neighbors(queries)
+    want_idx, want_dist = knn_neighbors_full_sort(model.train_X, queries, k)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(dist, want_dist)
+    if k < X.shape[0]:
+        # the cut falls inside a group of tied rows with both labels
+        straddled = 0
+        for q in range(queries.shape[0]):
+            tied = np.flatnonzero(np.sqrt(((model.train_X - queries[q]) ** 2).sum(axis=1))
+                                  == dist[q, -1])
+            straddled += np.setdiff1d(tied, idx[q]).size > 0 and np.unique(y[tied]).size == 2
+        assert straddled > 0
+
+
+@pytest.mark.parametrize("nan_rows", [[3, 7], list(range(40))])
+def test_knn_neighbors_match_full_stable_sort_with_nan_distances(nan_rows, separable400):
+    """NaN distances sort last, as in the full sort, also when the k-th
+    nearest distance is itself NaN."""
+    X, y = separable400
+    model = KNearestNeighbors(k=5).fit(X[::10], y[::10])
+    model.train_X[nan_rows] = np.nan
+    queries = model.standardizer.transform(X[5::20])
+    idx, dist = model._neighbors(queries)
+    want_idx, want_dist = knn_neighbors_full_sort(model.train_X, queries, 5)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(dist, want_dist, equal_nan=True)
+
+
 def test_knn_split_vote_goes_to_nearer_class():
     X = np.array([[1.0], [-1.0], [3.0], [-3.0]])
     model = KNearestNeighbors(k=4)

@@ -289,6 +289,17 @@ def test_invalid_label_exits_three(tmp_path):
     assert rc == 3
 
 
+def test_broken_flow_accounting_exits_three(tmp_path, capsys):
+    bad = tmp_path / "flows.csv"
+    # 5 sent, 1 received, none lost, and no rx time
+    bad.write_text(FLOWS_HEADER + "\n167837953,167837954,49153,9,1000000000,-1,"
+                   "1032000000,-1,0,0,0,5,1,0,5120,1024,0.0,0,0\n")
+    rc = main(["evaluate", "--dataset", str(bad),
+               "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert f"{bad}:2:" in capsys.readouterr().err
+
+
 def test_unmeetable_balance_exits_three(bridged_flows, tmp_path, capsys):
     _, _, flows = bridged_flows
     rc = main(["evaluate", "--dataset", str(flows), "--balance", "500:1500",

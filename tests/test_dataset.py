@@ -1,6 +1,7 @@
 """Dataset labeling, splitting, balancing, and CSV schema tests."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -242,6 +243,27 @@ def test_flows_csv_tampered_label_rejected(tmp_path):
     fields[-1] = "0"  # contradicts blackhole_absorbed=2
     path.write_text(lines[0] + "\n" + ",".join(fields) + "\n")
     with pytest.raises(SchemaError):
+        read_flows_csv(path)
+
+
+@pytest.mark.parametrize("edits, problem", [
+    pytest.param(dict(tx_packets=5, rx_packets=1, time_first_rx=None, time_last_rx=None),
+                 "rx_packets + lost_packets != tx_packets", id="rx-without-time-or-loss"),
+    pytest.param(dict(tx_packets=11), "rx_packets + lost_packets != tx_packets", id="tx-over"),
+    pytest.param(dict(rx_packets=8), "rx_packets + lost_packets != tx_packets", id="tx-under"),
+    pytest.param(dict(time_first_rx=None), "rx times", id="first-rx-unset"),
+    pytest.param(dict(time_last_rx=None), "rx times", id="last-rx-unset"),
+    pytest.param(dict(rx_packets=0, lost_packets=10, time_last_rx=None), "rx times",
+                 id="first-rx-set"),
+    pytest.param(dict(rx_packets=0, lost_packets=10, time_first_rx=None), "rx times",
+                 id="last-rx-set"),
+    pytest.param(dict(rx_packets=8, lost_packets=2, blackhole_absorbed=3),
+                 "blackhole_absorbed exceeds lost_packets", id="absorbed-over-lost"),
+])
+def test_flows_csv_broken_accounting_rejected(tmp_path, edits, problem):
+    path = tmp_path / "flows.csv"
+    write_flows_csv([make_record(), dataclasses.replace(make_record(port=49154), **edits)], path)
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:3: ')}.*{re.escape(problem)}"):
         read_flows_csv(path)
 
 

@@ -3,10 +3,11 @@
 The jitter and delay bookkeeping is audited two ways: handcrafted
 observation sequences with expected values computed by hand, and random
 streams checked against recompute_from_log, which re-derives every
-accumulator from the raw observation log.
+accumulator from the raw observation log of a FlowMonitor(keep_log=True).
 """
 
 import pytest
+from flow_audit import recompute_from_log
 
 from vanetlab.engine import Engine, seconds, substream
 from vanetlab.errors import DuplicateTerminal, InvalidSpec
@@ -16,7 +17,6 @@ from vanetlab.flows import (
     FlowMonitor,
     FlowSpec,
     node_address,
-    recompute_from_log,
     start_flow,
 )
 
@@ -126,7 +126,7 @@ def test_terminal_before_tx_rejected():
 
 
 def test_finalize_closes_open_packets_as_end_of_sim():
-    mon = FlowMonitor()
+    mon = FlowMonitor(keep_log=True)
     mon.observe_tx(KEY, 0, seconds(1), 1024)
     mon.observe_tx(KEY, 1, seconds(1.1), 1024)
     mon.observe_rx(KEY, 0, seconds(1.2), 1024)
@@ -196,7 +196,7 @@ def test_recompute_matches_monitor_on_random_streams():
     """Feed a randomized but valid observation stream and require the
     incremental accumulators to agree with the from-scratch re-derivation."""
     rng = substream(99, 7)
-    mon = FlowMonitor()
+    mon = FlowMonitor(keep_log=True)
     for f in range(5):
         key = FlowKey(node_address(f), node_address(f + 1), 49153 + f, 9)
         t = seconds(1)
@@ -239,7 +239,7 @@ class _StubNode:
 def test_start_flow_emits_exact_packet_count_on_schedule():
     eng = Engine()
     eng.register_node(0, (0.0, 0.0))
-    mon = FlowMonitor()
+    mon = FlowMonitor(keep_log=True)
     node = _StubNode()
     spec = FlowSpec(0, 2, 49153, 9, packet_size_bytes=1024,
                     data_rate_bps=1_024_000, packet_count=7, start=seconds(1))

@@ -1,8 +1,11 @@
 """Scenario layout and end-to-end run tests."""
 
+import functools
+
+from vanetlab import scenario
 from vanetlab.config import default_config, sample_scenario
 from vanetlab.engine import RadioConfig, seconds, substream
-from vanetlab.flows import FlowSpec
+from vanetlab.flows import FlowMonitor, FlowSpec
 from vanetlab.scenario import (
     ATTACKER_JITTER_M,
     MIN_GAP_M,
@@ -111,3 +114,29 @@ def test_default_sweep_low_end_is_clean_and_high_end_is_poisoned():
     # every flow still accounted for
     for r in hi.records:
         assert r.rx_packets + r.lost_packets == r.tx_packets
+
+
+def test_every_observation_passes_once_through_observe(monkeypatch):
+    """Per-layer benchmark counts wrap FlowMonitor.observe: every Tx and
+    every terminal observation goes through it exactly once, and the raw
+    log fills only when asked for."""
+    observed = []
+    observe = FlowMonitor.observe
+
+    def counting(monitor, o):
+        observed.append(o)
+        observe(monitor, o)
+
+    monkeypatch.setattr(FlowMonitor, "observe", counting)
+    params = sample_scenario(default_config(), 9)
+    result = run_scenario(params)
+    total = sum(r.tx_packets + r.rx_packets + r.lost_packets for r in result.records)
+    assert total > 0
+    assert len(observed) == total
+    assert result.monitor.log == []
+
+    observed.clear()
+    monkeypatch.setattr(scenario, "FlowMonitor", functools.partial(FlowMonitor, keep_log=True))
+    logged = run_scenario(params)
+    assert len(observed) == total
+    assert logged.monitor.log == observed
