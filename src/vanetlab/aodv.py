@@ -108,10 +108,9 @@ class AodvNode:
         """Origin entry point: route if possible, else queue and discover."""
         if pkt.dst == self.id:
             raise InvalidSpec("packet addressed to its own source")
-        route = self.routes.get(pkt.dst)
-        if route is not None and route.expiry > self.engine.clock:
-            self.counters["data_tx"] += 1
-            self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt)
+        route = self.live_route(pkt.dst)
+        if route is not None:
+            self._transmit_data(route.next_hop, pkt)
             return
         queue = self._pending.setdefault(pkt.dst, [])
         if len(queue) >= self.config.queue_cap:
@@ -131,14 +130,17 @@ class AodvNode:
         if self.behavior is Behavior.BLACKHOLE:
             cause = DropCause.BLACKHOLE_ABSORBED
         else:
-            route = self.routes.get(pkt.dst)
-            if route is not None and route.expiry > self.engine.clock:
+            route = self.live_route(pkt.dst)
+            if route is not None:
                 self.counters["data_forwarded"] += 1
-                self.counters["data_tx"] += 1
-                self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt)
+                self._transmit_data(route.next_hop, pkt)
                 return
             cause = DropCause.NO_ROUTE
         self.monitor.observe_drop(pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, cause)
+
+    def _transmit_data(self, next_hop: int, pkt: DataPacket) -> None:
+        self.counters["data_tx"] += 1
+        self.engine.transmit(self.id, next_hop, pkt.size_bytes, pkt)
 
     # -- route table --------------------------------------------------------
 
@@ -219,8 +221,7 @@ class AodvNode:
             return
         self._discovering.pop(dest, None)
         for pkt in self._pending.pop(dest, []):
-            self.counters["data_tx"] += 1
-            self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt)
+            self._transmit_data(route.next_hop, pkt)
 
     # -- control plane -----------------------------------------------------------
 

@@ -249,8 +249,7 @@ class Engine:
         Each receiver is confirmed with one scalar distance() and its
         arrival time follows latency_ns().
         """
-        if src not in self._kin:
-            raise UnknownNode(f"node {src} is not registered")
+        self._require(src)
         if size_bytes <= 0:
             raise ValueError("size_bytes must be > 0")
         clock, radio, distance = self.clock, self.radio, self.distance

@@ -1,18 +1,33 @@
-"""Brute-force re-derivation of FlowMonitor accumulators, shared by the
-flow-accounting tests as their reference implementation."""
+"""Observation recording and brute-force re-derivation of FlowMonitor
+accumulators, shared by the flow-accounting tests as their reference."""
 
+import collections
 from typing import Iterable
 
 from vanetlab.engine import SimTime
-from vanetlab.flows import DropCause, FlowKey, FlowObservation, ObsKind
+from vanetlab.flows import DropCause, FlowKey, FlowMonitor, FlowObservation, ObsKind
+
+
+def record_observations(monkeypatch) -> dict[FlowMonitor, list[FlowObservation]]:
+    """Wrap FlowMonitor.observe for the test's duration; the returned dict
+    maps each monitor to every observation it took, in order."""
+    logs: dict[FlowMonitor, list[FlowObservation]] = collections.defaultdict(list)
+    observe = FlowMonitor.observe
+
+    def recording(monitor, o):
+        logs[monitor].append(o)
+        observe(monitor, o)
+
+    monkeypatch.setattr(FlowMonitor, "observe", recording)
+    return logs
 
 
 def recompute_from_log(
     log: Iterable[FlowObservation],
 ) -> dict[FlowKey, dict[str, int]]:
     """Re-derive delay/jitter/counter accumulators from an observation log
-    (a monitor built with keep_log=True); used to audit the incremental
-    bookkeeping."""
+    (one monitor's list from record_observations); used to audit the
+    incremental bookkeeping."""
     tx_times: dict[tuple[FlowKey, int], SimTime] = {}
     out: dict[FlowKey, dict[str, int]] = {}
     delays: dict[FlowKey, list[int]] = {}

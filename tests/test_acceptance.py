@@ -8,7 +8,6 @@ builds its own small inputs.
 """
 
 import collections
-import functools
 import hashlib
 import json
 import math
@@ -17,9 +16,8 @@ import time
 
 import numpy as np
 import pytest
-from flow_audit import recompute_from_log
+from flow_audit import recompute_from_log, record_observations
 
-from vanetlab import scenario
 from vanetlab.cli import cmd_pipeline, cmd_simulate
 from vanetlab.classifiers import (
     GaussianNaiveBayes,
@@ -35,7 +33,7 @@ from vanetlab.classifiers.tree import tree_apply
 from vanetlab.config import default_config, sample_scenario
 from vanetlab.dataset import record_label
 from vanetlab.engine import RadioConfig, seconds, substream
-from vanetlab.flows import FlowMonitor, FlowSpec
+from vanetlab.flows import FlowSpec
 from vanetlab.metrics import (
     ConfusionCounts,
     auc_trapezoid,
@@ -420,14 +418,14 @@ def test_simulator_workload_flows_match_pinned_digests(workload, tmp_path):
 
 
 def test_criterion_7_flow_accounting(monkeypatch):
-    monkeypatch.setattr(scenario, "FlowMonitor", functools.partial(FlowMonitor, keep_log=True))
+    logs = record_observations(monkeypatch)
     cfg = default_config()
     flows_checked = 0
     conservation_bad = 0
     audit_bad = 0
     for index in range(cfg.scenario_count):
         result = run_scenario(sample_scenario(cfg, index))
-        audit = recompute_from_log(result.monitor.log)
+        audit = recompute_from_log(logs[result.monitor])
         for rec in result.records:
             flows_checked += 1
             if rec.rx_packets + rec.lost_packets != rec.tx_packets:

@@ -9,6 +9,7 @@ import collections
 import math
 
 import pytest
+from flow_audit import record_observations
 
 from vanetlab.aodv import AodvConfig, AodvNode, Behavior, RouteEntry, Rrep
 from vanetlab.engine import Engine, RadioConfig, seconds, substream
@@ -45,10 +46,10 @@ def bfs_hops(positions, src, dst, radio_range=RANGE_M):
     return dist.get(dst)
 
 
-def build_static(positions, blackholes=(), config=None, keep_log=False):
+def build_static(positions, blackholes=(), config=None):
     """Wire a static topology: engine, monitor, and one AodvNode per entry."""
     engine = Engine()
-    monitor = FlowMonitor(keep_log=keep_log)
+    monitor = FlowMonitor()
     nodes = {}
     for node_id, pos in positions.items():
         behavior = Behavior.BLACKHOLE if node_id in blackholes else Behavior.HONEST
@@ -184,31 +185,33 @@ def test_route_expiry_triggers_rediscovery():
     assert all(r.rx_packets == 5 for r in records)
 
 
-def test_unreachable_destination_retries_then_fails():
+def test_unreachable_destination_retries_then_fails(monkeypatch):
+    logs = record_observations(monkeypatch)
     positions = {0: (0.0, 0.0), 1: (600.0, 0.0)}
-    engine, monitor, nodes = build_static(positions, keep_log=True)
+    engine, monitor, nodes = build_static(positions)
     records = run_flow(engine, monitor, nodes, 0, 1, count=10, until=20.0)
     # initial request plus two retries
     assert nodes[0].counters["rreq_tx"] == 3
     rec = records[0]
     assert rec.rx_packets == 0
     assert rec.lost_packets == 10
-    drops = [o for o in monitor.log if o.kind.value == "drop"]
+    drops = [o for o in logs[monitor] if o.kind.value == "drop"]
     assert len(drops) == 10
     assert all(o.cause is DropCause.NO_ROUTE for o in drops)
     # discovery started at 1 s; failure lands after the 3 s retry window
     assert all(o.time == seconds(4) for o in drops)
 
 
-def test_queue_overflow_sheds_excess_packets():
+def test_queue_overflow_sheds_excess_packets(monkeypatch):
+    logs = record_observations(monkeypatch)
     positions = {0: (0.0, 0.0), 1: (600.0, 0.0)}
-    engine, monitor, nodes = build_static(positions, keep_log=True)
+    engine, monitor, nodes = build_static(positions)
     # 70 packets injected every 1 ms overwhelm the 64-slot pending queue
     # long before the discovery window closes
     records = run_flow(engine, monitor, nodes, 0, 1, count=70,
                        size=1024, rate=8_192_000_000, until=20.0)
     causes = collections.Counter(
-        o.cause for o in monitor.log if o.kind.value == "drop")
+        o.cause for o in logs[monitor] if o.kind.value == "drop")
     assert causes[DropCause.QUEUE_OVERFLOW] == 6
     assert causes[DropCause.NO_ROUTE] == 64
     assert records[0].lost_packets == 70
@@ -279,11 +282,12 @@ def test_rrep_without_reverse_path_dies():
     assert 9 in nodes[1].routes
 
 
-def test_stale_route_drops_out_of_range():
+def test_stale_route_drops_out_of_range(monkeypatch):
     """A receding node keeps using its cached route past the radio edge;
     those frames must surface as out-of-range losses, never vanish."""
     engine = Engine()
-    monitor = FlowMonitor(keep_log=True)
+    logs = record_observations(monkeypatch)
+    monitor = FlowMonitor()
     a = AodvNode(0, engine, monitor)
     b = AodvNode(1, engine, monitor)
     engine.register_node(0, (0.0, 0.0), (-0.5, 0.0), receiver=a.on_frame)
@@ -303,7 +307,7 @@ def test_stale_route_drops_out_of_range():
     assert rec.rx_packets > 0
     assert rec.lost_packets > 0
     assert rec.rx_packets + rec.lost_packets == rec.tx_packets == 60
-    causes = {o.cause for o in monitor.log if o.kind.value == "drop"}
+    causes = {o.cause for o in logs[monitor] if o.kind.value == "drop"}
     assert DropCause.OUT_OF_RANGE in causes
 
 

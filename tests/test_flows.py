@@ -3,11 +3,11 @@
 The jitter and delay bookkeeping is audited two ways: handcrafted
 observation sequences with expected values computed by hand, and random
 streams checked against recompute_from_log, which re-derives every
-accumulator from the raw observation log of a FlowMonitor(keep_log=True).
+accumulator from the observations recorded by wrapping FlowMonitor.observe.
 """
 
 import pytest
-from flow_audit import recompute_from_log
+from flow_audit import recompute_from_log, record_observations
 
 from vanetlab.engine import Engine, seconds, substream
 from vanetlab.errors import DuplicateTerminal, InvalidSpec
@@ -125,8 +125,9 @@ def test_terminal_before_tx_rejected():
         mon.observe_rx(KEY, 5, seconds(1), 1024)
 
 
-def test_finalize_closes_open_packets_as_end_of_sim():
-    mon = FlowMonitor(keep_log=True)
+def test_finalize_closes_open_packets_as_end_of_sim(monkeypatch):
+    logs = record_observations(monkeypatch)
+    mon = FlowMonitor()
     mon.observe_tx(KEY, 0, seconds(1), 1024)
     mon.observe_tx(KEY, 1, seconds(1.1), 1024)
     mon.observe_rx(KEY, 0, seconds(1.2), 1024)
@@ -134,7 +135,7 @@ def test_finalize_closes_open_packets_as_end_of_sim():
     assert rec.tx_packets == 2
     assert rec.rx_packets == 1
     assert rec.lost_packets == 1
-    tail = mon.log[-1]
+    tail = logs[mon][-1]
     assert tail.kind.value == "drop"
     assert tail.cause is DropCause.END_OF_SIM
     assert tail.time == seconds(30)
@@ -192,11 +193,12 @@ def test_records_sorted_by_flow_key():
     assert ordered == sorted(ordered)
 
 
-def test_recompute_matches_monitor_on_random_streams():
+def test_recompute_matches_monitor_on_random_streams(monkeypatch):
     """Feed a randomized but valid observation stream and require the
     incremental accumulators to agree with the from-scratch re-derivation."""
+    logs = record_observations(monkeypatch)
     rng = substream(99, 7)
-    mon = FlowMonitor(keep_log=True)
+    mon = FlowMonitor()
     for f in range(5):
         key = FlowKey(node_address(f), node_address(f + 1), 49153 + f, 9)
         t = seconds(1)
@@ -212,7 +214,7 @@ def test_recompute_matches_monitor_on_random_streams():
                                  rng.choice(list(DropCause)[:4]))
             # ~10% stay open for finalize to close
     records = mon.finalize(seconds(60))
-    audit = recompute_from_log(mon.log)
+    audit = recompute_from_log(logs[mon])
     assert len(audit) == len(records) == 5
     for rec in records:
         ref = audit[rec.key]
@@ -236,17 +238,18 @@ class _StubNode:
         self.packets.append(pkt)
 
 
-def test_start_flow_emits_exact_packet_count_on_schedule():
+def test_start_flow_emits_exact_packet_count_on_schedule(monkeypatch):
+    logs = record_observations(monkeypatch)
     eng = Engine()
     eng.register_node(0, (0.0, 0.0))
-    mon = FlowMonitor(keep_log=True)
+    mon = FlowMonitor()
     node = _StubNode()
     spec = FlowSpec(0, 2, 49153, 9, packet_size_bytes=1024,
                     data_rate_bps=1_024_000, packet_count=7, start=seconds(1))
     start_flow(eng, node, mon, spec)
     eng.run_until(seconds(10))
     assert len(node.packets) == 7
-    tx_times = [o.time for o in mon.log]
+    tx_times = [o.time for o in logs[mon]]
     assert tx_times == [seconds(1) + i * 8_000_000 for i in range(7)]
     rec = mon.finalize(seconds(10))[0]
     assert rec.tx_packets == 7

@@ -1,11 +1,10 @@
 """Scenario layout and end-to-end run tests."""
 
-import functools
+from flow_audit import record_observations
 
-from vanetlab import scenario
 from vanetlab.config import default_config, sample_scenario
 from vanetlab.engine import RadioConfig, seconds, substream
-from vanetlab.flows import FlowMonitor, FlowSpec
+from vanetlab.flows import FlowSpec
 from vanetlab.scenario import (
     ATTACKER_JITTER_M,
     MIN_GAP_M,
@@ -118,25 +117,12 @@ def test_default_sweep_low_end_is_clean_and_high_end_is_poisoned():
 
 def test_every_observation_passes_once_through_observe(monkeypatch):
     """Per-layer benchmark counts wrap FlowMonitor.observe: every Tx and
-    every terminal observation goes through it exactly once, and the raw
-    log fills only when asked for."""
-    observed = []
-    observe = FlowMonitor.observe
-
-    def counting(monitor, o):
-        observed.append(o)
-        observe(monitor, o)
-
-    monkeypatch.setattr(FlowMonitor, "observe", counting)
-    params = sample_scenario(default_config(), 9)
-    result = run_scenario(params)
+    every terminal observation goes through it exactly once, and the
+    monitor itself retains none of them."""
+    logs = record_observations(monkeypatch)
+    result = run_scenario(sample_scenario(default_config(), 9))
     total = sum(r.tx_packets + r.rx_packets + r.lost_packets for r in result.records)
     assert total > 0
-    assert len(observed) == total
+    assert list(logs) == [result.monitor]
+    assert len(logs[result.monitor]) == total
     assert result.monitor.log == []
-
-    observed.clear()
-    monkeypatch.setattr(scenario, "FlowMonitor", functools.partial(FlowMonitor, keep_log=True))
-    logged = run_scenario(params)
-    assert len(observed) == total
-    assert logged.monitor.log == observed
