@@ -108,9 +108,7 @@ class AodvNode:
         """Origin entry point: route if possible, else queue and discover."""
         if pkt.dst == self.id:
             raise InvalidSpec("packet addressed to its own source")
-        route = self.live_route(pkt.dst)
-        if route is not None:
-            self._transmit_data(route.next_hop, pkt)
+        if self._send_routed(pkt):
             return
         queue = self._pending.setdefault(pkt.dst, [])
         if len(queue) >= self.config.queue_cap:
@@ -129,18 +127,23 @@ class AodvNode:
             return
         if self.behavior is Behavior.BLACKHOLE:
             cause = DropCause.BLACKHOLE_ABSORBED
+        elif self._send_routed(pkt):
+            self.counters["data_forwarded"] += 1
+            return
         else:
-            route = self.live_route(pkt.dst)
-            if route is not None:
-                self.counters["data_forwarded"] += 1
-                self._transmit_data(route.next_hop, pkt)
-                return
             cause = DropCause.NO_ROUTE
         self.monitor.observe_drop(pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, cause)
 
-    def _transmit_data(self, next_hop: int, pkt: DataPacket) -> None:
+    def _send_routed(self, pkt: DataPacket) -> bool:
+        """Transmit pkt to its live route's next hop and count it as data_tx;
+        False, with nothing sent, when no route to pkt.dst is live."""
+        # live_route's rule, inlined: this runs once per data hop
+        route = self.routes.get(pkt.dst)
+        if route is None or route.expiry <= self.engine.clock:
+            return False
         self.counters["data_tx"] += 1
-        self.engine.transmit(self.id, next_hop, pkt.size_bytes, pkt)
+        self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt)
+        return True
 
     # -- route table --------------------------------------------------------
 
@@ -216,12 +219,11 @@ class AodvNode:
             )
 
     def _flush_pending(self, dest: int) -> None:
-        route = self.live_route(dest)
-        if route is None:
+        if self.live_route(dest) is None:
             return
         self._discovering.pop(dest, None)
         for pkt in self._pending.pop(dest, []):
-            self._transmit_data(route.next_hop, pkt)
+            self._send_routed(pkt)
 
     # -- control plane -----------------------------------------------------------
 

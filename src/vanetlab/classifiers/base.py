@@ -53,10 +53,14 @@ class Standardizer:
         self.std = std
 
     def fit(self, X: np.ndarray) -> "Standardizer":
-        self.mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        # finite entries near the float maximum can overflow the sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = X.mean(axis=0), X.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if bad.size:
+            raise ValueError(f"feature {bad[0]}: mean or std overflows float64")
         std[std == 0.0] = 1.0
-        self.std = std
+        self.mean, self.std = mean, std
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:

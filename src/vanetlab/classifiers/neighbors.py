@@ -38,7 +38,8 @@ class KNearestNeighbors(Classifier):
         The k-th smallest squared distance comes from a partition; only the
         rows not above it are then stably sorted, so the k kept are those a
         full stable argsort would keep: ties go to the lower row index, and
-        NaN distances (a standardizer that overflowed) sort last.
+        NaN distances sort last (Standardizer.fit rejects the overflowing
+        features that would produce them).
         """
         k = min(self.k, self.train_X.shape[0])
         idx = np.empty((Xs.shape[0], k), dtype=np.int64)

@@ -13,7 +13,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Optional
 
 from .errors import SchedulingInPast, UnknownNode
@@ -79,6 +78,11 @@ def _discard(src: int, payload: Any) -> None:
     (and count as events) but go nowhere."""
 
 
+def _call(action: Callable[[], None], _: None) -> None:
+    """Heap callee of a schedule_at timer."""
+    action()
+
+
 #: Verlet skin as a fraction of the radio range: a broadcast's candidate
 #: list holds every node within range_m * (1 + SKIN_FRACTION) at build time
 SKIN_FRACTION = 0.25
@@ -91,8 +95,9 @@ class Engine:
         self.radio = radio or RadioConfig()
         self.radio.validate()
         self.clock: SimTime = 0
-        # (fire_time, seq, action); seq is unique, so actions never compare
-        self._queue: list[tuple[SimTime, int, Callable[[], None]]] = []
+        # (fire_time, seq, fn, a, b), run as fn(a, b); seq is unique, so
+        # the comparison never reaches fn
+        self._queue: list[tuple[SimTime, int, Callable[[Any, Any], None], Any, Any]] = []
         self._seq = 0
         # node id -> (x, y, vx, vy) at t = 0, and node id -> receiver
         self._kin: dict[int, tuple[float, float, float, float]] = {}
@@ -137,7 +142,7 @@ class Engine:
         if fire_time < self.clock:
             raise SchedulingInPast(f"event at t={fire_time} but clock is {self.clock}")
         self._seq += 1
-        heapq.heappush(self._queue, (fire_time, self._seq, action))
+        heapq.heappush(self._queue, (fire_time, self._seq, _call, action, None))
 
     def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> None:
         self.schedule_at(self.clock + delay, action)
@@ -158,17 +163,14 @@ class Engine:
         first_seq = self._seq + 1
         self._seq += count
         queue = self._queue
-        i = 0  # index of the event `fire` runs next
 
-        def fire() -> None:
-            nonlocal i
-            now = i
-            i += 1
-            if i < count:
-                heapq.heappush(queue, (start + i * interval, first_seq + i, fire))
-            action(now)
+        def fire(i: int, _: None) -> None:
+            nxt = i + 1
+            if nxt < count:
+                heapq.heappush(queue, (start + nxt * interval, first_seq + nxt, fire, nxt, None))
+            action(i)
 
-        heapq.heappush(queue, (start, first_seq, fire))
+        heapq.heappush(queue, (start, first_seq, fire, 0, None))
 
     def run_until(self, t_end: SimTime) -> int:
         """Execute every event with fire_time <= t_end; returns the count."""
@@ -178,8 +180,8 @@ class Engine:
         pop = heapq.heappop
         executed = 0
         while queue and queue[0][0] <= t_end:
-            self.clock, _, action = pop(queue)
-            action()
+            self.clock, _, fn, a, b = pop(queue)
+            fn(a, b)
             executed += 1
         self.clock = t_end
         return executed
@@ -247,32 +249,31 @@ class Engine:
         ascending id order; a unicast to an out-of-range destination (or
         to src itself) is silently lost, reported through drop_hook.
         Each receiver is confirmed with one scalar distance() and its
-        arrival time follows latency_ns().
+        arrival time follows latency_ns(); its heap entry carries the
+        receiver and its (src, payload) arguments.
         """
-        self._require(src)
+        if src not in self._kin:
+            raise UnknownNode(f"node {src} is not registered")
         if size_bytes <= 0:
             raise ValueError("size_bytes must be > 0")
-        clock, radio, distance = self.clock, self.radio, self.distance
+        clock, radio = self.clock, self.radio
         range_m = radio.range_m
-        if dst == BROADCAST:
-            reached = [
-                (other, d) for other in self._candidates(src, clock)
-                if (d := distance(src, other, clock)) <= range_m
-            ]
-        elif dst != src and (d := distance(src, dst, clock)) <= range_m:
-            reached = ((dst, d),)
-        else:
-            if self.drop_hook is not None:
-                self.drop_hook(src, dst, payload)
-            return
         tx = (size_bytes * 8 * NS_PER_S) // radio.bandwidth_bps
         prop = radio.prop_delay_s_per_m
-        queue, receivers, seq = self._queue, self._receivers, self._seq
-        for rcv, d in reached:
-            seq += 1
-            heapq.heappush(
-                queue,
-                (clock + max(1, tx + int(prop * d * NS_PER_S)), seq,
-                 partial(receivers[rcv], src, payload)),
-            )
+        if dst != BROADCAST:
+            if dst != src and (d := self.distance(src, dst, clock)) <= range_m:
+                lat = tx + int(prop * d * NS_PER_S)
+                self._seq += 1
+                heapq.heappush(self._queue, (clock + (lat if lat > 0 else 1), self._seq,
+                                             self._receivers[dst], src, payload))
+            elif self.drop_hook is not None:
+                self.drop_hook(src, dst, payload)
+            return
+        queue, receivers, seq, distance = self._queue, self._receivers, self._seq, self.distance
+        for other in self._candidates(src, clock):
+            if (d := distance(src, other, clock)) <= range_m:
+                lat = tx + int(prop * d * NS_PER_S)
+                seq += 1
+                heapq.heappush(queue, (clock + (lat if lat > 0 else 1), seq,
+                                       receivers[other], src, payload))
         self._seq = seq

@@ -151,9 +151,6 @@ class FlowMonitor:
 
     # -- observation entry points ---------------------------------------
 
-    def observe_tx(self, key: FlowKey, seq: int, time: SimTime, size_bytes: int) -> None:
-        self.observe(FlowObservation(ObsKind.TX, key, seq, time, size_bytes))
-
     def observe_rx(self, key: FlowKey, seq: int, time: SimTime, size_bytes: int) -> None:
         self.observe(FlowObservation(ObsKind.RX, key, seq, time, size_bytes))
 
@@ -228,7 +225,7 @@ def start_flow(engine, node, monitor: FlowMonitor, spec: FlowSpec) -> None:
 
     def emit(i: int) -> None:
         now = engine.clock
-        monitor.observe_tx(key, i, now, size)
+        monitor.observe(FlowObservation(ObsKind.TX, key, i, now, size))
         node.send_data(DataPacket(key, i, src, dst, size, now))
 
     engine.schedule_series(spec.start, spec.interval_ns, spec.packet_count, emit)

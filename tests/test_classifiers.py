@@ -563,6 +563,21 @@ def test_standardizer_formula_and_zero_variance():
         Standardizer().transform(X)
 
 
+@pytest.mark.parametrize("kind", ["KNN", "SVM", "LR"])
+def test_standardizing_models_reject_overflowing_features(kind):
+    """Finite rows whose mean overflows float64 are rejected at fit, not
+    standardized into NaN."""
+    X = np.array([[1.7e308], [1.7e308], [1.0], [2.0]])
+    with pytest.raises(ValueError, match="feature 0"):
+        make(kind).fit(X, np.array([1, 1, 0, 0]))
+
+
+def test_standardizer_names_the_feature_whose_std_overflows():
+    X = np.array([[1.0, 1e300], [2.0, -1e300], [3.0, 1.0], [4.0, 2.0]])
+    with pytest.raises(ValueError, match="feature 1"):
+        Standardizer().fit(X)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_persistence_round_trip(kind, separable400, tmp_path):
     X, y = separable400

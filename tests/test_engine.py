@@ -119,9 +119,11 @@ def test_unknown_node_raises():
     for a, b in ((99, 0), (0, 99)):
         with pytest.raises(UnknownNode):
             eng.distance(a, b, 0)
-    for src, dst in ((99, BROADCAST), (99, 0), (0, 99)):
+    eng.drop_hook = lambda *a: pytest.fail("drop reported for an unknown node")
+    for src, dst in ((99, BROADCAST), (99, 0), (99, 99), (0, 99)):
         with pytest.raises(UnknownNode):
             eng.transmit(src, dst, 64, "x")
+    assert eng.run_until(seconds(1)) == 0  # nothing was scheduled
 
 
 def test_neighbors_collinear_chain():
@@ -166,6 +168,15 @@ def test_latency_includes_propagation():
 def test_latency_floors_at_one_ns():
     eng = Engine(RadioConfig(bandwidth_bps=10**12))
     assert eng.latency_ns(1, 0.0) == 1
+    # a frame whose serialization rounds to 0 ns, between co-located nodes
+    got = []
+    for n in (0, 1):
+        eng.register_node(n, (5.0, 5.0), receiver=lambda s, p, n=n: got.append((n, eng.clock)))
+    eng.run_until(7)
+    eng.transmit(0, 1, 1, "unicast")
+    eng.transmit(1, BROADCAST, 1, "broadcast")
+    eng.run_until(20)
+    assert got == [(1, 8), (0, 8)]
 
 
 def test_unicast_delivery_time_and_payload():
@@ -211,9 +222,27 @@ def test_broadcast_reaches_all_in_range_except_sender():
 
 def test_broadcast_with_no_neighbors_is_silent():
     eng = Engine()
+    eng.drop_hook = lambda *a: pytest.fail("a broadcast reported a drop")
     eng.register_node(0, (0.0, 0.0))
+    eng.register_node(1, (900.0, 0.0))
     eng.transmit(0, BROADCAST, 64, "beacon")
     assert eng.run_until(seconds(1)) == 0
+
+
+def test_equal_time_timers_series_and_receptions_run_in_seq_order():
+    # co-located nodes at 10**12 b/s: every frame arrives 1 ns after sending
+    eng = Engine(RadioConfig(bandwidth_bps=10**12, prop_delay_s_per_m=0.0))
+    trace = []
+    for n in (0, 1, 2):
+        eng.register_node(n, (0.0, 0.0), receiver=lambda s, p, n=n: trace.append((n, p)))
+    eng.schedule_at(1, lambda: trace.append("timer 1"))
+    eng.transmit(0, 1, 1, "unicast")
+    eng.schedule_series(1, 0, 2, lambda i: trace.append(f"series {i}"))
+    eng.transmit(2, BROADCAST, 1, "broadcast")
+    eng.schedule_at(1, lambda: trace.append("timer 2"))
+    assert eng.run_until(1) == 7
+    assert trace == ["timer 1", (1, "unicast"), "series 0", "series 1",
+                     (0, "broadcast"), (1, "broadcast"), "timer 2"]
 
 
 def test_transmit_rejects_nonpositive_size():

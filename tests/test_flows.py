@@ -15,12 +15,18 @@ from vanetlab.flows import (
     DropCause,
     FlowKey,
     FlowMonitor,
+    FlowObservation,
     FlowSpec,
+    ObsKind,
     node_address,
     start_flow,
 )
 
 KEY = FlowKey(node_address(0), node_address(2), 49153, 9)
+
+
+def observe_tx(mon, key, seq, time, size_bytes):
+    mon.observe(FlowObservation(ObsKind.TX, key, seq, time, size_bytes))
 
 
 def test_node_address_encoding():
@@ -61,7 +67,7 @@ def test_flow_spec_validation():
 
 def test_single_packet_delay():
     mon = FlowMonitor()
-    mon.observe_tx(KEY, 0, seconds(1.0), 1024)
+    observe_tx(mon, KEY, 0, seconds(1.0), 1024)
     mon.observe_rx(KEY, 0, seconds(1.01), 1024)
     rec = mon.finalize(seconds(2))[0]
     assert rec.delay_sum == 10_000_000
@@ -72,9 +78,9 @@ def test_single_packet_delay():
 
 def test_two_packet_jitter_is_delay_difference():
     mon = FlowMonitor()
-    mon.observe_tx(KEY, 0, seconds(1.0), 1024)
+    observe_tx(mon, KEY, 0, seconds(1.0), 1024)
     mon.observe_rx(KEY, 0, seconds(1.0) + 10_000_000, 1024)
-    mon.observe_tx(KEY, 1, seconds(1.1), 1024)
+    observe_tx(mon, KEY, 1, seconds(1.1), 1024)
     mon.observe_rx(KEY, 1, seconds(1.1) + 14_000_000, 1024)
     rec = mon.finalize(seconds(2))[0]
     assert rec.jitter_sum == 4_000_000
@@ -84,7 +90,7 @@ def test_two_packet_jitter_is_delay_difference():
 
 def test_absorbed_drop_counts_ground_truth():
     mon = FlowMonitor()
-    mon.observe_tx(KEY, 0, seconds(1), 1024)
+    observe_tx(mon, KEY, 0, seconds(1), 1024)
     mon.observe_drop(KEY, 0, seconds(2), 1024, DropCause.BLACKHOLE_ABSORBED)
     rec = mon.finalize(seconds(3))[0]
     assert rec.lost_packets == 1
@@ -95,7 +101,7 @@ def test_absorbed_drop_counts_ground_truth():
 def test_non_absorbed_drops_leave_ground_truth_zero():
     mon = FlowMonitor()
     for cause in (DropCause.NO_ROUTE, DropCause.QUEUE_OVERFLOW, DropCause.OUT_OF_RANGE):
-        mon.observe_tx(KEY, cause.value, seconds(1), 1024)
+        observe_tx(mon, KEY, cause.value, seconds(1), 1024)
         mon.observe_drop(KEY, cause.value, seconds(2), 1024, cause)
     rec = mon.finalize(seconds(3))[0]
     assert rec.lost_packets == 3
@@ -104,14 +110,14 @@ def test_non_absorbed_drops_leave_ground_truth_zero():
 
 def test_duplicate_tx_rejected():
     mon = FlowMonitor()
-    mon.observe_tx(KEY, 0, seconds(1), 1024)
+    observe_tx(mon, KEY, 0, seconds(1), 1024)
     with pytest.raises(DuplicateTerminal):
-        mon.observe_tx(KEY, 0, seconds(2), 1024)
+        observe_tx(mon, KEY, 0, seconds(2), 1024)
 
 
 def test_second_terminal_rejected():
     mon = FlowMonitor()
-    mon.observe_tx(KEY, 0, seconds(1), 1024)
+    observe_tx(mon, KEY, 0, seconds(1), 1024)
     mon.observe_rx(KEY, 0, seconds(1.5), 1024)
     with pytest.raises(DuplicateTerminal):
         mon.observe_rx(KEY, 0, seconds(1.6), 1024)
@@ -128,8 +134,8 @@ def test_terminal_before_tx_rejected():
 def test_finalize_closes_open_packets_as_end_of_sim(monkeypatch):
     logs = record_observations(monkeypatch)
     mon = FlowMonitor()
-    mon.observe_tx(KEY, 0, seconds(1), 1024)
-    mon.observe_tx(KEY, 1, seconds(1.1), 1024)
+    observe_tx(mon, KEY, 0, seconds(1), 1024)
+    observe_tx(mon, KEY, 1, seconds(1.1), 1024)
     mon.observe_rx(KEY, 0, seconds(1.2), 1024)
     rec = mon.finalize(seconds(30))[0]
     assert rec.tx_packets == 2
@@ -143,7 +149,7 @@ def test_finalize_closes_open_packets_as_end_of_sim(monkeypatch):
 
 def test_no_rx_record_keeps_zero_stats():
     mon = FlowMonitor()
-    mon.observe_tx(KEY, 0, seconds(1), 1024)
+    observe_tx(mon, KEY, 0, seconds(1), 1024)
     rec = mon.finalize(seconds(30))[0]
     assert rec.rx_packets == 0
     assert rec.delay_sum == 0
@@ -159,7 +165,7 @@ def test_throughput_closed_form():
     mon = FlowMonitor()
     first_tx = seconds(1.0)
     for i in range(10):
-        mon.observe_tx(KEY, i, first_tx + i * 8_000_000, 1024)
+        observe_tx(mon, KEY, i, first_tx + i * 8_000_000, 1024)
         mon.observe_rx(KEY, i, first_tx + i * 8_000_000 + 8_000_000, 1024)
     rec = mon.finalize(seconds(2))[0]
     window_s = (rec.time_last_rx - rec.time_first_tx) / 1e9
@@ -170,7 +176,7 @@ def test_throughput_closed_form():
 def test_conservation_with_mixed_terminals():
     mon = FlowMonitor()
     for i in range(20):
-        mon.observe_tx(KEY, i, seconds(1) + i, 1024)
+        observe_tx(mon, KEY, i, seconds(1) + i, 1024)
     for i in range(17):
         mon.observe_rx(KEY, i, seconds(2) + i, 1024)
     for i in range(17, 20):
@@ -187,7 +193,7 @@ def test_records_sorted_by_flow_key():
         FlowKey(node_address(0), node_address(1), 49100, 9),
     ]
     for k in keys:
-        mon.observe_tx(k, 0, seconds(1), 100)
+        observe_tx(mon, k, 0, seconds(1), 100)
     recs = mon.finalize(seconds(2))
     ordered = [(r.src_addr, r.src_port) for r in recs]
     assert ordered == sorted(ordered)
@@ -205,7 +211,7 @@ def test_recompute_matches_monitor_on_random_streams(monkeypatch):
         for seq in range(30):
             size = rng.randint(100, 1500)
             t += rng.randint(1_000_000, 9_000_000)
-            mon.observe_tx(key, seq, t, size)
+            observe_tx(mon, key, seq, t, size)
             roll = rng.random()
             if roll < 0.6:
                 mon.observe_rx(key, seq, t + rng.randint(1_000_000, 20_000_000), size)

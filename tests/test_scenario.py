@@ -1,10 +1,14 @@
 """Scenario layout and end-to-end run tests."""
 
+import collections
+
+import pytest
 from flow_audit import record_observations
 
+from vanetlab.aodv import AodvNode
 from vanetlab.config import default_config, sample_scenario
-from vanetlab.engine import RadioConfig, seconds, substream
-from vanetlab.flows import FlowSpec
+from vanetlab.engine import BROADCAST, Engine, RadioConfig, seconds, substream
+from vanetlab.flows import FlowMonitor, FlowSpec
 from vanetlab.scenario import (
     ATTACKER_JITTER_M,
     MIN_GAP_M,
@@ -126,3 +130,47 @@ def test_every_observation_passes_once_through_observe(monkeypatch):
     assert list(logs) == [result.monitor]
     assert len(logs[result.monitor]) == total
     assert result.monitor.log == []
+
+
+# Per default-config scenario: events run, transmits by kind, frames
+# received by payload type, observations by kind, distance checks and the
+# AODV counters summed over nodes. Scenario 0 is a split corridor with its
+# attacker out of reach; scenario 9 has attackers in reach of both platoons.
+TRACES = {
+    0: {"events": 16574, "broadcast": 299, "unicast": 5802,
+        "Rreq": 1032, "Rrep": 9, "DataPacket": 5793,
+        "tx": 9670, "rx": 5791, "drop": 3879, "distance": 6834,
+        "rreq_tx": 299, "rrep_tx": 9, "data_tx": 5793, "data_forwarded": 2},
+    9: {"events": 42697, "broadcast": 627, "unicast": 23955,
+        "Rreq": 9389, "Rrep": 496, "DataPacket": 23459,
+        "tx": 9326, "rx": 1664, "drop": 7662, "distance": 35730,
+        "rreq_tx": 627, "rrep_tx": 496, "data_tx": 23459, "data_forwarded": 14218},
+}
+
+
+@pytest.mark.parametrize("index", sorted(TRACES))
+def test_default_scenario_keeps_its_event_trace(index, monkeypatch):
+    """The calls the benchmark's per-layer counts wrap, counted on a default
+    scenario: a faster engine or routing path must run the same trace."""
+    counts = collections.Counter()
+
+    def count(owner, attr, key, add_result=False):
+        orig = getattr(owner, attr)
+
+        def counting(*args):
+            result = orig(*args)
+            counts[key(*args)] += result if add_result else 1
+            return result
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    count(Engine, "run_until", lambda *a: "events", add_result=True)
+    count(Engine, "transmit",
+          lambda eng, src, dst, *rest: "broadcast" if dst == BROADCAST else "unicast")
+    count(Engine, "distance", lambda *a: "distance")
+    count(AodvNode, "on_frame", lambda node, prev_hop, payload: type(payload).__name__)
+    count(FlowMonitor, "observe", lambda monitor, o: o.kind.value)
+    result = run_scenario(sample_scenario(default_config(), index))
+    for node in result.nodes.values():
+        counts.update(node.counters)
+    assert dict(counts) == TRACES[index]
