@@ -5,6 +5,12 @@ replies along the reverse path; entries are ordered by destination
 sequence number (higher wins, ties by hop count). A blackhole node
 answers every overheard request with a forged, maximally fresh reply and
 silently absorbs any data packet it is asked to relay.
+
+Every node handles only its first copy of a route request, keyed by
+(originator, request id) as in RFC 3561 section 6.5. Both request
+broadcasts pass that key to Engine.transmit as the flood key, so the
+engine queues no copy that could not be a node's first; the seen check
+stays, so the outcome does not depend on the engine's skipping.
 """
 
 from __future__ import annotations
@@ -190,9 +196,10 @@ class AodvNode:
             hop_count=0,
         )
         # own flood echoes must not be reprocessed
-        self._seen_rreqs.add((rreq.origin, rreq.rreq_id))
+        key = (rreq.origin, rreq.rreq_id)
+        self._seen_rreqs.add(key)
         self.counters["rreq_tx"] += 1
-        self.engine.transmit(self.id, BROADCAST, RREQ_SIZE_BYTES, rreq)
+        self.engine.transmit(self.id, BROADCAST, RREQ_SIZE_BYTES, rreq, flood=key)
 
     def _schedule_retry_check(self, dest: int) -> None:
         def check():
@@ -228,9 +235,10 @@ class AodvNode:
     # -- control plane -----------------------------------------------------------
 
     def handle_rreq(self, r: Rreq, prev_hop: int) -> None:
-        if (r.origin, r.rreq_id) in self._seen_rreqs:
+        key = (r.origin, r.rreq_id)
+        if key in self._seen_rreqs:
             return
-        self._seen_rreqs.add((r.origin, r.rreq_id))
+        self._seen_rreqs.add(key)
         self._maybe_install(
             RouteEntry(
                 dest=r.origin,
@@ -268,7 +276,7 @@ class AodvNode:
             hop_count=r.hop_count + 1,
         )
         self.counters["rreq_tx"] += 1
-        self.engine.transmit(self.id, BROADCAST, RREQ_SIZE_BYTES, rebroadcast)
+        self.engine.transmit(self.id, BROADCAST, RREQ_SIZE_BYTES, rebroadcast, flood=key)
 
     def blackhole_handle_rreq(self, r: Rreq, prev_hop: int) -> None:
         """Answer with a forged, maximally fresh reply; never rebroadcast."""

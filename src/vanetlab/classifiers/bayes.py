@@ -30,20 +30,26 @@ class GaussianNaiveBayes(Classifier):
         self.epsilon: float = 0.0
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        max_var = float(X.var(axis=0).max())
-        self.epsilon = VAR_SMOOTHING_FACTOR * max_var if max_var > 0 else VAR_SMOOTHING_FACTOR
+        # finite entries near the float maximum can overflow the sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = X.var(axis=0)
+            max_var = float(var.max())
+            self.epsilon = VAR_SMOOTHING_FACTOR * max_var if max_var > 0 else VAR_SMOOTHING_FACTOR
+            parts = [X[y == c] for c in (0, 1)]
+            means = np.stack([rows.mean(axis=0) for rows in parts])
+            variances = np.stack([rows.var(axis=0) + self.epsilon for rows in parts])
+        # an overflowing feature makes epsilon, and so every variance,
+        # infinite: look for it by its own statistics first
+        for finite in (np.isfinite(var) & np.isfinite(means).all(axis=0),
+                       np.isfinite(variances).all(axis=0)):
+            bad = np.flatnonzero(~finite)
+            if bad.size:
+                raise ValueError(
+                    f"feature {bad[0]}: class mean, variance or epsilon overflows float64")
         n = X.shape[0]
-        priors = []
-        means = []
-        variances = []
-        for c in (0, 1):
-            rows = X[y == c]
-            priors.append(math.log(rows.shape[0] / n))
-            means.append(rows.mean(axis=0))
-            variances.append(rows.var(axis=0) + self.epsilon)
-        self.log_priors = np.array(priors)
-        self.means = np.stack(means)
-        self.variances = np.stack(variances)
+        self.log_priors = np.array([math.log(rows.shape[0] / n) for rows in parts])
+        self.means = means
+        self.variances = variances
 
     def log_joint(self, X) -> np.ndarray:
         """(N, 2) log P(C=c) + sum_i log N(x_i | mean, var)."""

@@ -3,7 +3,8 @@
 Virtual time is integer nanoseconds. Events are totally ordered by
 (fire_time, insertion seq), so two runs with the same inputs execute the
 same trace. Radio delivery is an ideal unit disk: a frame reaches every
-node within range, with latency floor(size*8/bandwidth) plus propagation.
+node within range, with latency floor(size*8/bandwidth) plus propagation;
+a flood's copies are queued only where they can arrive first.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 from .errors import SchedulingInPast, UnknownNode
 
@@ -109,6 +110,9 @@ class Engine:
         # a list lives 0.99 of that, a margin for rounding.
         self._verlet: dict[int, tuple[float, list[int]]] = {}
         self._v_max = 0.0
+        # flood key -> {node id: earliest arrival of the flood queued for
+        # it}; the senders sit at their send time (see transmit)
+        self._floods: dict[Hashable, dict[int, SimTime]] = {}
         # called as drop_hook(src, dst, payload) when a unicast has no
         # in-range receiver; wired to the flow monitor by the scenario
         self.drop_hook: Optional[Callable[[int, int, Any], None]] = None
@@ -242,7 +246,9 @@ class Engine:
         prop = int(self.radio.prop_delay_s_per_m * distance_m * NS_PER_S)
         return max(1, tx + prop)
 
-    def transmit(self, src: int, dst: int, size_bytes: int, payload: Any) -> None:
+    def transmit(
+        self, src: int, dst: int, size_bytes: int, payload: Any, flood: Hashable = None
+    ) -> None:
         """Schedule delivery of one frame.
 
         dst == BROADCAST reaches every in-range node, scheduled in
@@ -251,6 +257,15 @@ class Engine:
         Each receiver is confirmed with one scalar distance() and its
         arrival time follows latency_ns(); its heap entry carries the
         receiver and its (src, payload) arguments.
+
+        A broadcast with a `flood` key queues a copy only for a node that
+        this copy can reach first: the engine keeps, per key, each node's
+        earliest queued arrival, with every sender of the flood at its
+        send time, and skips a node whose arrival is no later than this
+        copy's (an equal one pops first by seq). A node that cannot be
+        reached before its record, even at distance 0, is skipped without
+        a distance(). Receivers must therefore ignore every copy of a
+        flood after their first, as AODV does a route request it has seen.
         """
         if src not in self._kin:
             raise UnknownNode(f"node {src} is not registered")
@@ -270,10 +285,20 @@ class Engine:
                 self.drop_hook(src, dst, payload)
             return
         queue, receivers, seq, distance = self._queue, self._receivers, self._seq, self.distance
+        # a keyless broadcast is a flood of its own
+        arrivals = {} if flood is None else self._floods.setdefault(flood, {})
+        arrivals[src] = clock
+        # no copy of this frame arrives before `soonest`
+        soonest, never = clock + (tx if tx > 0 else 1), math.inf
         for other in self._candidates(src, clock):
+            first = arrivals.get(other, never)
+            if first <= soonest:
+                continue
             if (d := distance(src, other, clock)) <= range_m:
                 lat = tx + int(prop * d * NS_PER_S)
-                seq += 1
-                heapq.heappush(queue, (clock + (lat if lat > 0 else 1), seq,
-                                       receivers[other], src, payload))
+                t = clock + (lat if lat > 0 else 1)
+                if t < first:
+                    seq += 1
+                    heapq.heappush(queue, (t, seq, receivers[other], src, payload))
+                    arrivals[other] = t
         self._seq = seq

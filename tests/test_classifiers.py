@@ -572,6 +572,18 @@ def test_standardizing_models_reject_overflowing_features(kind):
         make(kind).fit(X, np.array([1, 1, 0, 0]))
 
 
+@pytest.mark.parametrize("X, feature", [
+    ([[1.7e308], [1.7e308], [1.0], [2.0]], 0),  # means overflow
+    ([[1.0, 1e300], [2.0, -1e300], [3.0, 1.0], [4.0, 2.0]], 1),  # variance only
+], ids=["mean", "variance"])
+def test_gnb_rejects_overflowing_features(X, feature):
+    """GNB fits raw features: a class mean or variance that overflows
+    (and with it epsilon, which widens every variance) is rejected at fit,
+    named by the feature that overflowed, instead of scoring NaN."""
+    with pytest.raises(ValueError, match=f"feature {feature}:"):
+        GaussianNaiveBayes().fit(np.array(X), np.array([1, 1, 0, 0]))
+
+
 def test_standardizer_names_the_feature_whose_std_overflows():
     X = np.array([[1.0, 1e300], [2.0, -1e300], [3.0, 1.0], [4.0, 2.0]])
     with pytest.raises(ValueError, match="feature 1"):

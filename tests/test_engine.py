@@ -469,3 +469,67 @@ def test_transmit_edge_cases():
     assert len(drops) == 2
     with pytest.raises(UnknownNode):
         eng.transmit(0, 9, 64, "nobody")
+
+
+def _flood_engine(xs, prop_delay=3.336e-9):
+    """Static nodes on a line at range 250 m, each recording (node, src,
+    payload, arrival), and the (sender, node) pairs the engine measures."""
+    eng = Engine(RadioConfig(range_m=250.0, prop_delay_s_per_m=prop_delay))
+    got, checks = [], []
+    for n, x in enumerate(xs):
+        eng.register_node(n, (x, 0.0),
+                          receiver=lambda s, p, n=n: got.append((n, s, p, eng.clock)))
+    distance = eng.distance
+    eng.distance = lambda a, b, t: checks.append((a, b)) or distance(a, b, t)
+    return eng, got, checks
+
+
+@pytest.mark.parametrize("prop_delay", [3.336e-9, 0.0])
+def test_flood_copy_with_an_equal_arrival_is_not_queued(prop_delay):
+    # nodes 0 and 1 sit 200 m either side of node 2, out of each other's reach
+    eng, got, checks = _flood_engine([0.0, 400.0, 200.0], prop_delay)
+    eng.transmit(0, BROADCAST, 64, "first", flood="k")
+    eng.transmit(1, BROADCAST, 64, "second", flood="k")
+    eng.run_until(seconds(1))
+    assert got == [(2, 0, "first", eng.latency_ns(64, 200.0))]
+    # the second copy could arrive no earlier than node 2's record: with no
+    # propagation delay that is known before its distance is measured
+    assert checks == ([(0, 2), (1, 2)] if prop_delay else [(0, 2)])
+
+
+def test_flood_copy_that_overtakes_an_earlier_one_is_queued():
+    eng, got, _ = _flood_engine([0.0, 230.0, 240.0])
+    eng.transmit(0, BROADCAST, 64, "far", flood="k")
+    eng.run_until(100)
+    eng.transmit(1, BROADCAST, 64, "near", flood="k")  # 10 m away, sent 100 ns later
+    eng.run_until(seconds(1))
+    near, far = 100 + eng.latency_ns(64, 10.0), eng.latency_ns(64, 240.0)
+    assert near < far
+    # the earlier copy is already queued and still arrives; the receiver
+    # discards it as it would any copy after its first
+    assert [g for g in got if g[0] == 2] == [(2, 1, "near", near), (2, 0, "far", far)]
+
+
+def test_flood_never_returns_to_a_sender():
+    # 0 reaches only 1; 1 relays the flood on its first copy and reaches 0 and 2
+    eng, got, checks = _flood_engine([0.0, 100.0, 300.0])
+    eng.register_node(1, (100.0, 0.0), receiver=lambda s, p: (
+        got.append((1, s, p, eng.clock)), eng.transmit(1, BROADCAST, 64, p, flood="k")))
+    eng.transmit(0, BROADCAST, 64, "req", flood="k")
+    eng.run_until(seconds(1))
+    assert [(n, s) for n, s, _, _ in got] == [(1, 0), (2, 1)]
+    # node 0 holds the flood since it sent it: no distance is measured to it
+    assert checks == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_keyless_broadcasts_reach_every_node_in_range():
+    eng, got, _ = _flood_engine([0.0, 100.0, 200.0])
+    eng.transmit(2, BROADCAST, 64, "flood", flood="k")
+    eng.transmit(0, BROADCAST, 64, "a")
+    eng.transmit(0, BROADCAST, 64, "b")
+    eng.transmit(1, BROADCAST, 64, "c")
+    eng.transmit(2, BROADCAST, 64, "d")
+    eng.run_until(seconds(1))
+    assert sorted((p, n) for n, _, p, _ in got) == [
+        ("a", 1), ("a", 2), ("b", 1), ("b", 2), ("c", 0), ("c", 2),
+        ("d", 0), ("d", 1), ("flood", 0), ("flood", 1)]

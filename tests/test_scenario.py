@@ -5,8 +5,8 @@ import collections
 import pytest
 from flow_audit import record_observations
 
-from vanetlab.aodv import AodvNode
-from vanetlab.config import default_config, sample_scenario
+from vanetlab.aodv import AodvNode, Rreq
+from vanetlab.config import ScenarioConfig, default_config, sample_scenario
 from vanetlab.engine import BROADCAST, Engine, RadioConfig, seconds, substream
 from vanetlab.flows import FlowMonitor, FlowSpec
 from vanetlab.scenario import (
@@ -137,13 +137,13 @@ def test_every_observation_passes_once_through_observe(monkeypatch):
 # AODV counters summed over nodes. Scenario 0 is a split corridor with its
 # attacker out of reach; scenario 9 has attackers in reach of both platoons.
 TRACES = {
-    0: {"events": 16574, "broadcast": 299, "unicast": 5802,
-        "Rreq": 1032, "Rrep": 9, "DataPacket": 5793,
-        "tx": 9670, "rx": 5791, "drop": 3879, "distance": 6834,
+    0: {"events": 15780, "broadcast": 299, "unicast": 5802,
+        "Rreq": 238, "Rrep": 9, "DataPacket": 5793,
+        "tx": 9670, "rx": 5791, "drop": 3879, "distance": 6040,
         "rreq_tx": 299, "rrep_tx": 9, "data_tx": 5793, "data_forwarded": 2},
-    9: {"events": 42697, "broadcast": 627, "unicast": 23955,
-        "Rreq": 9389, "Rrep": 496, "DataPacket": 23459,
-        "tx": 9326, "rx": 1664, "drop": 7662, "distance": 35730,
+    9: {"events": 34311, "broadcast": 627, "unicast": 23955,
+        "Rreq": 1003, "Rrep": 496, "DataPacket": 23459,
+        "tx": 9326, "rx": 1664, "drop": 7662, "distance": 27292,
         "rreq_tx": 627, "rrep_tx": 496, "data_tx": 23459, "data_forwarded": 14218},
 }
 
@@ -157,8 +157,8 @@ def test_default_scenario_keeps_its_event_trace(index, monkeypatch):
     def count(owner, attr, key, add_result=False):
         orig = getattr(owner, attr)
 
-        def counting(*args):
-            result = orig(*args)
+        def counting(*args, **kwargs):
+            result = orig(*args, **kwargs)
             counts[key(*args)] += result if add_result else 1
             return result
 
@@ -174,3 +174,63 @@ def test_default_scenario_keeps_its_event_trace(index, monkeypatch):
     for node in result.nodes.values():
         counts.update(node.counters)
     assert dict(counts) == TRACES[index]
+
+
+# (config overrides, seed, scenario index): the two default scenarios of
+# TRACES, and dense-corridor and split-corridor configs like the
+# benchmark's simulator workloads at two seeds each
+CONNECTED = {"vehicles": [55, 65], "malicious": [1, 1], "scenario_count": 6,
+             "radio": {"bandwidth_bps": 60_000}}
+PARTITIONED = {"vehicles": [10, 50], "malicious": [1, 8], "scenario_count": 9}
+FLOOD_RUNS = {
+    "default-0": ({}, 1729, 0),
+    "default-9": ({}, 1729, 9),
+    "connected-1": (CONNECTED, 1, 0),
+    "connected-2": (CONNECTED, 2, 5),
+    "partitioned-1": (PARTITIONED, 1, 8),
+    "partitioned-2": (PARTITIONED, 2, 4),
+}
+
+
+def _flood_run(params, keyed):
+    """One run's records, observations, summed AODV counters and route
+    requests received; with keyed=False every flood key is dropped, so
+    every copy of every route request is queued and delivered."""
+    rreqs = 0
+    with pytest.MonkeyPatch.context() as mp:
+        logs = record_observations(mp)
+        on_frame, transmit = AodvNode.on_frame, Engine.transmit
+
+        def counting(node, prev_hop, payload):
+            nonlocal rreqs
+            rreqs += type(payload) is Rreq
+            on_frame(node, prev_hop, payload)
+
+        mp.setattr(AodvNode, "on_frame", counting)
+        if not keyed:
+            mp.setattr(Engine, "transmit",
+                       lambda eng, src, dst, size, payload, flood=None:
+                       transmit(eng, src, dst, size, payload))
+        result = run_scenario(params)
+    counters = collections.Counter()
+    for node in result.nodes.values():
+        counters.update(node.counters)
+    return result.records, logs[result.monitor], counters, rreqs
+
+
+@pytest.mark.parametrize("run", sorted(FLOOD_RUNS))
+def test_flood_keys_skip_only_copies_aodv_discards(run):
+    """Queueing a route request copy only where it can arrive first
+    changes no outcome: the same records, the same observations in the
+    same order (so the same drops by cause) and the same AODV counters,
+    from strictly fewer route request receptions."""
+    overrides, seed, index = FLOOD_RUNS[run]
+    params = sample_scenario(ScenarioConfig.from_dict({**overrides, "seed": seed}), index)
+    records, observations, counters, rreqs = _flood_run(params, keyed=True)
+    want_records, want_observations, want_counters, all_rreqs = _flood_run(params, keyed=False)
+    assert records == want_records
+    assert observations == want_observations
+    assert any(o.cause is not None for o in observations)  # drops are compared too
+    assert counters == want_counters
+    assert counters["rreq_tx"] > 0
+    assert rreqs < all_rreqs
