@@ -28,19 +28,16 @@ U32_MAX = 0xFFFFFFFF
 RREQ_SIZE_BYTES = 24
 RREP_SIZE_BYTES = 20
 
+SEQ_BOOST = 1_000_000  # added to the requested sequence number by a forged reply
+ROUTE_LIFETIME_NS: SimTime = seconds(10.0)
+RREQ_RETRY_DELAY_NS: SimTime = seconds(1.0)
+MAX_RETRIES = 2
+QUEUE_CAP = 64  # packets buffered per destination while a route is found
+
 
 class Behavior(enum.Enum):
     HONEST = "honest"
     BLACKHOLE = "blackhole"
-
-
-@dataclass
-class AodvConfig:
-    seq_boost: int = 1_000_000
-    route_lifetime_ns: SimTime = seconds(10.0)
-    rreq_retry_delay_ns: SimTime = seconds(1.0)
-    max_retries: int = 2
-    queue_cap: int = 64
 
 
 @dataclass(slots=True)
@@ -77,13 +74,11 @@ class AodvNode:
         engine: Engine,
         monitor: FlowMonitor,
         behavior: Behavior = Behavior.HONEST,
-        config: AodvConfig | None = None,
     ):
         self.id = node_id
         self.engine = engine
         self.monitor = monitor
         self.behavior = behavior
-        self.config = config or AodvConfig()
         self.routes: dict[int, RouteEntry] = {}
         self.own_seq = 0
         self._next_rreq_id = 0
@@ -117,7 +112,7 @@ class AodvNode:
         if self._send_routed(pkt):
             return
         queue = self._pending.setdefault(pkt.dst, [])
-        if len(queue) >= self.config.queue_cap:
+        if len(queue) >= QUEUE_CAP:
             self.monitor.observe_drop(
                 pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, DropCause.QUEUE_OVERFLOW
             )
@@ -209,7 +204,7 @@ class AodvNode:
                 del self._discovering[dest]
                 return
             attempt = self._discovering[dest]
-            if attempt <= self.config.max_retries:
+            if attempt <= MAX_RETRIES:
                 self._discovering[dest] = attempt + 1
                 self._broadcast_rreq(dest)
                 self._schedule_retry_check(dest)
@@ -217,7 +212,7 @@ class AodvNode:
                 del self._discovering[dest]
                 self._fail_pending(dest)
 
-        self.engine.schedule_in(self.config.rreq_retry_delay_ns, check)
+        self.engine.schedule_in(RREQ_RETRY_DELAY_NS, check)
 
     def _fail_pending(self, dest: int) -> None:
         for pkt in self._pending.pop(dest, []):
@@ -245,7 +240,7 @@ class AodvNode:
                 next_hop=prev_hop,
                 hop_count=r.hop_count + 1,
                 dest_seq=r.origin_seq,
-                expiry=self.engine.clock + self.config.route_lifetime_ns,
+                expiry=self.engine.clock + ROUTE_LIFETIME_NS,
             )
         )
         if r.dest == self.id:
@@ -292,7 +287,7 @@ class AodvNode:
                 prev_hop,
             )
             return
-        forged_seq = min(r.known_dest_seq + self.config.seq_boost, U32_MAX)
+        forged_seq = min(r.known_dest_seq + SEQ_BOOST, U32_MAX)
         self._unicast_rrep(
             Rrep(dest=r.dest, dest_seq=forged_seq, hop_count=1, origin=r.origin),
             prev_hop,
@@ -305,7 +300,7 @@ class AodvNode:
                 next_hop=prev_hop,
                 hop_count=r.hop_count + 1,
                 dest_seq=r.dest_seq,
-                expiry=self.engine.clock + self.config.route_lifetime_ns,
+                expiry=self.engine.clock + ROUTE_LIFETIME_NS,
             )
         )
         if r.origin == self.id:

@@ -2,8 +2,13 @@
 
 Larger score always means more likely malicious. GB, GNB and LR score
 probabilities against threshold 0.5; SVM scores the signed margin
-against 0; RF and KNN score vote fractions. Models persist to JSON and
-a reloaded model reproduces its predictions exactly.
+against 0; RF and KNN score vote fractions.
+
+Models persist to JSON, and a reloaded model reproduces its predictions
+exactly. The saved state is a header (`kind`, `n_features`), every
+constructor parameter under its own name, and each attribute in the
+model's `fitted` table (arrays as lists, a Standardizer as its own
+state). Loading ignores unknown keys; a missing key is a SchemaError.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ contract, and feature standardization for the distance and gradient models.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import inspect
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,6 +43,14 @@ def check_labels(y, n_rows: int) -> np.ndarray:
     return y
 
 
+def floats(value) -> np.ndarray:
+    return np.array(value, dtype=np.float64)
+
+
+def ints(value) -> np.ndarray:
+    return np.array(value, dtype=np.int64)
+
+
 class Standardizer:
     """Per-feature (x - mean) / std fitted on training data only.
 
@@ -69,11 +78,11 @@ class Standardizer:
         return (X - self.mean) / self.std
 
     def to_state(self) -> dict:
-        return {"mean": list(map(float, self.mean)), "std": list(map(float, self.std))}
+        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
     def from_state(cls, state: dict) -> "Standardizer":
-        return cls(np.array(state["mean"]), np.array(state["std"]))
+        return cls(floats(state["mean"]), floats(state["std"]))
 
 
 class Classifier:
@@ -86,6 +95,10 @@ class Classifier:
 
     kind: str = "?"
     threshold: float = 0.5
+    # fitted attribute -> decoder of its saved JSON value. The saved state
+    # also holds every constructor parameter, read back by name, so each
+    # model must store each of its parameters under its own name.
+    fitted: dict[str, Callable] = {}
 
     def __init__(self) -> None:
         self.n_features_: Optional[int] = None
@@ -120,13 +133,30 @@ class Classifier:
     def predict(self, X) -> np.ndarray:
         return (self.score(X) >= self.threshold).astype(np.int64)
 
-    # persistence hooks
     def to_state(self) -> dict:
-        raise NotImplementedError
+        """JSON-ready state: kind, n_features, the constructor parameters
+        and the `fitted` attributes (arrays as lists)."""
+        if self.n_features_ is None:
+            raise UntrainedModel(f"{self.kind}: to_state before fit")
+        state = {"kind": self.kind, "n_features": self.n_features_}
+        for name in (*inspect.signature(type(self)).parameters, *self.fitted):
+            value = getattr(self, name)
+            if isinstance(value, Standardizer):
+                value = value.to_state()
+            elif isinstance(value, np.ndarray):
+                value = value.tolist()
+            state[name] = value
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "Classifier":
-        raise NotImplementedError
+        """The model a `to_state` saved; KeyError on a missing key, other
+        keys are ignored."""
+        model = cls(**{name: state[name] for name in inspect.signature(cls).parameters})
+        model.n_features_ = state["n_features"]
+        for name, decode in cls.fitted.items():
+            setattr(model, name, decode(state[name]))
+        return model
 
 
 def labels_to_pm(y: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, floats
 
 VAR_SMOOTHING_FACTOR = 1e-9
 
@@ -21,6 +21,7 @@ VAR_SMOOTHING_FACTOR = 1e-9
 class GaussianNaiveBayes(Classifier):
     kind = "GNB"
     threshold = 0.5
+    fitted = {"log_priors": floats, "means": floats, "variances": floats, "epsilon": float}
 
     def __init__(self):
         super().__init__()
@@ -67,23 +68,3 @@ class GaussianNaiveBayes(Classifier):
     def _score(self, X: np.ndarray) -> np.ndarray:
         joint = self.log_joint(X)
         return np.exp(joint[:, 1] - np.logaddexp(joint[:, 0], joint[:, 1]))
-
-    def to_state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_features": self.n_features_,
-            "log_priors": list(map(float, self.log_priors)),
-            "means": [list(map(float, row)) for row in self.means],
-            "variances": [list(map(float, row)) for row in self.variances],
-            "epsilon": self.epsilon,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "GaussianNaiveBayes":
-        model = cls()
-        model.n_features_ = state["n_features"]
-        model.log_priors = np.array(state["log_priors"])
-        model.means = np.array(state["means"], dtype=np.float64)
-        model.variances = np.array(state["variances"], dtype=np.float64)
-        model.epsilon = state["epsilon"]
-        return model

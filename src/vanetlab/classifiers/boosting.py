@@ -26,6 +26,7 @@ def log_loss(y: np.ndarray, raw: np.ndarray) -> float:
 class GradientBoosting(Classifier):
     kind = "GB"
     threshold = 0.5
+    fitted = {"f0": float, "trees": list}
 
     def __init__(
         self,
@@ -81,26 +82,3 @@ class GradientBoosting(Classifier):
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.decision_function(X))
-
-    def to_state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "n_features": self.n_features_,
-            "f0": self.f0,
-            "trees": self.trees,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "GradientBoosting":
-        model = cls(
-            n_estimators=state["n_estimators"],
-            learning_rate=state["learning_rate"],
-            max_depth=state["max_depth"],
-        )
-        model.n_features_ = state["n_features"]
-        model.f0 = state["f0"]
-        model.trees = state["trees"]
-        return model

@@ -19,6 +19,7 @@ _RF_TREE_KEY = 211
 
 class RandomForest(Classifier):
     kind = "RF"
+    fitted = {"trees": list}
 
     def __init__(
         self,
@@ -60,26 +61,3 @@ class RandomForest(Classifier):
     def _score(self, X: np.ndarray) -> np.ndarray:
         votes = np.stack([tree_apply(t, X) for t in self.trees])
         return votes.sum(axis=0) / self.n_trees
-
-    def to_state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_trees": self.n_trees,
-            "max_features": self.max_features,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-            "n_features": self.n_features_,
-            "trees": self.trees,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RandomForest":
-        model = cls(
-            n_trees=state["n_trees"],
-            max_features=state["max_features"],
-            bootstrap=state["bootstrap"],
-            seed=state["seed"],
-        )
-        model.n_features_ = state["n_features"]
-        model.trees = state["trees"]
-        return model

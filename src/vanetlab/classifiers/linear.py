@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, Standardizer, sigmoid
+from .base import Classifier, Standardizer, floats, sigmoid
 
 
 def loss_and_grad(
@@ -30,6 +30,7 @@ def loss_and_grad(
 class LogisticRegression(Classifier):
     kind = "LR"
     threshold = 0.5
+    fitted = {"standardizer": Standardizer.from_state, "w": floats, "b": float}
 
     def __init__(
         self,
@@ -65,24 +66,3 @@ class LogisticRegression(Classifier):
     def _score(self, X: np.ndarray) -> np.ndarray:
         Xs = self.standardizer.transform(X)
         return sigmoid(Xs @ self.w + self.b)
-
-    def to_state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "step": self.step,
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "n_features": self.n_features_,
-            "standardizer": self.standardizer.to_state(),
-            "w": list(map(float, self.w)),
-            "b": self.b,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LogisticRegression":
-        model = cls(step=state["step"], epochs=state["epochs"], l2=state["l2"])
-        model.n_features_ = state["n_features"]
-        model.standardizer = Standardizer.from_state(state["standardizer"])
-        model.w = np.array(state["w"], dtype=np.float64)
-        model.b = state["b"]
-        return model

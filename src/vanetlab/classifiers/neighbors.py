@@ -12,12 +12,13 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, Standardizer
+from .base import Classifier, Standardizer, floats, ints
 
 
 class KNearestNeighbors(Classifier):
     kind = "KNN"
     threshold = 0.5
+    fitted = {"standardizer": Standardizer.from_state, "train_X": floats, "train_y": ints}
 
     def __init__(self, k: int = 5):
         super().__init__()
@@ -73,24 +74,3 @@ class KNearestNeighbors(Classifier):
                 neg_dist = float(dist[q][labels[q] == 0].sum())
                 out[q] = 1 if pos_dist < neg_dist else 0
         return out
-
-    def to_state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "n_features": self.n_features_,
-            "standardizer": self.standardizer.to_state(),
-            "train_X": [list(map(float, row)) for row in self.train_X],
-            "train_y": list(map(int, self.train_y)),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KNearestNeighbors":
-        model = cls(k=state["k"])
-        model.n_features_ = state["n_features"]
-        model.standardizer = Standardizer.from_state(state["standardizer"])
-        model.train_X = np.array(state["train_X"], dtype=np.float64).reshape(
-            len(state["train_X"]), state["n_features"]
-        )
-        model.train_y = np.array(state["train_y"], dtype=np.int64)
-        return model

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, Standardizer, labels_to_pm
+from .base import Classifier, Standardizer, floats, labels_to_pm
 
 log = logging.getLogger("vanetlab.svm")
 
@@ -37,6 +37,14 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 class SupportVectorMachine(Classifier):
     kind = "SVM"
     threshold = 0.0
+    fitted = {
+        "standardizer": Standardizer.from_state,
+        "sv_X": floats,
+        "sv_y": floats,
+        "sv_alpha": floats,
+        "b": float,
+        "converged": bool,
+    }
 
     def __init__(
         self,
@@ -123,38 +131,3 @@ class SupportVectorMachine(Classifier):
             return np.full(X.shape[0], self.b)
         K = rbf_kernel(Xs, self.sv_X, self.gamma)
         return K @ (self.sv_alpha * self.sv_y) + self.b
-
-    def to_state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "C": self.C,
-            "gamma": self.gamma,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "n_features": self.n_features_,
-            "standardizer": self.standardizer.to_state(),
-            "sv_X": [list(map(float, row)) for row in self.sv_X],
-            "sv_y": list(map(float, self.sv_y)),
-            "sv_alpha": list(map(float, self.sv_alpha)),
-            "b": self.b,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SupportVectorMachine":
-        model = cls(
-            C=state["C"],
-            gamma=state["gamma"],
-            tol=state["tol"],
-            max_iter=state["max_iter"],
-        )
-        model.n_features_ = state["n_features"]
-        model.standardizer = Standardizer.from_state(state["standardizer"])
-        model.sv_X = np.array(state["sv_X"], dtype=np.float64).reshape(
-            len(state["sv_X"]), state["n_features"]
-        )
-        model.sv_y = np.array(state["sv_y"], dtype=np.float64)
-        model.sv_alpha = np.array(state["sv_alpha"], dtype=np.float64)
-        model.b = state["b"]
-        model.converged = state["converged"]
-        return model

@@ -115,7 +115,6 @@ def grow_tree(
     *,
     criterion: str,
     max_depth: Optional[int],
-    min_samples_split: int = 2,
     max_features: Optional[int] = None,
     rng: Optional[random.Random] = None,
     leaf_value: Optional[Callable[[np.ndarray], float]] = None,
@@ -138,7 +137,6 @@ def grow_tree(
         pure = bool((vals == vals[0]).all())
         can_split = (
             not pure
-            and idx.shape[0] >= min_samples_split
             and (max_depth is None or depth < max_depth)
         )
         split = (

@@ -122,7 +122,7 @@ def _load_any_dataset(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
     if header == FLOWS_HEADER:
-        return label_flows(read_flows_csv(path), {"source": str(path)})
+        return label_flows(read_flows_csv(path))
     if header == DATASET_HEADER:
         return read_csv(path)
     raise SchemaError(f"{path}: header is neither a flows nor a dataset table")
@@ -247,7 +247,7 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
     records, meta = run_sweep(cfg)
     write_flows_csv(records, os.path.join(out_dir, "flows.csv"))
 
-    ds = label_flows(records, {"seed": cfg.seed, "scenarios": cfg.scenario_count})
+    ds = label_flows(records)
     raw_positive, raw_negative = ds.class_counts()
     if cfg.balance is not None:
         ds = balance(ds, cfg.balance[0], cfg.balance[1], derived_seed(cfg.seed, BALANCE_SEED))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Optional, get_type_hints
 
@@ -50,7 +50,6 @@ class DatasetRow:
 @dataclass
 class Dataset:
     rows: list[DatasetRow]
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -65,12 +64,12 @@ def record_label(record: FlowRecord) -> int:
     return 1 if record.blackhole_absorbed >= 1 else 0
 
 
-def label_flows(records: Iterable[FlowRecord], provenance: Optional[dict] = None) -> Dataset:
+def label_flows(records: Iterable[FlowRecord]) -> Dataset:
     rows = [
         DatasetRow(r.src_addr, r.dst_addr, r.src_port, r.dst_port, record_label(r))
         for r in records
     ]
-    return Dataset(rows, provenance or {})
+    return Dataset(rows)
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,10 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Uniform random partition; first round(fraction*N) permuted rows train.
 
     With stratified=True the rounding rule applies per class instead.
+    TooFewRows if either side would be empty.
     """
     spec.validate()
     n = len(ds.rows)
-    if n < 2:
-        raise TooFewRows(f"need at least 2 rows to split, got {n}")
     rng = random.Random(spec.seed)
     if spec.stratified:
         train: list[DatasetRow] = []
@@ -115,11 +113,12 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         n_train = _round_half_up(spec.train_fraction * n)
         train = [ds.rows[i] for i in order[:n_train]]
         test = [ds.rows[i] for i in order[n_train:]]
-    prov = dict(ds.provenance)
-    return (
-        Dataset(train, {**prov, "split": "train", "split_seed": spec.seed}),
-        Dataset(test, {**prov, "split": "test", "split_seed": spec.seed}),
-    )
+    if not train or not test:
+        raise TooFewRows(
+            f"a {spec.train_fraction} split of {n} rows leaves "
+            f"{len(train)} train / {len(test)} test rows; both need at least one"
+        )
+    return Dataset(train), Dataset(test)
 
 
 def balance(ds: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset:
@@ -136,7 +135,7 @@ def balance(ds: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset
     rng = random.Random(seed)
     chosen = rng.sample(pos, target_pos) + rng.sample(neg, target_neg)
     rng.shuffle(chosen)
-    return Dataset(chosen, {**ds.provenance, "balanced": [target_pos, target_neg]})
+    return Dataset(chosen)
 
 
 # -- CSV I/O ----------------------------------------------------------------
@@ -166,7 +165,7 @@ def read_csv(path) -> Dataset:
         if values[4] not in (0, 1):
             raise SchemaError(f"{path}:{ln}: label must be 0 or 1, got {values[4]}")
         rows.append(DatasetRow(*values))
-    return Dataset(rows, {"source": str(path)})
+    return Dataset(rows)
 
 
 def write_flows_csv(records: Iterable[FlowRecord], path) -> None:

@@ -11,7 +11,7 @@ import math
 import pytest
 from flow_audit import record_observations
 
-from vanetlab.aodv import AodvConfig, AodvNode, Behavior, RouteEntry, Rrep
+from vanetlab.aodv import AodvNode, Behavior, RouteEntry, Rrep
 from vanetlab.engine import Engine, RadioConfig, seconds, substream
 from vanetlab.flows import (
     DataPacket,
@@ -46,15 +46,14 @@ def bfs_hops(positions, src, dst, radio_range=RANGE_M):
     return dist.get(dst)
 
 
-def build_static(positions, blackholes=(), config=None):
+def build_static(positions, blackholes=()):
     """Wire a static topology: engine, monitor, and one AodvNode per entry."""
     engine = Engine()
     monitor = FlowMonitor()
     nodes = {}
     for node_id, pos in positions.items():
         behavior = Behavior.BLACKHOLE if node_id in blackholes else Behavior.HONEST
-        node = AodvNode(node_id, engine, monitor, behavior=behavior,
-                        config=config or AodvConfig())
+        node = AodvNode(node_id, engine, monitor, behavior=behavior)
         nodes[node_id] = node
         engine.register_node(node_id, pos, (0.0, 0.0), receiver=node.on_frame)
 

@@ -7,6 +7,7 @@ SVM dual, and hand-built stub trees for the vote rules of the ensemble
 models.
 """
 
+import hashlib
 import json
 import logging
 import math
@@ -519,6 +520,8 @@ def test_untrained_and_width_errors(kind, separable400):
     model = make(kind)
     with pytest.raises(UntrainedModel):
         model.predict(X)
+    with pytest.raises(UntrainedModel):
+        model.to_state()
     model.fit(X, y)
     with pytest.raises(WidthMismatch):
         model.predict(X[:, :3])
@@ -601,6 +604,26 @@ def test_persistence_round_trip(kind, separable400, tmp_path):
     probes = np.vstack([X[::9], X[::9] + 0.5])
     assert np.array_equal(model.predict(probes), again.predict(probes))
     assert np.allclose(model.score(probes), again.score(probes), atol=0.0)
+    # as JSON text, since 0 == 0.0 would let a decoder's wrong dtype through
+    assert json.dumps(again.to_state(), sort_keys=True) == json.dumps(
+        model.to_state(), sort_keys=True)
+
+
+# SHA-256 of json.dumps(state, sort_keys=True) of each kind fitted on separable400
+STATE_SHA256 = {
+    "GB": "d032ef3e696741f6136dd808a97f25ca794aed4e7b3330a49c316a4ead1eeb27",
+    "RF": "7a4405ba85da56f716e0d213442a2e44a96ac8df1db98ca29a5ecfc8c81abcd6",
+    "SVM": "a91a4ea85aaba23d4053cfa6688e58d6f53b82419117e910192264760355c6ae",
+    "KNN": "58df4b5a0ec0749331f0fd9a0567d696b96945e70cd99b85688a60ea302b31aa",
+    "GNB": "4a97770c2c62b06517d89c82b2f75cd692ce37d6b59b547abf56e8bf98dc1a01",
+    "LR": "6bd13f4180914700e8bca8c03ed62383ef1f99a698e1033ed23214bb80dd8337",
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_saved_state_matches_its_pinned_digest(kind, separable400):
+    text = json.dumps(make(kind).fit(*separable400).to_state(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STATE_SHA256[kind]
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):

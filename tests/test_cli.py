@@ -318,6 +318,17 @@ def test_single_class_dataset_exits_three(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("fraction", ["0.99", "0.01"])
+def test_split_that_empties_a_side_exits_three(tmp_path, capsys, fraction):
+    rows = "\n".join(f"{100 + i},200,{49153 + i},9,{i % 2}" for i in range(10))
+    ds = tmp_path / "ten.csv"
+    ds.write_text(DATASET_HEADER + "\n" + rows + "\n")
+    rc = main(["evaluate", "--dataset", str(ds), "--split", fraction,
+               "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert "both need at least one" in capsys.readouterr().err
+
+
 def test_parse_balance():
     assert _parse_balance("500:1500") == (500, 1500)
     with pytest.raises(ConfigError):

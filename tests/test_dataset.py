@@ -115,8 +115,16 @@ def test_stratified_split_preserves_class_ratio():
 
 
 def test_split_too_few_rows():
-    with pytest.raises(TooFewRows):
-        split(make_rows(1, 0), SplitSpec(0.6, seed=1))
+    cases = [
+        (make_rows(1, 0), SplitSpec(0.6, seed=1)),
+        (make_rows(5, 5), SplitSpec(0.99, seed=1)),  # no test rows
+        (make_rows(5, 5), SplitSpec(0.01, seed=1)),  # no train rows
+        (make_rows(5, 5), SplitSpec(0.99, seed=1, stratified=True)),
+        (make_rows(5, 5), SplitSpec(0.05, seed=1, stratified=True)),
+    ]
+    for ds, spec in cases:
+        with pytest.raises(TooFewRows):
+            split(ds, spec)
 
 
 def test_split_spec_validates_fraction():
