@@ -6,6 +6,10 @@ sequence number (higher wins, ties by hop count). A blackhole node
 answers every overheard request with a forged, maximally fresh reply and
 silently absorbs any data packet it is asked to relay.
 
+Nodes record every data-packet loss with its cause: no_route,
+queue_overflow, blackhole_absorbed, or out_of_range when Engine.transmit
+finds the next hop out of reach (RFC 3561 section 6.11).
+
 Every node handles only its first copy of a route request, keyed by
 (originator, request id) as in RFC 3561 section 6.5. Both request
 broadcasts pass that key to Engine.transmit as the flood key, so the
@@ -136,14 +140,18 @@ class AodvNode:
         self.monitor.observe_drop(pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, cause)
 
     def _send_routed(self, pkt: DataPacket) -> bool:
-        """Transmit pkt to its live route's next hop and count it as data_tx;
+        """Transmit pkt to its live route's next hop and count it as data_tx,
+        recording an out_of_range drop when that hop is out of reach;
         False, with nothing sent, when no route to pkt.dst is live."""
         # live_route's rule, inlined: this runs once per data hop
         route = self.routes.get(pkt.dst)
         if route is None or route.expiry <= self.engine.clock:
             return False
         self.counters["data_tx"] += 1
-        self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt)
+        if not self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt):
+            self.monitor.observe_drop(
+                pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, DropCause.OUT_OF_RANGE
+            )
         return True
 
     # -- route table --------------------------------------------------------
@@ -154,22 +162,21 @@ class AodvNode:
             return None
         return entry
 
-    def _maybe_install(self, entry: RouteEntry) -> bool:
-        """Install `entry` iff it is fresher than the incumbent.
+    def _maybe_install(self, dest: int, next_hop: int, hop_count: int, dest_seq: int) -> bool:
+        """Install a route for ROUTE_LIFETIME_NS iff it is fresher than the incumbent.
 
         Higher dest_seq wins; equal seq falls back to shorter hop count;
         an expired incumbent never blocks installation.
         """
-        cur = self.routes.get(entry.dest)
-        if cur is None or cur.expiry <= self.engine.clock:
-            self.routes[entry.dest] = entry
-            return True
-        if entry.dest_seq > cur.dest_seq or (
-            entry.dest_seq == cur.dest_seq and entry.hop_count < cur.hop_count
+        cur = self.live_route(dest)
+        if cur is not None and (
+            dest_seq < cur.dest_seq or (dest_seq == cur.dest_seq and hop_count >= cur.hop_count)
         ):
-            self.routes[entry.dest] = entry
-            return True
-        return False
+            return False
+        self.routes[dest] = RouteEntry(
+            dest, next_hop, hop_count, dest_seq, self.engine.clock + ROUTE_LIFETIME_NS
+        )
+        return True
 
     # -- discovery ------------------------------------------------------------
 
@@ -221,8 +228,7 @@ class AodvNode:
             )
 
     def _flush_pending(self, dest: int) -> None:
-        if self.live_route(dest) is None:
-            return
+        """Send what waits for dest; the caller holds a live route to it."""
         self._discovering.pop(dest, None)
         for pkt in self._pending.pop(dest, []):
             self._send_routed(pkt)
@@ -234,15 +240,7 @@ class AodvNode:
         if key in self._seen_rreqs:
             return
         self._seen_rreqs.add(key)
-        self._maybe_install(
-            RouteEntry(
-                dest=r.origin,
-                next_hop=prev_hop,
-                hop_count=r.hop_count + 1,
-                dest_seq=r.origin_seq,
-                expiry=self.engine.clock + ROUTE_LIFETIME_NS,
-            )
-        )
+        self._maybe_install(r.origin, prev_hop, r.hop_count + 1, r.origin_seq)
         if r.dest == self.id:
             self.own_seq = max(self.own_seq, r.known_dest_seq)
             self._unicast_rrep(
@@ -252,26 +250,14 @@ class AodvNode:
             return
         cached = self.live_route(r.dest)
         if cached is not None and cached.dest_seq >= r.known_dest_seq:
-            self._unicast_rrep(
-                Rrep(
-                    dest=r.dest,
-                    dest_seq=cached.dest_seq,
-                    hop_count=cached.hop_count,
-                    origin=r.origin,
-                ),
-                prev_hop,
-            )
+            reply = Rrep(dest=r.dest, dest_seq=cached.dest_seq, hop_count=cached.hop_count,
+                         origin=r.origin)
+            self._unicast_rrep(reply, prev_hop)
             return
-        rebroadcast = Rreq(
-            origin=r.origin,
-            origin_seq=r.origin_seq,
-            rreq_id=r.rreq_id,
-            dest=r.dest,
-            known_dest_seq=r.known_dest_seq,
-            hop_count=r.hop_count + 1,
-        )
         self.counters["rreq_tx"] += 1
-        self.engine.transmit(self.id, BROADCAST, RREQ_SIZE_BYTES, rebroadcast, flood=key)
+        self.engine.transmit(
+            self.id, BROADCAST, RREQ_SIZE_BYTES, r._replace(hop_count=r.hop_count + 1), flood=key
+        )
 
     def blackhole_handle_rreq(self, r: Rreq, prev_hop: int) -> None:
         """Answer with a forged, maximally fresh reply; never rebroadcast."""
@@ -294,25 +280,14 @@ class AodvNode:
         )
 
     def handle_rrep(self, r: Rrep, prev_hop: int) -> None:
-        self._maybe_install(
-            RouteEntry(
-                dest=r.dest,
-                next_hop=prev_hop,
-                hop_count=r.hop_count + 1,
-                dest_seq=r.dest_seq,
-                expiry=self.engine.clock + ROUTE_LIFETIME_NS,
-            )
-        )
+        self._maybe_install(r.dest, prev_hop, r.hop_count + 1, r.dest_seq)
         if r.origin == self.id:
             self._flush_pending(r.dest)
             return
         reverse = self.live_route(r.origin)
         if reverse is None:
             return  # no reverse path; reply dies here
-        self._unicast_rrep(
-            Rrep(dest=r.dest, dest_seq=r.dest_seq, hop_count=r.hop_count + 1, origin=r.origin),
-            reverse.next_hop,
-        )
+        self._unicast_rrep(r._replace(hop_count=r.hop_count + 1), reverse.next_hop)
 
     def _unicast_rrep(self, r: Rrep, next_hop: int) -> None:
         self.counters["rrep_tx"] += 1

@@ -20,12 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 
-def _split_candidates_mse(col_sorted: np.ndarray, t_sorted: np.ndarray):
-    """Weighted child SSE for every boundary between distinct values."""
-    m = col_sorted.shape[0]
-    ks = np.nonzero(col_sorted[1:] != col_sorted[:-1])[0] + 1
-    if ks.size == 0:
-        return None
+def _split_candidates_mse(ks: np.ndarray, t_sorted: np.ndarray) -> np.ndarray:
+    """Weighted child SSE for every boundary k in ks (rows [:k] go left)."""
+    m = t_sorted.shape[0]
     cum_t = np.cumsum(t_sorted)
     cum_t2 = np.cumsum(t_sorted * t_sorted)
     total_t = cum_t[-1]
@@ -36,15 +33,12 @@ def _split_candidates_mse(col_sorted: np.ndarray, t_sorted: np.ndarray):
     nr = m - nl
     sse_l = lt2 - lt * lt / nl
     sse_r = (total_t2 - lt2) - (total_t - lt) * (total_t - lt) / nr
-    return ks, sse_l + sse_r
+    return sse_l + sse_r
 
 
-def _split_candidates_gini(col_sorted: np.ndarray, y_sorted: np.ndarray):
-    """Weighted child gini (times node size) for every boundary."""
-    m = col_sorted.shape[0]
-    ks = np.nonzero(col_sorted[1:] != col_sorted[:-1])[0] + 1
-    if ks.size == 0:
-        return None
+def _split_candidates_gini(ks: np.ndarray, y_sorted: np.ndarray) -> np.ndarray:
+    """Weighted child gini (times node size) for every boundary k in ks."""
+    m = y_sorted.shape[0]
     cum_pos = np.cumsum(y_sorted)
     total_pos = cum_pos[-1]
     pl = cum_pos[ks - 1].astype(np.float64)
@@ -53,7 +47,7 @@ def _split_candidates_gini(col_sorted: np.ndarray, y_sorted: np.ndarray):
     pr = total_pos - pl
     gini_l = nl - (pl * pl + (nl - pl) * (nl - pl)) / nl
     gini_r = nr - (pr * pr + (nr - pr) * (nr - pr)) / nr
-    return ks, gini_l + gini_r
+    return gini_l + gini_r
 
 
 def _best_split(
@@ -86,14 +80,13 @@ def _best_split(
         if col_sorted[0] == col_sorted[-1]:
             continue
         examined += 1
+        # boundaries between distinct values; a non-constant column has one
+        ks = np.nonzero(col_sorted[1:] != col_sorted[:-1])[0] + 1
         t_sorted = t[idx[sort_order]]
         if criterion == "mse":
-            cand = _split_candidates_mse(col_sorted, t_sorted)
+            scores = _split_candidates_mse(ks, t_sorted)
         else:
-            cand = _split_candidates_gini(col_sorted, t_sorted)
-        if cand is None:
-            continue
-        ks, scores = cand
+            scores = _split_candidates_gini(ks, t_sorted)
         j = int(np.argmin(scores))
         if best is None or scores[j] < best[0]:
             k = int(ks[j])

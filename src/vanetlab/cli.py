@@ -1,7 +1,8 @@
 """Command line entry points: simulate, evaluate, pipeline.
 
-Exit codes: 0 success, 2 config error, 3 data or schema error,
-4 runtime error. Set VANETLAB_LOG=DEBUG|INFO|WARNING|ERROR for verbosity.
+Exit codes: 0 success, else the error's exit_code: 2 ConfigError,
+3 DataError or OSError, 4 any other VanetlabError.
+Set VANETLAB_LOG=DEBUG|INFO|WARNING|ERROR for verbosity.
 """
 
 from __future__ import annotations
@@ -30,20 +31,14 @@ from .dataset import (
     write_csv,
     write_flows_csv,
 )
-from .errors import (
-    ConfigError,
-    InsufficientClassCount,
-    SchemaError,
-    SingleClassDataset,
-    SingleClassTraining,
-    SingleClassTruth,
-    TooFewRows,
-    VanetlabError,
-)
+from .errors import ConfigError, DataError, SchemaError, SingleClassDataset, VanetlabError
 from .metrics import evaluate_scores
 from .scenario import run_scenario
 
 log = logging.getLogger("vanetlab.cli")
+
+# stderr prefix per exit code
+_PREFIXES = {2: "config error", 3: "data error", 4: "runtime error"}
 
 # derived_seed purposes
 SPLIT_SEED = 301
@@ -326,23 +321,12 @@ def main(argv=None) -> int:
             )
         else:
             cmd_pipeline(args.config, args.out_dir)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (
-        SchemaError,
-        TooFewRows,
-        InsufficientClassCount,
-        SingleClassDataset,
-        SingleClassTraining,
-        SingleClassTruth,
-        OSError,
-    ) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
     except VanetlabError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return 4
+        print(f"{_PREFIXES[e.exit_code]}: {e}", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:
+        print(f"{_PREFIXES[DataError.exit_code]}: {e}", file=sys.stderr)
+        return DataError.exit_code
     return 0
 
 

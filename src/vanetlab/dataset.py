@@ -36,6 +36,8 @@ _FLOW_COLUMNS = [
 ]
 FLOWS_HEADER = ",".join([column for column, *_ in _FLOW_COLUMNS] + ["label"])
 _flow_values = attrgetter(*(name for _, name, _, _ in _FLOW_COLUMNS))
+# exclusive upper bound of each flow-key column: 32-bit addresses, 16-bit ports
+_KEY_ENDS = {"src_addr": 1 << 32, "dst_addr": 1 << 32, "src_port": 1 << 16, "dst_port": 1 << 16}
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,13 @@ def write_csv(ds: Dataset, path) -> None:
             fh.write(f"{r.src_addr},{r.dst_addr},{r.src_port},{r.dst_port},{r.label}\n")
 
 
+def _check_key(path, ln: int, key) -> None:
+    """SchemaError unless the four flow-key values fit their columns."""
+    for (name, end), value in zip(_KEY_ENDS.items(), key):
+        if not 0 <= value < end:
+            raise SchemaError(f"{path}:{ln}: {name} outside [0, {end - 1}]")
+
+
 def read_csv(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -162,6 +171,7 @@ def read_csv(path) -> Dataset:
             values = [int(f) for f in fields]
         except ValueError as e:
             raise SchemaError(f"{path}:{ln}: non-integer field ({e})") from None
+        _check_key(path, ln, values)
         if values[4] not in (0, 1):
             raise SchemaError(f"{path}:{ln}: label must be 0 or 1, got {values[4]}")
         rows.append(DatasetRow(*values))
@@ -195,6 +205,7 @@ def read_flows_csv(path) -> list[FlowRecord]:
             label = int(texts[-1])
         except ValueError as e:
             raise SchemaError(f"{path}:{ln}: bad field ({e})") from None
+        _check_key(path, ln, rec.key)
         if label not in (0, 1):
             raise SchemaError(f"{path}:{ln}: label must be 0 or 1, got {label}")
         if rec.rx_packets + rec.lost_packets != rec.tx_packets:

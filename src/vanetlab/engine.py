@@ -90,7 +90,8 @@ SKIN_FRACTION = 0.25
 
 
 class Engine:
-    """Single-threaded event loop plus node registry and radio model."""
+    """Single-threaded event loop plus node registry and radio model. It
+    records no losses: transmit tells the sender whether a unicast arrives."""
 
     def __init__(self, radio: RadioConfig | None = None):
         self.radio = radio or RadioConfig()
@@ -113,9 +114,6 @@ class Engine:
         # flood key -> {node id: earliest arrival of the flood queued for
         # it}; the senders sit at their send time (see transmit)
         self._floods: dict[Hashable, dict[int, SimTime]] = {}
-        # called as drop_hook(src, dst, payload) when a unicast has no
-        # in-range receiver; wired to the flow monitor by the scenario
-        self.drop_hook: Optional[Callable[[int, int, Any], None]] = None
 
     # -- node registry -------------------------------------------------
 
@@ -248,12 +246,14 @@ class Engine:
 
     def transmit(
         self, src: int, dst: int, size_bytes: int, payload: Any, flood: Hashable = None
-    ) -> None:
-        """Schedule delivery of one frame.
+    ) -> bool:
+        """Schedule delivery of one frame; False iff it is a unicast that
+        nothing receives.
 
         dst == BROADCAST reaches every in-range node, scheduled in
-        ascending id order; a unicast to an out-of-range destination (or
-        to src itself) is silently lost, reported through drop_hook.
+        ascending id order, and returns True even when no node is in
+        range. A unicast to an out-of-range destination (or to src
+        itself) is lost and returns False; the sender records the loss.
         Each receiver is confirmed with one scalar distance() and its
         arrival time follows latency_ns(); its heap entry carries the
         receiver and its (src, payload) arguments.
@@ -281,9 +281,8 @@ class Engine:
                 self._seq += 1
                 heapq.heappush(self._queue, (clock + (lat if lat > 0 else 1), self._seq,
                                              self._receivers[dst], src, payload))
-            elif self.drop_hook is not None:
-                self.drop_hook(src, dst, payload)
-            return
+                return True
+            return False
         queue, receivers, seq, distance = self._queue, self._receivers, self._seq, self.distance
         # a keyless broadcast is a flood of its own
         arrivals = {} if flood is None else self._floods.setdefault(flood, {})
@@ -302,3 +301,4 @@ class Engine:
                     heapq.heappush(queue, (t, seq, receivers[other], src, payload))
                     arrivals[other] = t
         self._seq = seq
+        return True

@@ -2,7 +2,16 @@
 
 
 class VanetlabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; the command line exits with
+    the class's exit_code."""
+
+    exit_code = 4
+
+
+class DataError(VanetlabError):
+    """Input data or a saved file cannot support the requested work."""
+
+    exit_code = 3
 
 
 class SchedulingInPast(VanetlabError):
@@ -21,11 +30,11 @@ class DuplicateTerminal(VanetlabError):
     """A packet received a second terminal (Rx/Drop) observation."""
 
 
-class TooFewRows(VanetlabError):
+class TooFewRows(DataError):
     """Dataset too small for the requested split."""
 
 
-class InsufficientClassCount(VanetlabError):
+class InsufficientClassCount(DataError):
     """Not enough rows of one class to balance; carries available counts."""
 
     def __init__(self, message: str, available_positive: int, available_negative: int):
@@ -34,23 +43,25 @@ class InsufficientClassCount(VanetlabError):
         self.available_negative = available_negative
 
 
-class SchemaError(VanetlabError):
+class SchemaError(DataError):
     """A CSV table or saved model does not match the expected schema."""
 
 
 class ConfigError(VanetlabError):
     """Scenario configuration is invalid or out of range."""
 
+    exit_code = 2
 
-class SingleClassTraining(VanetlabError):
+
+class SingleClassTraining(DataError):
     """Training data contains only one class label."""
 
 
-class SingleClassDataset(VanetlabError):
+class SingleClassDataset(DataError):
     """A dataset to evaluate contains only one class label."""
 
 
-class SingleClassTruth(VanetlabError):
+class SingleClassTruth(DataError):
     """Ground-truth labels for a ROC sweep contain only one class."""
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .aodv import AodvNode, Behavior
 from .engine import Engine, RadioConfig, SimTime, substream
-from .flows import DataPacket, DropCause, FlowMonitor, FlowRecord, FlowSpec, start_flow
+from .flows import FlowMonitor, FlowRecord, FlowSpec, start_flow
 
 # substream purposes, mixed with (seed, scenario index)
 _PLACEMENT = 101
@@ -115,18 +115,6 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
         engine.register_node(
             n, (xs[n], y), (speed * direction, 0.0), receiver=node.on_frame
         )
-
-    def on_radio_drop(src, dst, payload):
-        if isinstance(payload, DataPacket):
-            monitor.observe_drop(
-                payload.key,
-                payload.seq,
-                engine.clock,
-                payload.size_bytes,
-                DropCause.OUT_OF_RANGE,
-            )
-
-    engine.drop_hook = on_radio_drop
 
     for spec in params.flows:
         start_flow(engine, nodes[spec.src], monitor, spec)

@@ -8,20 +8,11 @@ claims never depend on the router's own bookkeeping.
 import collections
 import math
 
-import pytest
 from flow_audit import record_observations
 
-from vanetlab.aodv import AodvNode, Behavior, RouteEntry, Rrep
-from vanetlab.engine import Engine, RadioConfig, seconds, substream
-from vanetlab.flows import (
-    DataPacket,
-    DropCause,
-    FlowKey,
-    FlowMonitor,
-    FlowSpec,
-    node_address,
-    start_flow,
-)
+from vanetlab.aodv import ROUTE_LIFETIME_NS, AodvNode, Behavior, RouteEntry, Rrep
+from vanetlab.engine import Engine, seconds, substream
+from vanetlab.flows import DropCause, FlowMonitor, FlowSpec, start_flow
 
 RANGE_M = 250.0
 
@@ -56,13 +47,6 @@ def build_static(positions, blackholes=()):
         node = AodvNode(node_id, engine, monitor, behavior=behavior)
         nodes[node_id] = node
         engine.register_node(node_id, pos, (0.0, 0.0), receiver=node.on_frame)
-
-    def on_radio_drop(src, dst, payload):
-        if isinstance(payload, DataPacket):
-            monitor.observe_drop(payload.key, payload.seq, engine.clock,
-                                 payload.size_bytes, DropCause.OUT_OF_RANGE)
-
-    engine.drop_hook = on_radio_drop
     return engine, monitor, nodes
 
 
@@ -144,10 +128,9 @@ def test_intermediate_cached_route_reply():
 def test_freshness_rules_unit():
     engine, monitor, nodes = build_static({0: (0.0, 0.0)})
     node = nodes[0]
-    far = seconds(1000)
 
     def install(seq, hops):
-        return node._maybe_install(RouteEntry(9, 9, hops, seq, far))
+        return node._maybe_install(9, 9, hops, seq)
 
     assert install(5, 3)
     assert install(9, 5)          # higher seq replaces despite longer path
@@ -164,8 +147,9 @@ def test_expired_incumbent_never_blocks():
     node = nodes[0]
     node.routes[9] = RouteEntry(9, 9, 1, 50, expiry=0)
     engine.clock = seconds(1)
-    assert node._maybe_install(RouteEntry(9, 9, 3, 2, seconds(1000)))
+    assert node._maybe_install(9, 9, 3, 2)
     assert node.routes[9].dest_seq == 2
+    assert node.routes[9].expiry == seconds(1) + ROUTE_LIFETIME_NS
 
 
 def test_route_expiry_triggers_rediscovery():
@@ -291,13 +275,6 @@ def test_stale_route_drops_out_of_range(monkeypatch):
     b = AodvNode(1, engine, monitor)
     engine.register_node(0, (0.0, 0.0), (-0.5, 0.0), receiver=a.on_frame)
     engine.register_node(1, (245.0, 0.0), (0.0, 0.0), receiver=b.on_frame)
-
-    def on_radio_drop(src, dst, payload):
-        if isinstance(payload, DataPacket):
-            monitor.observe_drop(payload.key, payload.seq, engine.clock,
-                                 payload.size_bytes, DropCause.OUT_OF_RANGE)
-
-    engine.drop_hook = on_radio_drop
     spec = FlowSpec(0, 1, 49153, 9, packet_size_bytes=512,
                     data_rate_bps=12_288, packet_count=60, start=seconds(1))
     start_flow(engine, a, monitor, spec)

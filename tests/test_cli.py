@@ -300,6 +300,24 @@ def test_broken_flow_accounting_exits_three(tmp_path, capsys):
     assert f"{bad}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", [
+    # an address past float range: as_arrays would raise OverflowError
+    pytest.param([f"{'9' * 400},200,49153,9,1"]
+                 + [f"{100 + i},200,{49153 + i},9,{i % 2}" for i in range(9)],
+                 id="addr-past-float"),
+    # features near the float maximum: Standardizer.fit would raise ValueError
+    pytest.param([",".join(["9" * 308] * 4) + f",{i % 2}" for i in range(5)],
+                 id="features-near-float-max"),
+])
+def test_out_of_range_flow_key_exits_three(tmp_path, capsys, rows):
+    ds = tmp_path / "huge.csv"
+    ds.write_text(DATASET_HEADER + "\n" + "\n".join(rows) + "\n")
+    rc = main(["evaluate", "--dataset", str(ds),
+               "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert f"{ds}:2: src_addr outside [0, 4294967295]" in capsys.readouterr().err
+
+
 def test_unmeetable_balance_exits_three(bridged_flows, tmp_path, capsys):
     _, _, flows = bridged_flows
     rc = main(["evaluate", "--dataset", str(flows), "--balance", "500:1500",

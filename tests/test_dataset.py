@@ -189,6 +189,7 @@ def test_dataset_csv_empty_is_header_only(tmp_path):
     DATASET_HEADER + "\n1,2,3,4,5,6\n",
     DATASET_HEADER + "\n1,2,3,x,1\n",
     DATASET_HEADER + "\n1,2,3,4,2\n",
+    DATASET_HEADER + "\n1,2,3,65536,1\n",
     "",
 ])
 def test_dataset_csv_schema_errors(tmp_path, content):
@@ -267,6 +268,8 @@ def test_flows_csv_tampered_label_rejected(tmp_path):
                  id="last-rx-set"),
     pytest.param(dict(rx_packets=8, lost_packets=2, blackhole_absorbed=3),
                  "blackhole_absorbed exceeds lost_packets", id="absorbed-over-lost"),
+    pytest.param(dict(dst_addr=1 << 32), "dst_addr outside [0, 4294967295]",
+                 id="addr-over-32-bits"),
 ])
 def test_flows_csv_broken_accounting_rejected(tmp_path, edits, problem):
     path = tmp_path / "flows.csv"

@@ -119,7 +119,6 @@ def test_unknown_node_raises():
     for a, b in ((99, 0), (0, 99)):
         with pytest.raises(UnknownNode):
             eng.distance(a, b, 0)
-    eng.drop_hook = lambda *a: pytest.fail("drop reported for an unknown node")
     for src, dst in ((99, BROADCAST), (99, 0), (99, 99), (0, 99)):
         with pytest.raises(UnknownNode):
             eng.transmit(src, dst, 64, "x")
@@ -193,17 +192,14 @@ def test_unicast_delivery_time_and_payload():
     assert at == eng.latency_ns(1024, 100.0)
 
 
-def test_unicast_out_of_range_invokes_drop_hook():
+def test_unicast_out_of_range_reports_no_delivery():
     eng = Engine(RadioConfig(range_m=250.0))
     got = []
-    drops = []
     eng.register_node(0, (0.0, 0.0))
     eng.register_node(1, (300.0, 0.0), receiver=lambda src, p: got.append(p))
-    eng.drop_hook = lambda src, dst, payload: drops.append((src, dst, payload))
-    eng.transmit(0, 1, 512, "lost")
+    assert eng.transmit(0, 1, 512, "lost") is False
     eng.run_until(seconds(1))
     assert got == []
-    assert drops == [(0, 1, "lost")]
 
 
 def test_broadcast_reaches_all_in_range_except_sender():
@@ -222,10 +218,9 @@ def test_broadcast_reaches_all_in_range_except_sender():
 
 def test_broadcast_with_no_neighbors_is_silent():
     eng = Engine()
-    eng.drop_hook = lambda *a: pytest.fail("a broadcast reported a drop")
     eng.register_node(0, (0.0, 0.0))
     eng.register_node(1, (900.0, 0.0))
-    eng.transmit(0, BROADCAST, 64, "beacon")
+    assert eng.transmit(0, BROADCAST, 64, "beacon") is True  # no loss to report
     assert eng.run_until(seconds(1)) == 0
 
 
@@ -410,7 +405,6 @@ def test_transmit_matches_brute_force_reference(seed, prop_delay):
             receiver=lambda src, k, n=n: got.append((eng.clock, n, src, k)),
         )
     drops = []
-    eng.drop_hook = lambda src, dst, k: drops.append(k)
     frames = []
     for step in range(240):
         # four frames per instant: 0.01 s apart and mostly broadcasts
@@ -423,7 +417,8 @@ def test_transmit_matches_brute_force_reference(seed, prop_delay):
         dst = BROADCAST if rng.random() < (0.8 if fine else 0.4) else rng.choice(ids)
         size = rng.choice((64, 512, 1500))
         frames.append((t, src, dst, size))
-        eng.transmit(src, dst, size, len(frames) - 1)
+        if not eng.transmit(src, dst, size, len(frames) - 1):
+            drops.append(len(frames) - 1)
     eng.run_until(seconds(60))
     expected, dropped = _reference_frames(eng, ids, frames, radio)
     assert got == expected
@@ -450,23 +445,20 @@ def test_reregistered_node_invalidates_broadcast_lists():
 
 def test_transmit_edge_cases():
     eng = Engine(RadioConfig(range_m=250.0))
-    got, drops = [], []
-    eng.drop_hook = lambda src, dst, p: drops.append((src, dst, p))
+    got = []
     for n, x in ((0, 0.0), (1, 250.0), (2, 250.5)):
         eng.register_node(n, (x, 0.0), receiver=lambda s, p, n=n: got.append((n, s, p)))
     eng.register_node(3, (10.0, 0.0))  # no receiver: its frames arrive nowhere
 
-    eng.transmit(0, 0, 64, "self")
-    eng.transmit(0, 2, 64, "far")
-    assert drops == [(0, 0, "self"), (0, 2, "far")]
+    assert eng.transmit(0, 0, 64, "self") is False
+    assert eng.transmit(0, 2, 64, "far") is False
     assert eng.run_until(seconds(1)) == 0
 
-    eng.transmit(0, 1, 64, "edge")
-    eng.transmit(0, 3, 64, "mute")
-    eng.transmit(0, BROADCAST, 64, "all")
+    # a frame in range is delivered even when nobody handles it
+    assert [eng.transmit(0, dst, 64, p)
+            for dst, p in ((1, "edge"), (3, "mute"), (BROADCAST, "all"))] == [True] * 3
     assert eng.run_until(seconds(2)) == 4  # edge, mute, all to nodes 1 and 3
     assert got == [(1, 0, "edge"), (1, 0, "all")]
-    assert len(drops) == 2
     with pytest.raises(UnknownNode):
         eng.transmit(0, 9, 64, "nobody")
 
