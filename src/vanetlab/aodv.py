@@ -242,11 +242,7 @@ class AodvNode:
         self._seen_rreqs.add(key)
         self._maybe_install(r.origin, prev_hop, r.hop_count + 1, r.origin_seq)
         if r.dest == self.id:
-            self.own_seq = max(self.own_seq, r.known_dest_seq)
-            self._unicast_rrep(
-                Rrep(dest=self.id, dest_seq=self.own_seq, hop_count=0, origin=r.origin),
-                prev_hop,
-            )
+            self._reply_as_destination(r, prev_hop)
             return
         cached = self.live_route(r.dest)
         if cached is not None and cached.dest_seq >= r.known_dest_seq:
@@ -261,22 +257,25 @@ class AodvNode:
 
     def blackhole_handle_rreq(self, r: Rreq, prev_hop: int) -> None:
         """Answer with a forged, maximally fresh reply; never rebroadcast."""
-        if (r.origin, r.rreq_id) in self._seen_rreqs:
+        key = (r.origin, r.rreq_id)
+        if key in self._seen_rreqs:
             return
-        self._seen_rreqs.add((r.origin, r.rreq_id))
+        self._seen_rreqs.add(key)
         if r.dest == self.id:
             # legitimate destination claim, answered in honest form; data
             # relayed through this node is still absorbed
-            self.own_seq = max(self.own_seq, r.known_dest_seq)
-            self._unicast_rrep(
-                Rrep(dest=self.id, dest_seq=self.own_seq, hop_count=0, origin=r.origin),
-                prev_hop,
-            )
+            self._reply_as_destination(r, prev_hop)
             return
         forged_seq = min(r.known_dest_seq + SEQ_BOOST, U32_MAX)
         self._unicast_rrep(
             Rrep(dest=r.dest, dest_seq=forged_seq, hop_count=1, origin=r.origin),
             prev_hop,
+        )
+
+    def _reply_as_destination(self, r: Rreq, prev_hop: int) -> None:
+        self.own_seq = max(self.own_seq, r.known_dest_seq)
+        self._unicast_rrep(
+            Rrep(dest=self.id, dest_seq=self.own_seq, hop_count=0, origin=r.origin), prev_hop
         )
 
     def handle_rrep(self, r: Rrep, prev_hop: int) -> None:

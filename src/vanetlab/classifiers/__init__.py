@@ -1,8 +1,10 @@
-"""The six detection models behind one fit/predict/score contract.
+"""The six detection models behind one fit/classify/predict/score contract.
 
 Larger score always means more likely malicious. GB, GNB and LR score
 probabilities against threshold 0.5; SVM scores the signed margin
-against 0; RF and KNN score vote fractions.
+against 0; RF and KNN score vote fractions. `classify(X)` returns
+`(labels, scores)` from one scoring pass, so a caller that needs both
+runs the model once; KNN's labels and scores share one neighbor search.
 
 Models persist to JSON, and a reloaded model reproduces its predictions
 exactly. The saved state is a header (`kind`, `n_features`), every

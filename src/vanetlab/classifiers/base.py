@@ -1,5 +1,6 @@
-"""Shared classifier plumbing: input validation, the fit/predict/score
-contract, and feature standardization for the distance and gradient models.
+"""Shared classifier plumbing: input validation, the
+fit/classify/predict/score contract, and feature standardization for the
+distance and gradient models.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class Standardizer:
 
 
 class Classifier:
-    """Base contract: fit(X, y), predict(X) -> {0,1} labels, score(X) -> reals.
+    """Base contract: fit(X, y), score(X) -> reals, predict(X) -> {0,1}
+    labels, and classify(X) -> (labels, scores) from one scoring pass.
 
     Larger score means more likely malicious. label == 1 iff
     score >= self.threshold for every subclass with the documented
@@ -130,8 +132,13 @@ class Classifier:
     def score(self, X) -> np.ndarray:
         return self._score(self._check_ready(X))
 
+    def classify(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, scores) of X from one scoring pass."""
+        scores = self.score(X)
+        return (scores >= self.threshold).astype(np.int64), scores
+
     def predict(self, X) -> np.ndarray:
-        return (self.score(X) >= self.threshold).astype(np.int64)
+        return self.classify(X)[0]
 
     def to_state(self) -> dict:
         """JSON-ready state: kind, n_features, the constructor parameters

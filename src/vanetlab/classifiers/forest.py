@@ -8,6 +8,8 @@ fraction of trees voting malicious. With an even tree count an exact
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from ..engine import substream
@@ -15,6 +17,28 @@ from .base import Classifier
 from .tree import grow_tree, tree_apply
 
 _RF_TREE_KEY = 211
+
+
+def bootstrap_rows(rng: random.Random, n: int) -> np.ndarray:
+    """`[rng.randrange(n) for _ in range(n)]` from a few bulk draws.
+
+    CPython's randrange(n) takes the top n.bit_length() bits of one
+    32-bit Mersenne Twister word per try and rejects values >= n. Here
+    the same rule is applied to words from getrandbits, which fills its
+    result with words in draw order from the least significant end. Each
+    round draws one word per row still missing, never more words than
+    randrange would take, so the rows and every later draw match. Valid
+    for n < 2**32.
+    """
+    shift = 32 - n.bit_length()
+    kept = []
+    need = n
+    while need:
+        bits = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        tries = np.frombuffer(bits, dtype="<u4") >> shift
+        kept.append(tries[tries < n])
+        need -= kept[-1].size
+    return np.concatenate(kept).astype(np.int64)
 
 
 class RandomForest(Classifier):
@@ -44,7 +68,7 @@ class RandomForest(Classifier):
         for i in range(self.n_trees):
             rng = substream(self.seed, _RF_TREE_KEY, i)
             if self.bootstrap:
-                rows = np.array([rng.randrange(n) for _ in range(n)])
+                rows = bootstrap_rows(rng, n)
                 Xb, yb = X[rows], y[rows]
             else:
                 Xb, yb = X, y

@@ -58,19 +58,16 @@ class KNearestNeighbors(Classifier):
         idx, _ = self._neighbors(self.standardizer.transform(X))
         return self.train_y[idx].mean(axis=1)
 
-    def predict(self, X) -> np.ndarray:
+    def classify(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Majority labels and scores from one neighbor search."""
         X = self._check_ready(X)
         idx, dist = self._neighbors(self.standardizer.transform(X))
         labels = self.train_y[idx]
-        out = np.empty(X.shape[0], dtype=np.int64)
-        k = labels.shape[1]
-        for q in range(X.shape[0]):
-            pos = int(labels[q].sum())
-            neg = k - pos
-            if pos != neg:
-                out[q] = 1 if pos > neg else 0
-            else:
-                pos_dist = float(dist[q][labels[q] == 1].sum())
-                neg_dist = float(dist[q][labels[q] == 0].sum())
-                out[q] = 1 if pos_dist < neg_dist else 0
-        return out
+        pos = labels.sum(axis=1)
+        neg = labels.shape[1] - pos
+        out = (pos > neg).astype(np.int64)
+        for q in np.flatnonzero(pos == neg):
+            pos_dist = float(dist[q][labels[q] == 1].sum())
+            neg_dist = float(dist[q][labels[q] == 0].sum())
+            out[q] = 1 if pos_dist < neg_dist else 0
+        return out, labels.mean(axis=1)

@@ -57,11 +57,14 @@ def _best_split(
     criterion: str,
     max_features: Optional[int],
     rng: Optional[random.Random],
+    constant: np.ndarray,
 ):
     """Best (feature, threshold, left_idx, right_idx) in the node, or None.
 
     Walks features in a per-node shuffled order when an rng is given;
     constant features do not count toward the max_features budget.
+    `constant` flags the features constant over the whole tree, which
+    are skipped without being sorted.
     """
     n_features = X.shape[1]
     order = list(range(n_features))
@@ -74,6 +77,8 @@ def _best_split(
     for f in order:
         if examined >= budget:
             break
+        if constant[f]:
+            continue
         col = X[idx, f]
         sort_order = np.argsort(col, kind="stable")
         col_sorted = col[sort_order]
@@ -122,6 +127,8 @@ def grow_tree(
         return float(vals.mean())
 
     value_of = leaf_value or default_leaf
+    # a feature constant over the root rows is constant in every node
+    constant = X.min(axis=0) == X.max(axis=0)
     root: dict = {}
     stack = [(root, np.arange(X.shape[0]), 0)]
     while stack:
@@ -133,7 +140,9 @@ def grow_tree(
             and (max_depth is None or depth < max_depth)
         )
         split = (
-            _best_split(X, t, idx, criterion, max_features, rng) if can_split else None
+            _best_split(X, t, idx, criterion, max_features, rng, constant)
+            if can_split
+            else None
         )
         if split is None:
             node["value"] = value_of(idx)

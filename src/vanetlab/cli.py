@@ -172,8 +172,7 @@ def train_and_report(
     for kind in KINDS:
         log.info("training %s on %d rows", kind, len(train.rows))
         model = _model_for(kind, seed).fit(X_train, y_train)
-        pred = model.predict(X_test)
-        scores = model.score(X_test)
+        pred, scores = model.classify(X_test)
         rep = evaluate_scores(list(pred), list(scores), list(y_test))
         c = rep.counts
         swapped = c.swapped()

@@ -18,20 +18,20 @@ import numpy as np
 import pytest
 from flow_audit import recompute_from_log, record_observations
 
-from vanetlab.cli import cmd_pipeline, cmd_simulate
+from vanetlab.cli import SPLIT_SEED, _model_for, cmd_pipeline, cmd_simulate
 from vanetlab.classifiers import (
     GaussianNaiveBayes,
     GradientBoosting,
     KNearestNeighbors,
-    LogisticRegression,
     RandomForest,
     SupportVectorMachine,
+    as_arrays,
     log_loss,
     loss_and_grad,
 )
 from vanetlab.classifiers.tree import tree_apply
-from vanetlab.config import default_config, sample_scenario
-from vanetlab.dataset import record_label
+from vanetlab.config import default_config, derived_seed, sample_scenario
+from vanetlab.dataset import SplitSpec, read_csv, record_label, split
 from vanetlab.engine import RadioConfig, seconds, substream
 from vanetlab.flows import FlowSpec
 from vanetlab.metrics import (
@@ -385,6 +385,32 @@ def test_default_pipeline_artifacts_match_pinned_digests(pipeline_runs):
         for name in PINNED_SHA256
     }
     assert digests == PINNED_SHA256
+
+
+# SHA-256 of json.dumps(state, sort_keys=True) of RF and GB fitted on the
+# default pipeline's training split, as train_and_report fits them. The
+# 1200 rows hold many repeated values and dst_port is constant, so these
+# pin the RF bootstrap draw and the trees' constant-feature skip on the
+# paper's own data.
+DEFAULT_SPLIT_STATE_SHA256 = {
+    "RF": "bfd40a2769e1f74faae340b7b3634b8f8c6325cf0ed2e043a30e3124237dce1f",
+    "GB": "959586da2500f4388363335c64239be3db7e04012321e78f9ee556cb25cfc363",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_SPLIT_STATE_SHA256))
+def test_default_training_split_states_match_pinned_digests(kind, pipeline_runs):
+    (run1, _), _ = pipeline_runs
+    cfg = default_config()
+    train, _ = split(
+        read_csv(run1 / "dataset.csv"),
+        SplitSpec(cfg.split_fraction, derived_seed(cfg.seed, SPLIT_SEED), cfg.stratified_split),
+    )
+    X, y = as_arrays(train)
+    assert X.shape == (1200, 4) and np.unique(X[:, 3]).size == 1
+    model = _model_for(kind, cfg.seed).fit(X, y)
+    text = json.dumps(model.to_state(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_SPLIT_STATE_SHA256[kind]
 
 
 # flows.csv and manifest.json SHA-256 of the benchmark's two simulator

@@ -34,7 +34,8 @@ from vanetlab.classifiers import (
     sigmoid,
 )
 from vanetlab.classifiers.base import check_labels, check_matrix
-from vanetlab.classifiers.tree import tree_apply
+from vanetlab.classifiers.forest import bootstrap_rows
+from vanetlab.classifiers.tree import grow_tree, tree_apply
 from vanetlab.dataset import Dataset, DatasetRow
 from vanetlab.engine import substream
 from vanetlab.errors import (
@@ -157,6 +158,64 @@ def test_knn_neighbors_match_full_stable_sort_with_nan_distances(nan_rows, separ
     want_idx, want_dist = knn_neighbors_full_sort(model.train_X, queries, 5)
     assert np.array_equal(idx, want_idx)
     assert np.array_equal(dist, want_dist, equal_nan=True)
+
+
+def knn_vote_loop(model, X):
+    """The per-row majority vote that classify's numpy vote replaced."""
+    idx, dist = model._neighbors(model.standardizer.transform(X))
+    labels = model.train_y[idx]
+    out = np.empty(X.shape[0], dtype=np.int64)
+    k = labels.shape[1]
+    for q in range(X.shape[0]):
+        pos = int(labels[q].sum())
+        neg = k - pos
+        if pos != neg:
+            out[q] = 1 if pos > neg else 0
+        else:
+            pos_dist = float(dist[q][labels[q] == 1].sum())
+            neg_dist = float(dist[q][labels[q] == 0].sum())
+            out[q] = 1 if pos_dist < neg_dist else 0
+    return out, labels.mean(axis=1)
+
+
+def knn_grid(k):
+    """The 4 x 4 integer grid of repeated points with mixed labels."""
+    rng = substream(15, 2)
+    X = np.array([[rng.randrange(4), rng.randrange(4)] for _ in range(60)], dtype=float)
+    X = np.vstack([X, X[:4]])
+    y = np.array([rng.randrange(2) for _ in range(X.shape[0])])
+    grid = np.array([[a / 2, b / 2] for a in range(-1, 9) for b in range(-1, 9)])
+    return KNearestNeighbors(k=k).fit(X, y), grid
+
+
+def knn_nan(separable400):
+    """k = 4 over 40 rows of which 38 are NaN: two finite, two NaN distances."""
+    X, y = separable400
+    model = KNearestNeighbors(k=4).fit(X[::10], y[::10])
+    model.train_X[list(range(38))] = np.nan
+    return model, X[5::20]
+
+
+KNN_CASES = {
+    "grid-k2": lambda sep: knn_grid(2),
+    "grid-k8": lambda sep: knn_grid(8),
+    "nan-k4": knn_nan,
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNN_CASES))
+def test_knn_classify_matches_the_per_row_vote(case, separable400):
+    """One neighbor search gives the labels of the per-row vote, split
+    votes and NaN distance sums included, and the scores of `score`."""
+    model, queries = KNN_CASES[case](separable400)
+    labels, scores = model.classify(queries)
+    want_labels, want_scores = knn_vote_loop(model, queries)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(scores, want_scores)
+    assert np.array_equal(scores, model.score(queries))
+    assert np.array_equal(labels, model.predict(queries))
+    assert (scores == 0.5).any()  # the fixture exercises the split-vote rule
 
 
 def test_knn_split_vote_goes_to_nearer_class():
@@ -392,6 +451,39 @@ def test_svm_flags_nonconvergence_and_still_predicts(caplog):
     assert set(pred.tolist()) <= {0, 1}
 
 
+# -- CART trees ---------------------------------------------------------------
+
+
+def constant_first_rows():
+    """90 rows whose column 0 is constant, with noisy parity labels."""
+    rng = substream(31, 4)
+    X = np.array([[5.0, rng.randrange(6), rng.gauss(0, 1)] for _ in range(90)])
+    y = np.array([int(row[1] % 2 == 0) ^ (rng.random() < 0.2) for row in X])
+    return X, y
+
+
+def test_grow_tree_skips_a_constant_column_walked_first():
+    """Skipping the root-constant column changes neither the tree nor the
+    draws: the per-node shuffle still runs and the constant column still
+    costs no budget. Pinned before the skip existed."""
+    X, y = constant_first_rows()
+    order = [0, 1, 2]
+    substream(0, 1).shuffle(order)
+    assert order[0] == 0  # the root walks the constant column first
+    rng = substream(0, 1)
+    tree = grow_tree(X, y, criterion="gini", max_depth=None, max_features=1, rng=rng)
+    text = json.dumps(tree, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "deef8616c1eafd25be9868fe2cb2afec0d043a3d82007dab19fda5ae687f5c8c")
+    assert rng.random() == 0.6880757343025422
+    assert '"feature": 0' not in text
+    # without an rng the walk is 0, 1, 2: the constant column always leads
+    tree = grow_tree(X, y - 0.5, criterion="mse", max_depth=4)
+    text = json.dumps(tree, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "4694cfd1915b1aef6e20199f0b52674de602feb87ed5a90c32e9cdb59b8fe6bf")
+
+
 # -- random forest ------------------------------------------------------------
 
 
@@ -455,6 +547,19 @@ def test_rf_seed_determinism(separable400):
     assert c.trees != a.trees
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1024, 1025, 1200, 4096])
+def test_rf_bootstrap_rows_match_randrange(n):
+    """The bulk draw gives randrange's rows and leaves the generator where
+    randrange would: this pins a CPython detail of `random`."""
+    for seed in range(20):
+        want_rng, got_rng = substream(seed, 211, n), substream(seed, 211, n)
+        want = [want_rng.randrange(n) for _ in range(n)]
+        got = bootstrap_rows(got_rng, n)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert got_rng.random() == want_rng.random()
+
+
 # -- gradient boosting --------------------------------------------------------
 
 
@@ -514,6 +619,44 @@ def test_label_equals_score_against_threshold(kind, separable400):
     assert np.array_equal(model.predict(probes), expected)
 
 
+def overlap120():
+    """Two overlapping clusters and 80 probes between them."""
+    X, y = gauss_clusters(seed=21, n_per_class=60, sigma=9.0)
+    rng = substream(22, 2)
+    return X, y, np.array([[rng.gauss(25.0, 12.0) for _ in range(4)] for _ in range(80)])
+
+
+# SHA-256 of json.dumps([predict, score]) on overlap120's probes, taken
+# before classify existed; the KNN and RF extras have even k and an even
+# tree count, so their split votes and threshold ties are covered too.
+CLASSIFY_SHA256 = {
+    "GB": "a24b1e28894cf9afebf1a47b81b4f82cf7687b3d9c40a2b3b60c9e925b8d4e6d",
+    "RF": "8cc0c01cf203038084168237697d80a93b5a604ea62ebd64d53e7900b610a464",
+    "SVM": "d4a408bb4d429b8d0aac14f17df70f6609e49b9e6caa00ae988b880f5b5db1c0",
+    "KNN": "72c356531c59a6a208874dec8b6766ee133ea14b6923a597cba5fd43c2e0b7cb",
+    "GNB": "4986d8bb63f2f080709506a404f0a3d60b93844c6b30f9bc69e4e9f415c1738e",
+    "LR": "5eb76becd53079382cc09f36ac2ac558a6d88b614b6fcd49143c3a759bcf3e5a",
+    "KNN-k4": "d33de4a2d0517f608b46cd25d47b808f8111f80fd58cf7893392f97b20faa748",
+    "RF-10": "43739e9f1abf50196038c283992ebc405c28be7c364ee358bd983680bc806bf0",
+}
+CLASSIFY_MODELS = {
+    **{kind: lambda kind=kind: make(kind) for kind in KINDS},
+    "KNN-k4": lambda: KNearestNeighbors(k=4),
+    "RF-10": lambda: RandomForest(n_trees=10, seed=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFY_MODELS))
+def test_classify_matches_pinned_predict_and_score(case):
+    X, y, probes = overlap120()
+    model = CLASSIFY_MODELS[case]().fit(X, y)
+    labels, scores = model.classify(probes)
+    text = json.dumps([labels.tolist(), scores.tolist()], sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CLASSIFY_SHA256[case]
+    assert np.array_equal(labels, model.predict(probes))
+    assert np.array_equal(scores, model.score(probes))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_untrained_and_width_errors(kind, separable400):
     X, y = separable400
@@ -521,10 +664,14 @@ def test_untrained_and_width_errors(kind, separable400):
     with pytest.raises(UntrainedModel):
         model.predict(X)
     with pytest.raises(UntrainedModel):
+        model.classify(X)
+    with pytest.raises(UntrainedModel):
         model.to_state()
     model.fit(X, y)
     with pytest.raises(WidthMismatch):
         model.predict(X[:, :3])
+    with pytest.raises(WidthMismatch):
+        model.classify(X[:, :3])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

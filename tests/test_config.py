@@ -1,6 +1,5 @@
 """Configuration and sweep-sampling tests."""
 
-import dataclasses
 import json
 import random
 
