@@ -73,12 +73,15 @@ class GradientBoosting(Classifier):
             raw = raw + self.learning_rate * tree_apply(tree, X)
             self.loss_history.append(log_loss(yf, raw))
 
-    def decision_function(self, X) -> np.ndarray:
-        X = self._check_ready(X)
+    def _raw(self, X: np.ndarray) -> np.ndarray:
+        """F(x) of rows already checked by _check_ready."""
         raw = np.full(X.shape[0], self.f0)
         for tree in self.trees:
             raw += self.learning_rate * tree_apply(tree, X)
         return raw
 
+    def decision_function(self, X) -> np.ndarray:
+        return self._raw(self._check_ready(X))
+
     def _score(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision_function(X))
+        return sigmoid(self._raw(X))

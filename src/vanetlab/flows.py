@@ -135,12 +135,12 @@ class FlowMonitor:
     """Collects Tx/Rx/Drop observations straight into one FlowRecord per
     flow; finalize returns the monitor's own records.
 
-    Per flow it keeps `(record, sent)`, where `sent` maps each seq to its
-    Tx time, or to None once the packet has its terminal observation.
-    No per-packet log is kept: no artifact reads one, and one retained
-    tuple per observation costs memory and garbage-collector passes. An
-    audit that needs the raw sequence wraps `observe`, which every
-    observation passes through exactly once.
+    Like ns-3's FlowMonitor probes, each kind of observation has its own
+    entry point: `observe_tx`, `observe_rx` and `observe_drop`, each called
+    exactly once per packet event, so an audit that needs the raw sequence
+    wraps those three. Per flow the monitor keeps `(record, sent)`, where
+    `sent` maps each seq to its Tx time, or to None once the packet has its
+    terminal observation. No per-packet log or observation tuple is kept.
     """
 
     def __init__(self) -> None:
@@ -151,50 +151,60 @@ class FlowMonitor:
 
     # -- observation entry points ---------------------------------------
 
+    def observe_tx(self, key: FlowKey, seq: int, time: SimTime, size_bytes: int) -> None:
+        entry = self._flows.get(key)
+        if entry is None:
+            entry = self._flows[key] = (FlowRecord(*key, time, None, time, None), {})
+        rec, sent = entry
+        if seq in sent:
+            raise DuplicateTerminal(f"duplicate Tx for {key} seq {seq}")
+        sent[seq] = time
+        rec.tx_packets += 1
+        rec.tx_bytes += size_bytes
+        rec.time_last_tx = time
+
     def observe_rx(self, key: FlowKey, seq: int, time: SimTime, size_bytes: int) -> None:
-        self.observe(FlowObservation(ObsKind.RX, key, seq, time, size_bytes))
+        rec, tx_time = self._close(key, seq)
+        delay = time - tx_time
+        if rec.rx_packets > 0:
+            rec.jitter_sum += abs(delay - rec.last_delay)
+        rec.last_delay = delay
+        rec.delay_sum += delay
+        rec.rx_packets += 1
+        rec.rx_bytes += size_bytes
+        if rec.time_first_rx is None:
+            rec.time_first_rx = time
+        rec.time_last_rx = time
 
     def observe_drop(
         self, key: FlowKey, seq: int, time: SimTime, size_bytes: int, cause: DropCause
     ) -> None:
-        self.observe(FlowObservation(ObsKind.DROP, key, seq, time, size_bytes, cause))
+        rec, _ = self._close(key, seq)
+        rec.lost_packets += 1
+        if cause is DropCause.BLACKHOLE_ABSORBED:
+            rec.blackhole_absorbed += 1
+
+    def _close(self, key: FlowKey, seq: int) -> tuple[FlowRecord, SimTime]:
+        """Mark the packet's terminal observation; its flow's record and
+        its Tx time. DuplicateTerminal if it has no Tx or is already closed."""
+        entry = self._flows.get(key)
+        tx_time = _NOT_SENT if entry is None else entry[1].get(seq, _NOT_SENT)
+        if tx_time is _NOT_SENT:
+            raise DuplicateTerminal(f"terminal before Tx for {key} seq {seq}")
+        if tx_time is None:
+            raise DuplicateTerminal(f"second terminal observation for {key} seq {seq}")
+        entry[1][seq] = None
+        return entry[0], tx_time
 
     def observe(self, o: FlowObservation) -> None:
-        kind, key, seq, time, size_bytes, cause = o
-        entry = self._flows.get(key)
-        if kind is ObsKind.TX:
-            if entry is None:
-                entry = self._flows[key] = (FlowRecord(*key, time, None, time, None), {})
-            rec, sent = entry
-            if seq in sent:
-                raise DuplicateTerminal(f"duplicate Tx for {key} seq {seq}")
-            sent[seq] = time
-            rec.tx_packets += 1
-            rec.tx_bytes += size_bytes
-            rec.time_last_tx = time
+        """Pass one FlowObservation to its kind's entry point. Nothing in
+        the program calls this; the benchmark's traced run wraps it."""
+        if o.kind is ObsKind.TX:
+            self.observe_tx(o.key, o.seq, o.time, o.size_bytes)
+        elif o.kind is ObsKind.RX:
+            self.observe_rx(o.key, o.seq, o.time, o.size_bytes)
         else:
-            tx_time = _NOT_SENT if entry is None else entry[1].get(seq, _NOT_SENT)
-            if tx_time is _NOT_SENT:
-                raise DuplicateTerminal(f"terminal before Tx for {key} seq {seq}")
-            if tx_time is None:
-                raise DuplicateTerminal(f"second terminal observation for {key} seq {seq}")
-            rec, sent = entry
-            sent[seq] = None
-            if kind is ObsKind.RX:
-                delay = time - tx_time
-                if rec.rx_packets > 0:
-                    rec.jitter_sum += abs(delay - rec.last_delay)
-                rec.last_delay = delay
-                rec.delay_sum += delay
-                rec.rx_packets += 1
-                rec.rx_bytes += size_bytes
-                if rec.time_first_rx is None:
-                    rec.time_first_rx = time
-                rec.time_last_rx = time
-            else:
-                rec.lost_packets += 1
-                if cause is DropCause.BLACKHOLE_ABSORBED:
-                    rec.blackhole_absorbed += 1
+            self.observe_drop(o.key, o.seq, o.time, o.size_bytes, o.cause)
 
     # -- finalize ---------------------------------------------------------
 
@@ -225,7 +235,7 @@ def start_flow(engine, node, monitor: FlowMonitor, spec: FlowSpec) -> None:
 
     def emit(i: int) -> None:
         now = engine.clock
-        monitor.observe(FlowObservation(ObsKind.TX, key, i, now, size))
+        monitor.observe_tx(key, i, now, size)
         node.send_data(DataPacket(key, i, src, dst, size, now))
 
     engine.schedule_series(spec.start, spec.interval_ns, spec.packet_count, emit)

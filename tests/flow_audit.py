@@ -9,16 +9,22 @@ from vanetlab.flows import DropCause, FlowKey, FlowMonitor, FlowObservation, Obs
 
 
 def record_observations(monkeypatch) -> dict[FlowMonitor, list[FlowObservation]]:
-    """Wrap FlowMonitor.observe for the test's duration; the returned dict
-    maps each monitor to every observation it took, in order."""
+    """Wrap FlowMonitor's observe_tx, observe_rx and observe_drop for the
+    test's duration; the returned dict maps each monitor to every
+    observation it took, in order, one FlowObservation per call."""
     logs: dict[FlowMonitor, list[FlowObservation]] = collections.defaultdict(list)
-    observe = FlowMonitor.observe
 
-    def recording(monitor, o):
-        logs[monitor].append(o)
-        observe(monitor, o)
+    def recording(kind: ObsKind):
+        observe = getattr(FlowMonitor, f"observe_{kind.value}")
 
-    monkeypatch.setattr(FlowMonitor, "observe", recording)
+        def record(monitor, *fields):
+            logs[monitor].append(FlowObservation(kind, *fields))
+            observe(monitor, *fields)
+
+        return record
+
+    for kind in ObsKind:
+        monkeypatch.setattr(FlowMonitor, f"observe_{kind.value}", recording(kind))
     return logs
 
 

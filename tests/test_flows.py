@@ -3,8 +3,11 @@
 The jitter and delay bookkeeping is audited two ways: handcrafted
 observation sequences with expected values computed by hand, and random
 streams checked against recompute_from_log, which re-derives every
-accumulator from the observations recorded by wrapping FlowMonitor.observe.
+accumulator from the observations recorded by wrapping FlowMonitor's
+observe_tx, observe_rx and observe_drop.
 """
+
+import copy
 
 import pytest
 from flow_audit import recompute_from_log, record_observations
@@ -23,10 +26,6 @@ from vanetlab.flows import (
 )
 
 KEY = FlowKey(node_address(0), node_address(2), 49153, 9)
-
-
-def observe_tx(mon, key, seq, time, size_bytes):
-    mon.observe(FlowObservation(ObsKind.TX, key, seq, time, size_bytes))
 
 
 def test_node_address_encoding():
@@ -67,7 +66,7 @@ def test_flow_spec_validation():
 
 def test_single_packet_delay():
     mon = FlowMonitor()
-    observe_tx(mon, KEY, 0, seconds(1.0), 1024)
+    mon.observe_tx(KEY, 0, seconds(1.0), 1024)
     mon.observe_rx(KEY, 0, seconds(1.01), 1024)
     rec = mon.finalize(seconds(2))[0]
     assert rec.delay_sum == 10_000_000
@@ -78,9 +77,9 @@ def test_single_packet_delay():
 
 def test_two_packet_jitter_is_delay_difference():
     mon = FlowMonitor()
-    observe_tx(mon, KEY, 0, seconds(1.0), 1024)
+    mon.observe_tx(KEY, 0, seconds(1.0), 1024)
     mon.observe_rx(KEY, 0, seconds(1.0) + 10_000_000, 1024)
-    observe_tx(mon, KEY, 1, seconds(1.1), 1024)
+    mon.observe_tx(KEY, 1, seconds(1.1), 1024)
     mon.observe_rx(KEY, 1, seconds(1.1) + 14_000_000, 1024)
     rec = mon.finalize(seconds(2))[0]
     assert rec.jitter_sum == 4_000_000
@@ -90,7 +89,7 @@ def test_two_packet_jitter_is_delay_difference():
 
 def test_absorbed_drop_counts_ground_truth():
     mon = FlowMonitor()
-    observe_tx(mon, KEY, 0, seconds(1), 1024)
+    mon.observe_tx(KEY, 0, seconds(1), 1024)
     mon.observe_drop(KEY, 0, seconds(2), 1024, DropCause.BLACKHOLE_ABSORBED)
     rec = mon.finalize(seconds(3))[0]
     assert rec.lost_packets == 1
@@ -101,7 +100,7 @@ def test_absorbed_drop_counts_ground_truth():
 def test_non_absorbed_drops_leave_ground_truth_zero():
     mon = FlowMonitor()
     for cause in (DropCause.NO_ROUTE, DropCause.QUEUE_OVERFLOW, DropCause.OUT_OF_RANGE):
-        observe_tx(mon, KEY, cause.value, seconds(1), 1024)
+        mon.observe_tx(KEY, cause.value, seconds(1), 1024)
         mon.observe_drop(KEY, cause.value, seconds(2), 1024, cause)
     rec = mon.finalize(seconds(3))[0]
     assert rec.lost_packets == 3
@@ -110,14 +109,14 @@ def test_non_absorbed_drops_leave_ground_truth_zero():
 
 def test_duplicate_tx_rejected():
     mon = FlowMonitor()
-    observe_tx(mon, KEY, 0, seconds(1), 1024)
+    mon.observe_tx(KEY, 0, seconds(1), 1024)
     with pytest.raises(DuplicateTerminal):
-        observe_tx(mon, KEY, 0, seconds(2), 1024)
+        mon.observe_tx(KEY, 0, seconds(2), 1024)
 
 
 def test_second_terminal_rejected():
     mon = FlowMonitor()
-    observe_tx(mon, KEY, 0, seconds(1), 1024)
+    mon.observe_tx(KEY, 0, seconds(1), 1024)
     mon.observe_rx(KEY, 0, seconds(1.5), 1024)
     with pytest.raises(DuplicateTerminal):
         mon.observe_rx(KEY, 0, seconds(1.6), 1024)
@@ -131,11 +130,92 @@ def test_terminal_before_tx_rejected():
         mon.observe_rx(KEY, 5, seconds(1), 1024)
 
 
+def per_kind(mon, o):
+    """Hand observation o to the monitor's entry point for its kind."""
+    if o.kind is ObsKind.TX:
+        mon.observe_tx(o.key, o.seq, o.time, o.size_bytes)
+    elif o.kind is ObsKind.RX:
+        mon.observe_rx(o.key, o.seq, o.time, o.size_bytes)
+    else:
+        mon.observe_drop(o.key, o.seq, o.time, o.size_bytes, o.cause)
+
+
+# (kind, seq) calls on KEY, each accepted but the last
+REJECTED = {
+    "tx-twice": [("tx", 0), ("tx", 0)],
+    "tx-after-rx": [("tx", 0), ("rx", 0), ("tx", 0)],
+    "tx-after-drop": [("tx", 0), ("drop", 0), ("tx", 0)],
+    "rx-on-an-unseen-flow": [("rx", 0)],
+    "drop-on-an-unseen-flow": [("drop", 0)],
+    "rx-of-an-unsent-seq": [("tx", 0), ("rx", 1)],
+    "drop-of-an-unsent-seq": [("tx", 0), ("drop", 1)],
+    "rx-after-rx": [("tx", 0), ("rx", 0), ("rx", 0)],
+    "drop-after-rx": [("tx", 0), ("rx", 0), ("drop", 0)],
+    "rx-after-drop": [("tx", 0), ("drop", 0), ("rx", 0)],
+    "drop-after-drop": [("tx", 0), ("drop", 0), ("drop", 0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_per_kind_methods_reject_every_duplicate_and_orphan(case):
+    """Each entry point raises DuplicateTerminal when called directly on a
+    Tx it has already seen or a terminal without a live Tx, and the
+    rejected call changes no record."""
+    calls = [
+        FlowObservation(ObsKind(kind), KEY, seq, seconds(1 + i), 1024,
+                        DropCause.NO_ROUTE if kind == "drop" else None)
+        for i, (kind, seq) in enumerate(REJECTED[case])
+    ]
+    mon = FlowMonitor()
+    for o in calls[:-1]:
+        per_kind(mon, o)
+    before = copy.deepcopy(mon)
+    with pytest.raises(DuplicateTerminal):
+        per_kind(mon, calls[-1])
+    assert mon.finalize(seconds(9)) == before.finalize(seconds(9))
+
+
+def random_stream(rng, flows=5, packets=30) -> list[FlowObservation]:
+    """A valid observation stream: per packet a Tx, then an Rx (about 60%),
+    a drop of a random in-run cause (30%) or nothing, left for finalize."""
+    stream = []
+    for f in range(flows):
+        key = FlowKey(node_address(f), node_address(f + 1), 49153 + f, 9)
+        t = seconds(1)
+        for seq in range(packets):
+            size = rng.randint(100, 1500)
+            t += rng.randint(1_000_000, 9_000_000)
+            stream.append(FlowObservation(ObsKind.TX, key, seq, t, size))
+            roll = rng.random()
+            if roll < 0.6:
+                stream.append(FlowObservation(
+                    ObsKind.RX, key, seq, t + rng.randint(1_000_000, 20_000_000), size))
+            elif roll < 0.9:
+                stream.append(FlowObservation(
+                    ObsKind.DROP, key, seq, t + rng.randint(1, 5_000_000), size,
+                    rng.choice(list(DropCause)[:4])))
+    return stream
+
+
+def test_observe_matches_the_per_kind_methods(monkeypatch):
+    """observe(o) hands each observation once to its kind's entry point, so
+    it builds the same records as calling those entry points directly."""
+    logs = record_observations(monkeypatch)
+    stream = random_stream(substream(99, 8))
+    direct, dispatched = FlowMonitor(), FlowMonitor()
+    for o in stream:
+        per_kind(direct, o)
+        dispatched.observe(o)
+    assert logs[dispatched] == logs[direct] == stream
+    assert dispatched.finalize(seconds(60)) == direct.finalize(seconds(60))
+    assert logs[dispatched] == logs[direct]  # the same end-of-sim drops
+
+
 def test_finalize_closes_open_packets_as_end_of_sim(monkeypatch):
     logs = record_observations(monkeypatch)
     mon = FlowMonitor()
-    observe_tx(mon, KEY, 0, seconds(1), 1024)
-    observe_tx(mon, KEY, 1, seconds(1.1), 1024)
+    mon.observe_tx(KEY, 0, seconds(1), 1024)
+    mon.observe_tx(KEY, 1, seconds(1.1), 1024)
     mon.observe_rx(KEY, 0, seconds(1.2), 1024)
     rec = mon.finalize(seconds(30))[0]
     assert rec.tx_packets == 2
@@ -149,7 +229,7 @@ def test_finalize_closes_open_packets_as_end_of_sim(monkeypatch):
 
 def test_no_rx_record_keeps_zero_stats():
     mon = FlowMonitor()
-    observe_tx(mon, KEY, 0, seconds(1), 1024)
+    mon.observe_tx(KEY, 0, seconds(1), 1024)
     rec = mon.finalize(seconds(30))[0]
     assert rec.rx_packets == 0
     assert rec.delay_sum == 0
@@ -165,7 +245,7 @@ def test_throughput_closed_form():
     mon = FlowMonitor()
     first_tx = seconds(1.0)
     for i in range(10):
-        observe_tx(mon, KEY, i, first_tx + i * 8_000_000, 1024)
+        mon.observe_tx(KEY, i, first_tx + i * 8_000_000, 1024)
         mon.observe_rx(KEY, i, first_tx + i * 8_000_000 + 8_000_000, 1024)
     rec = mon.finalize(seconds(2))[0]
     window_s = (rec.time_last_rx - rec.time_first_tx) / 1e9
@@ -176,7 +256,7 @@ def test_throughput_closed_form():
 def test_conservation_with_mixed_terminals():
     mon = FlowMonitor()
     for i in range(20):
-        observe_tx(mon, KEY, i, seconds(1) + i, 1024)
+        mon.observe_tx(KEY, i, seconds(1) + i, 1024)
     for i in range(17):
         mon.observe_rx(KEY, i, seconds(2) + i, 1024)
     for i in range(17, 20):
@@ -193,7 +273,7 @@ def test_records_sorted_by_flow_key():
         FlowKey(node_address(0), node_address(1), 49100, 9),
     ]
     for k in keys:
-        observe_tx(mon, k, 0, seconds(1), 100)
+        mon.observe_tx(k, 0, seconds(1), 100)
     recs = mon.finalize(seconds(2))
     ordered = [(r.src_addr, r.src_port) for r in recs]
     assert ordered == sorted(ordered)
@@ -203,22 +283,9 @@ def test_recompute_matches_monitor_on_random_streams(monkeypatch):
     """Feed a randomized but valid observation stream and require the
     incremental accumulators to agree with the from-scratch re-derivation."""
     logs = record_observations(monkeypatch)
-    rng = substream(99, 7)
     mon = FlowMonitor()
-    for f in range(5):
-        key = FlowKey(node_address(f), node_address(f + 1), 49153 + f, 9)
-        t = seconds(1)
-        for seq in range(30):
-            size = rng.randint(100, 1500)
-            t += rng.randint(1_000_000, 9_000_000)
-            observe_tx(mon, key, seq, t, size)
-            roll = rng.random()
-            if roll < 0.6:
-                mon.observe_rx(key, seq, t + rng.randint(1_000_000, 20_000_000), size)
-            elif roll < 0.9:
-                mon.observe_drop(key, seq, t + rng.randint(1, 5_000_000), size,
-                                 rng.choice(list(DropCause)[:4]))
-            # ~10% stay open for finalize to close
+    for o in random_stream(substream(99, 7)):
+        per_kind(mon, o)
     records = mon.finalize(seconds(60))
     audit = recompute_from_log(logs[mon])
     assert len(audit) == len(records) == 5

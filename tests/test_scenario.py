@@ -119,16 +119,25 @@ def test_default_sweep_low_end_is_clean_and_high_end_is_poisoned():
         assert r.rx_packets + r.lost_packets == r.tx_packets
 
 
-def test_every_observation_passes_once_through_observe(monkeypatch):
-    """Per-layer benchmark counts wrap FlowMonitor.observe: every Tx and
-    every terminal observation goes through it exactly once, and the
-    monitor itself retains none of them."""
+def test_every_observation_passes_once_through_one_per_kind_method(monkeypatch):
+    """Every Tx and every terminal observation goes exactly once through
+    FlowMonitor's observe_tx, observe_rx or observe_drop, none through the
+    generic observe, and the monitor itself retains none of them."""
     logs = record_observations(monkeypatch)
+    generic = []
+    observe = FlowMonitor.observe
+
+    def counting(monitor, o):
+        generic.append(o)
+        observe(monitor, o)
+
+    monkeypatch.setattr(FlowMonitor, "observe", counting)
     result = run_scenario(sample_scenario(default_config(), 9))
     total = sum(r.tx_packets + r.rx_packets + r.lost_packets for r in result.records)
     assert total > 0
     assert list(logs) == [result.monitor]
     assert len(logs[result.monitor]) == total
+    assert generic == []
     assert result.monitor.log == []
 
 
@@ -150,8 +159,8 @@ TRACES = {
 
 @pytest.mark.parametrize("index", sorted(TRACES))
 def test_default_scenario_keeps_its_event_trace(index, monkeypatch):
-    """The calls the benchmark's per-layer counts wrap, counted on a default
-    scenario: a faster engine or routing path must run the same trace."""
+    """The boundaries behind the benchmark's per-layer counts, counted on a
+    default scenario: a faster engine or routing path must run the same trace."""
     counts = collections.Counter()
 
     def count(owner, attr, key, add_result=False):
@@ -169,7 +178,8 @@ def test_default_scenario_keeps_its_event_trace(index, monkeypatch):
           lambda eng, src, dst, *rest: "broadcast" if dst == BROADCAST else "unicast")
     count(Engine, "distance", lambda *a: "distance")
     count(AodvNode, "on_frame", lambda node, prev_hop, payload: type(payload).__name__)
-    count(FlowMonitor, "observe", lambda monitor, o: o.kind.value)
+    for kind in ("tx", "rx", "drop"):
+        count(FlowMonitor, f"observe_{kind}", lambda *a, kind=kind: kind)
     result = run_scenario(sample_scenario(default_config(), index))
     for node in result.nodes.values():
         counts.update(node.counters)
