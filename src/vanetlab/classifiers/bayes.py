@@ -54,7 +54,10 @@ class GaussianNaiveBayes(Classifier):
 
     def log_joint(self, X) -> np.ndarray:
         """(N, 2) log P(C=c) + sum_i log N(x_i | mean, var)."""
-        X = self._check_ready(X)
+        return self._joint(self._check_ready(X))
+
+    def _joint(self, X: np.ndarray) -> np.ndarray:
+        """log_joint of rows already checked by _check_ready."""
         out = np.empty((X.shape[0], 2))
         for c in (0, 1):
             diff = X - self.means[c]
@@ -66,5 +69,5 @@ class GaussianNaiveBayes(Classifier):
         return out
 
     def _score(self, X: np.ndarray) -> np.ndarray:
-        joint = self.log_joint(X)
+        joint = self._joint(X)
         return np.exp(joint[:, 1] - np.logaddexp(joint[:, 0], joint[:, 1]))

@@ -8,6 +8,7 @@ Set VANETLAB_LOG=DEBUG|INFO|WARNING|ERROR for verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import hashlib
 import json
@@ -129,17 +130,19 @@ def _model_for(kind: str, seed: int):
     return make(kind)
 
 
+def _class_counts(ds: Dataset) -> dict:
+    """The dataset's class counts as report.json and manifest.json write them."""
+    return dict(zip(("positive", "negative"), ds.class_counts()))
+
+
 def train_and_report(
     ds: Dataset,
     seed: int,
     split_fraction: float,
     stratified: bool,
-    balance_counts,
     report_path: str,
     roc_path: str,
 ) -> dict:
-    if balance_counts is not None:
-        ds = balance(ds, balance_counts[0], balance_counts[1], derived_seed(seed, BALANCE_SEED))
     positive, negative = ds.class_counts()
     if positive == 0 or negative == 0:
         raise SingleClassDataset(
@@ -156,15 +159,9 @@ def train_and_report(
         "split_fraction": split_fraction,
         "rows": {"train": len(train.rows), "test": len(test.rows)},
         "class_counts": {
-            "dataset": {"positive": positive, "negative": negative},
-            "train": {
-                "positive": int(y_train.sum()),
-                "negative": int(len(y_train) - y_train.sum()),
-            },
-            "test": {
-                "positive": int(y_test.sum()),
-                "negative": int(len(y_test) - y_test.sum()),
-            },
+            "dataset": _class_counts(ds),
+            "train": _class_counts(train),
+            "test": _class_counts(test),
         },
         "classifiers": {},
     }
@@ -174,22 +171,11 @@ def train_and_report(
         model = _model_for(kind, seed).fit(X_train, y_train)
         pred, scores = model.classify(X_test)
         rep = evaluate_scores(list(pred), list(scores), list(y_test))
-        c = rep.counts
-        swapped = c.swapped()
-        report["classifiers"][kind] = {
-            "confusion": {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn},
-            "confusion_normal_positive": {
-                "tp": swapped.tp, "fp": swapped.fp, "tn": swapped.tn, "fn": swapped.fn,
-            },
-            "accuracy": rep.accuracy,
-            "sensitivity": rep.sensitivity,
-            "ppv": rep.ppv,
-            "npv": rep.npv,
-            "f1": rep.f1,
-            "degenerate": rep.degenerate,
-            "auc": rep.auc,
-            "single_point_auc": rep.single_point_auc,
-        }
+        entry = dataclasses.asdict(rep)
+        del entry["roc_points"]
+        entry["confusion"] = entry.pop("counts")
+        entry["confusion_normal_positive"] = dataclasses.asdict(rep.counts.swapped())
+        report["classifiers"][kind] = entry
         for fpr, tpr in rep.roc_points:
             roc_lines.append(f"{kind},{fpr!r},{tpr!r}")
 
@@ -212,11 +198,10 @@ def cmd_simulate(config_path: str, out_path: str) -> dict:
     _check_out_dirs(out_path)
     records, meta = run_sweep(cfg)
     write_flows_csv(records, out_path)
-    positive = sum(map(record_label, records))
     return _write_manifest(
         cfg, meta, os.path.dirname(os.path.abspath(out_path)),
         {"flows": os.path.basename(out_path)},
-        {"positive": positive, "negative": len(records) - positive},
+        _class_counts(label_flows(records)),
     )
 
 
@@ -230,9 +215,9 @@ def cmd_evaluate(
 ) -> dict:
     _check_out_dirs(report_path, roc_path)
     ds = _load_any_dataset(dataset_path)
-    return train_and_report(
-        ds, seed, split_fraction, False, balance_counts, report_path, roc_path
-    )
+    if balance_counts is not None:
+        ds = balance(ds, *balance_counts, derived_seed(seed, BALANCE_SEED))
+    return train_and_report(ds, seed, split_fraction, False, report_path, roc_path)
 
 
 def cmd_pipeline(config_path: str, out_dir: str) -> dict:
@@ -242,9 +227,9 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
     write_flows_csv(records, os.path.join(out_dir, "flows.csv"))
 
     ds = label_flows(records)
-    raw_positive, raw_negative = ds.class_counts()
+    raw_counts = _class_counts(ds)
     if cfg.balance is not None:
-        ds = balance(ds, cfg.balance[0], cfg.balance[1], derived_seed(cfg.seed, BALANCE_SEED))
+        ds = balance(ds, *cfg.balance, derived_seed(cfg.seed, BALANCE_SEED))
     write_csv(ds, os.path.join(out_dir, "dataset.csv"))
 
     report = train_and_report(
@@ -252,17 +237,14 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
         cfg.seed,
         cfg.split_fraction,
         cfg.stratified_split,
-        None,
         os.path.join(out_dir, "report.json"),
         os.path.join(out_dir, "roc.csv"),
     )
-    positive, negative = ds.class_counts()
     _write_manifest(
         cfg, meta, out_dir,
         {"flows": "flows.csv", "dataset": "dataset.csv",
          "report": "report.json", "roc": "roc.csv"},
-        {"raw": {"positive": raw_positive, "negative": raw_negative},
-         "dataset": {"positive": positive, "negative": negative}},
+        {"raw": raw_counts, "dataset": _class_counts(ds)},
     )
     return report
 

@@ -3,6 +3,13 @@
 
 A record is labeled malicious (1) when a blackhole absorbed at least one
 of its packets; loss for any other reason stays normal (0).
+
+Each CSV table is defined once, by its record's fields: dataset.csv has a
+column per DatasetRow field, flows.csv a column per FlowRecord field plus
+the computed label. One writer and one reader serve both; the reader
+checks the header, width, values, flow-key ranges and label of every row,
+and read_flows_csv adds the record invariants and the label's agreement
+with the ground truth.
 """
 
 from __future__ import annotations
@@ -11,33 +18,10 @@ import math
 import random
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Optional, get_type_hints
+from typing import Any, Callable, Iterable, Optional, get_type_hints
 
 from .errors import InsufficientClassCount, SchemaError, TooFewRows
 from .flows import FlowRecord
-
-DATASET_HEADER = "src_addr,dst_addr,src_port,dst_port,label"
-
-_UNSET_TIME = -1  # CSV sentinel for rx timestamps of flows with no Rx
-
-# flows.csv column type -> (parse, format)
-_CODECS = {
-    int: (int, str),
-    float: (float, repr),
-    Optional[int]: (lambda text: None if int(text) == _UNSET_TIME else int(text),
-                    lambda value: str(_UNSET_TIME if value is None else value)),
-}
-_FLOW_HINTS = get_type_hints(FlowRecord)
-# (column, FlowRecord field, parse, format) in field order; time columns carry _ns
-_FLOW_COLUMNS = [
-    (f.name + "_ns" if f.metadata.get("unit") == "ns" else f.name, f.name,
-     *_CODECS[_FLOW_HINTS[f.name]])
-    for f in fields(FlowRecord)
-]
-FLOWS_HEADER = ",".join([column for column, *_ in _FLOW_COLUMNS] + ["label"])
-_flow_values = attrgetter(*(name for _, name, _, _ in _FLOW_COLUMNS))
-# exclusive upper bound of each flow-key column: 32-bit addresses, 16-bit ports
-_KEY_ENDS = {"src_addr": 1 << 32, "dst_addr": 1 << 32, "src_port": 1 << 16, "dst_port": 1 << 16}
 
 
 @dataclass(frozen=True)
@@ -142,72 +126,96 @@ def balance(ds: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset
 
 # -- CSV I/O ----------------------------------------------------------------
 
+_UNSET_TIME = -1  # CSV sentinel for rx timestamps of flows with no Rx
+
+# column type -> (parse, format)
+_CODECS = {
+    int: (int, str),
+    float: (float, repr),
+    Optional[int]: (lambda text: None if int(text) == _UNSET_TIME else int(text),
+                    lambda value: str(_UNSET_TIME if value is None else value)),
+}
+# exclusive upper bound of each flow-key column: 32-bit addresses, 16-bit ports
+_KEY_ENDS = {"src_addr": 1 << 32, "dst_addr": 1 << 32, "src_port": 1 << 16, "dst_port": 1 << 16}
+
+
+class _Table:
+    """The CSV format of one record class: a column per field in field
+    order (time fields carry an _ns suffix), then an int column per
+    computed value, named by its keyword."""
+
+    def __init__(self, cls, **computed: Callable[[Any], int]):
+        hints = get_type_hints(cls)
+        names = [f.name for f in fields(cls)]
+        columns = [f.name + "_ns" if f.metadata.get("unit") == "ns" else f.name
+                   for f in fields(cls)] + list(computed)
+        codecs = [_CODECS[hints[name]] for name in names] + [_CODECS[int]] * len(computed)
+        self.cls = cls
+        self.header = ",".join(columns)
+        self.parses = [parse for parse, _ in codecs]
+        self.formats = [fmt for _, fmt in codecs]
+        get, extra = attrgetter(*names), tuple(computed.values())
+        self.values = (lambda r: (*get(r), *[f(r) for f in extra])) if extra else get
+        self.n_fields = len(names)
+        self.ranges = [(columns.index(name), name, end) for name, end in _KEY_ENDS.items()]
+        self.label = columns.index("label")
+
+    def write(self, records: Iterable, path) -> None:
+        formats, values = self.formats, self.values
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(self.header + "\n")
+            for r in records:
+                fh.write(",".join([fmt(v) for fmt, v in zip(formats, values(r))]) + "\n")
+
+    def read(self, path) -> list[tuple[int, Any, list]]:
+        """(line number, record, computed values) per row. SchemaError, with
+        path:line for a row, on a wrong header or width, an unparsable
+        value, a flow-key value outside its column or a label not 0 or 1."""
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        if not lines or lines[0] != self.header:
+            raise SchemaError(f"{path}:1: header is not {self.header}")
+        width = len(self.parses)
+        rows = []
+        for ln, line in enumerate(lines[1:], start=2):
+            texts = line.split(",")
+            if len(texts) != width:
+                raise SchemaError(f"{path}:{ln}: expected {width} fields, got {len(texts)}")
+            try:
+                values = [parse(text) for parse, text in zip(self.parses, texts)]
+            except ValueError as e:
+                raise SchemaError(f"{path}:{ln}: bad field ({e})") from None
+            for i, name, end in self.ranges:
+                if not 0 <= values[i] < end:
+                    raise SchemaError(f"{path}:{ln}: {name} outside [0, {end - 1}]")
+            if values[self.label] not in (0, 1):
+                raise SchemaError(
+                    f"{path}:{ln}: label must be 0 or 1, got {values[self.label]}")
+            rows.append((ln, self.cls(*values[:self.n_fields]), values[self.n_fields:]))
+        return rows
+
+
+_DATASET = _Table(DatasetRow)
+_FLOWS = _Table(FlowRecord, label=record_label)  # 17 features, ground truth, label
+DATASET_HEADER = _DATASET.header
+FLOWS_HEADER = _FLOWS.header
+
 
 def write_csv(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(DATASET_HEADER + "\n")
-        for r in ds.rows:
-            fh.write(f"{r.src_addr},{r.dst_addr},{r.src_port},{r.dst_port},{r.label}\n")
-
-
-def _check_key(path, ln: int, key) -> None:
-    """SchemaError unless the four flow-key values fit their columns."""
-    for (name, end), value in zip(_KEY_ENDS.items(), key):
-        if not 0 <= value < end:
-            raise SchemaError(f"{path}:{ln}: {name} outside [0, {end - 1}]")
+    _DATASET.write(ds.rows, path)
 
 
 def read_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != DATASET_HEADER:
-        raise SchemaError(f"bad dataset header in {path}")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise SchemaError(f"{path}:{ln}: expected 5 fields, got {len(fields)}")
-        try:
-            values = [int(f) for f in fields]
-        except ValueError as e:
-            raise SchemaError(f"{path}:{ln}: non-integer field ({e})") from None
-        _check_key(path, ln, values)
-        if values[4] not in (0, 1):
-            raise SchemaError(f"{path}:{ln}: label must be 0 or 1, got {values[4]}")
-        rows.append(DatasetRow(*values))
-    return Dataset(rows)
+    return Dataset([row for _, row, _ in _DATASET.read(path)])
 
 
 def write_flows_csv(records: Iterable[FlowRecord], path) -> None:
-    """Full 17-feature flow table plus ground truth and label."""
-    formats = [fmt for *_, fmt in _FLOW_COLUMNS]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(FLOWS_HEADER + "\n")
-        for r in records:
-            values = ",".join(fmt(v) for fmt, v in zip(formats, _flow_values(r)))
-            fh.write(f"{values},{record_label(r)}\n")
+    _FLOWS.write(records, path)
 
 
 def read_flows_csv(path) -> list[FlowRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != FLOWS_HEADER:
-        raise SchemaError(f"bad flows header in {path}")
-    width = len(_FLOW_COLUMNS) + 1
     records = []
-    for ln, line in enumerate(lines[1:], start=2):
-        texts = line.split(",")
-        if len(texts) != width:
-            raise SchemaError(f"{path}:{ln}: expected {width} fields, got {len(texts)}")
-        try:
-            rec = FlowRecord(**{name: parse(text) for (_, name, parse, _), text
-                                in zip(_FLOW_COLUMNS, texts)})
-            label = int(texts[-1])
-        except ValueError as e:
-            raise SchemaError(f"{path}:{ln}: bad field ({e})") from None
-        _check_key(path, ln, rec.key)
-        if label not in (0, 1):
-            raise SchemaError(f"{path}:{ln}: label must be 0 or 1, got {label}")
+    for ln, rec, (label,) in _FLOWS.read(path):
         if rec.rx_packets + rec.lost_packets != rec.tx_packets:
             raise SchemaError(f"{path}:{ln}: rx_packets + lost_packets != tx_packets")
         received = rec.rx_packets > 0

@@ -27,7 +27,8 @@ class InvalidSpec(VanetlabError):
 
 
 class DuplicateTerminal(VanetlabError):
-    """A packet received a second terminal (Rx/Drop) observation."""
+    """A packet observation out of order: a Tx that is not its flow's next
+    seq, or an Rx/Drop terminal before the Tx or after another terminal."""
 
 
 class TooFewRows(DataError):

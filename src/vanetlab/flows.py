@@ -76,10 +76,8 @@ class FlowSpec:
 class DataPacket:
     key: FlowKey
     seq: int
-    src: int
     dst: int
     size_bytes: int
-    tx_time: SimTime
 
 
 class ObsKind(enum.Enum):
@@ -98,7 +96,6 @@ class FlowObservation(NamedTuple):
 
 
 _NS = {"unit": "ns"}  # flows.csv writes these columns with an _ns suffix
-_NOT_SENT = object()  # FlowMonitor's marker for a seq with no Tx observation
 
 
 @dataclass
@@ -138,13 +135,14 @@ class FlowMonitor:
     Like ns-3's FlowMonitor probes, each kind of observation has its own
     entry point: `observe_tx`, `observe_rx` and `observe_drop`, each called
     exactly once per packet event, so an audit that needs the raw sequence
-    wraps those three. Per flow the monitor keeps `(record, sent)`, where
-    `sent` maps each seq to its Tx time, or to None once the packet has its
-    terminal observation. No per-packet log or observation tuple is kept.
+    wraps those three. A flow's seqs are sent in order from 0, as CBR
+    sources number them, so per flow the monitor keeps `(record, sent)`,
+    where `sent[seq]` is the packet's Tx time, or None once the packet has
+    its terminal observation. No per-packet log or observation tuple is kept.
     """
 
     def __init__(self) -> None:
-        self._flows: dict[FlowKey, tuple[FlowRecord, dict[int, Optional[SimTime]]]] = {}
+        self._flows: dict[FlowKey, tuple[FlowRecord, list[Optional[SimTime]]]] = {}
         # always empty; read only by the benchmark's flows.log_objects count,
         # which goes with it (ROADMAP item 1)
         self.log: list[FlowObservation] = []
@@ -153,12 +151,13 @@ class FlowMonitor:
 
     def observe_tx(self, key: FlowKey, seq: int, time: SimTime, size_bytes: int) -> None:
         entry = self._flows.get(key)
+        sent = [] if entry is None else entry[1]
+        if seq != len(sent):
+            raise DuplicateTerminal(f"Tx of {key} seq {seq}, expected seq {len(sent)}")
         if entry is None:
-            entry = self._flows[key] = (FlowRecord(*key, time, None, time, None), {})
-        rec, sent = entry
-        if seq in sent:
-            raise DuplicateTerminal(f"duplicate Tx for {key} seq {seq}")
-        sent[seq] = time
+            entry = self._flows[key] = (FlowRecord(*key, time, None, time, None), sent)
+        rec = entry[0]
+        sent.append(time)
         rec.tx_packets += 1
         rec.tx_bytes += size_bytes
         rec.time_last_tx = time
@@ -188,13 +187,14 @@ class FlowMonitor:
         """Mark the packet's terminal observation; its flow's record and
         its Tx time. DuplicateTerminal if it has no Tx or is already closed."""
         entry = self._flows.get(key)
-        tx_time = _NOT_SENT if entry is None else entry[1].get(seq, _NOT_SENT)
-        if tx_time is _NOT_SENT:
+        if entry is None or not 0 <= seq < len(entry[1]):
             raise DuplicateTerminal(f"terminal before Tx for {key} seq {seq}")
+        rec, sent = entry
+        tx_time = sent[seq]
         if tx_time is None:
             raise DuplicateTerminal(f"second terminal observation for {key} seq {seq}")
-        entry[1][seq] = None
-        return entry[0], tx_time
+        sent[seq] = None
+        return rec, tx_time
 
     def observe(self, o: FlowObservation) -> None:
         """Pass one FlowObservation to its kind's entry point. Nothing in
@@ -212,8 +212,9 @@ class FlowMonitor:
         """Close still-open packets as end-of-sim drops, set each flow's
         throughput and return the records ordered by flow key."""
         for key, (_, sent) in self._flows.items():
-            for seq in sorted(seq for seq, tx_time in sent.items() if tx_time is not None):
-                self.observe_drop(key, seq, t_end, 0, DropCause.END_OF_SIM)
+            for seq, tx_time in enumerate(sent):
+                if tx_time is not None:
+                    self.observe_drop(key, seq, t_end, 0, DropCause.END_OF_SIM)
         records = [self._flows[key][0] for key in sorted(self._flows)]
         for rec in records:
             window_ns = rec.time_last_rx - rec.time_first_tx if rec.rx_packets else 0
@@ -231,12 +232,11 @@ def start_flow(engine, node, monitor: FlowMonitor, spec: FlowSpec) -> None:
     """
     spec.validate()
     key = spec.key
-    src, dst, size = spec.src, spec.dst, spec.packet_size_bytes
+    dst, size = spec.dst, spec.packet_size_bytes
 
     def emit(i: int) -> None:
-        now = engine.clock
-        monitor.observe_tx(key, i, now, size)
-        node.send_data(DataPacket(key, i, src, dst, size, now))
+        monitor.observe_tx(key, i, engine.clock, size)
+        node.send_data(DataPacket(key, i, dst, size))
 
     engine.schedule_series(spec.start, spec.interval_ns, spec.packet_count, emit)
 

@@ -54,20 +54,20 @@ class MetricsReport:
     single_point_auc: Optional[float] = None
 
 
-def confusion(pred: Sequence[int], truth: Sequence[int], positive: int = 1) -> ConfusionCounts:
+def confusion(pred: Sequence[int], truth: Sequence[int]) -> ConfusionCounts:
     if len(pred) != len(truth):
         raise LengthMismatch(f"pred has {len(pred)} labels, truth has {len(truth)}")
     if not pred:
         raise EmptyInput("confusion needs at least one prediction")
     tp = fp = tn = fn = 0
     for p, t in zip(pred, truth):
-        if p == positive:
-            if t == positive:
+        if p == 1:
+            if t == 1:
                 tp += 1
             else:
                 fp += 1
         else:
-            if t == positive:
+            if t == 1:
                 fn += 1
             else:
                 tn += 1

@@ -33,6 +33,7 @@ from vanetlab.classifiers import (
     save_model,
     sigmoid,
 )
+from vanetlab.classifiers import base
 from vanetlab.classifiers.base import check_labels, check_matrix
 from vanetlab.classifiers.forest import bootstrap_rows
 from vanetlab.classifiers.tree import grow_tree, tree_apply
@@ -672,6 +673,23 @@ def test_untrained_and_width_errors(kind, separable400):
         model.predict(X[:, :3])
     with pytest.raises(WidthMismatch):
         model.classify(X[:, :3])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_score_and_classify_check_their_input_once(kind, separable400, monkeypatch):
+    X, y = separable400
+    model = make(kind).fit(X, y)
+    calls = []
+
+    def counting(X):
+        calls.append(1)
+        return check_matrix(X)
+
+    monkeypatch.setattr(base, "check_matrix", counting)
+    for method in (model.score, model.classify):
+        calls.clear()
+        method(X[:5])
+        assert len(calls) == 1, method.__name__
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -190,12 +190,16 @@ def test_dataset_csv_empty_is_header_only(tmp_path):
     DATASET_HEADER + "\n1,2,3,x,1\n",
     DATASET_HEADER + "\n1,2,3,4,2\n",
     DATASET_HEADER + "\n1,2,3,65536,1\n",
+    DATASET_HEADER + "\n1,4294967296,3,4,1\n",
+    DATASET_HEADER + "\n-1,2,3,4,0\n",
     "",
 ])
 def test_dataset_csv_schema_errors(tmp_path, content):
+    """A bad header is line 1's error, a bad row line 2's."""
     path = tmp_path / "bad.csv"
     path.write_text(content)
-    with pytest.raises(SchemaError):
+    line = 2 if content.startswith(DATASET_HEADER + "\n") else 1
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:{line}: ')}"):
         read_csv(path)
 
 

@@ -99,9 +99,10 @@ def test_absorbed_drop_counts_ground_truth():
 
 def test_non_absorbed_drops_leave_ground_truth_zero():
     mon = FlowMonitor()
-    for cause in (DropCause.NO_ROUTE, DropCause.QUEUE_OVERFLOW, DropCause.OUT_OF_RANGE):
-        mon.observe_tx(KEY, cause.value, seconds(1), 1024)
-        mon.observe_drop(KEY, cause.value, seconds(2), 1024, cause)
+    causes = (DropCause.NO_ROUTE, DropCause.QUEUE_OVERFLOW, DropCause.OUT_OF_RANGE)
+    for seq, cause in enumerate(causes):
+        mon.observe_tx(KEY, seq, seconds(1), 1024)
+        mon.observe_drop(KEY, seq, seconds(2), 1024, cause)
     rec = mon.finalize(seconds(3))[0]
     assert rec.lost_packets == 3
     assert rec.blackhole_absorbed == 0
@@ -145,10 +146,13 @@ REJECTED = {
     "tx-twice": [("tx", 0), ("tx", 0)],
     "tx-after-rx": [("tx", 0), ("rx", 0), ("tx", 0)],
     "tx-after-drop": [("tx", 0), ("drop", 0), ("tx", 0)],
+    "tx-skips-a-seq": [("tx", 0), ("tx", 2)],
+    "first-tx-not-zero": [("tx", 1)],
     "rx-on-an-unseen-flow": [("rx", 0)],
     "drop-on-an-unseen-flow": [("drop", 0)],
     "rx-of-an-unsent-seq": [("tx", 0), ("rx", 1)],
     "drop-of-an-unsent-seq": [("tx", 0), ("drop", 1)],
+    "rx-of-a-negative-seq": [("tx", 0), ("rx", -1)],
     "rx-after-rx": [("tx", 0), ("rx", 0), ("rx", 0)],
     "drop-after-rx": [("tx", 0), ("rx", 0), ("drop", 0)],
     "rx-after-drop": [("tx", 0), ("drop", 0), ("rx", 0)],
@@ -159,8 +163,8 @@ REJECTED = {
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_per_kind_methods_reject_every_duplicate_and_orphan(case):
     """Each entry point raises DuplicateTerminal when called directly on a
-    Tx it has already seen or a terminal without a live Tx, and the
-    rejected call changes no record."""
+    Tx that is not its flow's next seq or a terminal without a live Tx,
+    and the rejected call changes no record."""
     calls = [
         FlowObservation(ObsKind(kind), KEY, seq, seconds(1 + i), 1024,
                         DropCause.NO_ROUTE if kind == "drop" else None)

@@ -47,11 +47,14 @@ def test_confusion_all_positive_predictions():
 
 
 def test_confusion_with_positive_zero_swaps_roles():
-    pred = [1, 0, 1, 0, 0]
-    truth = [1, 1, 0, 0, 1]
-    a = confusion(pred, truth, positive=0)
-    b = confusion(pred, truth).swapped()
-    assert (a.tp, a.fp, a.tn, a.fn) == (b.tp, b.fp, b.tn, b.fn)
+    """swapped() scores the same predictions with normal (0) as the
+    positive class."""
+    pred = [1, 0, 1, 0, 0, 0]
+    truth = [1, 1, 0, 0, 1, 0]
+    # normal-positive by hand: tp = both 0 (rows 3, 5), fp = pred 0 on a
+    # 1 (rows 1, 4), tn = both 1 (row 0), fn = pred 1 on a 0 (row 2)
+    c = confusion(pred, truth).swapped()
+    assert (c.tp, c.fp, c.tn, c.fn) == (2, 2, 1, 1)
 
 
 def test_confusion_input_errors():
