@@ -89,7 +89,8 @@ class AodvNode:
         self._seen_rreqs: set[tuple[int, int]] = set()
         self._pending: dict[int, list[DataPacket]] = {}
         self._discovering: dict[int, int] = {}  # dest -> attempt number
-        self.counters = {"rreq_tx": 0, "rrep_tx": 0, "data_tx": 0, "data_forwarded": 0}
+        self.counters = {"rreq_tx": 0, "rrep_tx": 0, "rrep_lost": 0, "data_tx": 0,
+                         "data_forwarded": 0}
         # exact payload type -> handler(payload, prev_hop)
         self._handlers = {
             Rreq: self.blackhole_handle_rreq
@@ -289,5 +290,8 @@ class AodvNode:
         self._unicast_rrep(r._replace(hop_count=r.hop_count + 1), reverse.next_hop)
 
     def _unicast_rrep(self, r: Rrep, next_hop: int) -> None:
+        """Send r to next_hop, counted in rrep_tx, and also in rrep_lost
+        when next_hop is out of range."""
         self.counters["rrep_tx"] += 1
-        self.engine.transmit(self.id, next_hop, RREP_SIZE_BYTES, r)
+        if not self.engine.transmit(self.id, next_hop, RREP_SIZE_BYTES, r):
+            self.counters["rrep_lost"] += 1

@@ -65,7 +65,6 @@ class GradientBoosting(Classifier):
             tree = grow_tree(
                 X,
                 residual,
-                criterion="mse",
                 max_depth=self.max_depth,
                 leaf_value=newton_leaf,
             )

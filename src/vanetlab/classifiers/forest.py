@@ -4,6 +4,14 @@ The predicted label is the majority vote over trees; score is the
 fraction of trees voting malicious. With an even tree count an exact
 50/50 vote resolves to normal, encoded by the decision threshold
 (n_trees // 2 + 1) / n_trees.
+
+Tree i draws its bootstrap and then its per-node feature orders from its
+own substream (seed, 211, i). `tree.grow_forest` grows the trees side by
+side, one batched split search per step over the next node of every
+tree. A gini score is a formula of integer label counts, so the batch
+finds each node's split exactly as that node alone would, and each tree
+takes its draws in its own depth-first order: the trees equal those of
+growing each tree by itself.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import numpy as np
 
 from ..engine import substream
 from .base import Classifier
-from .tree import grow_tree, tree_apply
+from .tree import grow_forest, tree_apply
 
 _RF_TREE_KEY = 211
 
@@ -64,23 +72,19 @@ class RandomForest(Classifier):
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n = X.shape[0]
-        self.trees = []
-        for i in range(self.n_trees):
-            rng = substream(self.seed, _RF_TREE_KEY, i)
-            if self.bootstrap:
-                rows = bootstrap_rows(rng, n)
-                Xb, yb = X[rows], y[rows]
-            else:
-                Xb, yb = X, y
-            tree = grow_tree(
-                Xb,
-                yb,
-                criterion="gini",
-                max_depth=None,
-                max_features=min(self.max_features, X.shape[1]),
-                rng=rng,
-            )
-            self.trees.append(tree)
+        rngs = [substream(self.seed, _RF_TREE_KEY, i) for i in range(self.n_trees)]
+        # drawn lazily, as the grower reaches each group of trees
+        row_sets = (bootstrap_rows(rng, n) if self.bootstrap else np.arange(n) for rng in rngs)
+        self.trees = grow_forest(X, y, row_sets, rngs, min(self.max_features, X.shape[1]))
+
+    @classmethod
+    def from_state(cls, state: dict) -> "RandomForest":
+        """As Classifier.from_state; ValueError unless the state holds
+        exactly n_trees trees, since a score divides the votes by n_trees."""
+        model = super().from_state(state)
+        if len(model.trees) != model.n_trees:
+            raise ValueError(f"{len(model.trees)} trees saved for n_trees {model.n_trees}")
+        return model
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         votes = np.stack([tree_apply(t, X) for t in self.trees])

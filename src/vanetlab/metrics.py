@@ -107,9 +107,13 @@ def roc_points(scores: Sequence[float], truth: Sequence[int]) -> list[tuple[floa
 
     At threshold s a row is predicted positive when score >= s, so tied
     scores move together. The returned curve starts at (0,0), ends (1,1).
+    Scores may be infinite; a NaN score is OutOfRange.
     """
     if len(scores) != len(truth):
         raise LengthMismatch(f"{len(scores)} scores vs {len(truth)} labels")
+    for i, s in enumerate(scores):
+        if s != s:
+            raise OutOfRange(f"score of row {i} is NaN")
     n_pos = sum(1 for t in truth if t == 1)
     n_neg = len(truth) - n_pos
     if n_pos == 0 or n_neg == 0:

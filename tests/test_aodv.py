@@ -265,6 +265,18 @@ def test_rrep_without_reverse_path_dies():
     assert 9 in nodes[1].routes
 
 
+def test_rrep_to_an_out_of_range_hop_counts_as_lost():
+    """A reply forwarded to a reverse next hop beyond radio range is
+    counted as sent and as lost; one within range only as sent."""
+    engine, monitor, nodes = build_static({0: (0.0, 0.0), 1: (200.0, 0.0), 2: (600.0, 0.0)})
+    for origin, hop in ((5, 0), (6, 2)):
+        nodes[1].routes[origin] = RouteEntry(dest=origin, next_hop=hop, hop_count=1,
+                                             dest_seq=1, expiry=seconds(100))
+        nodes[1].handle_rrep(Rrep(origin=origin, dest=9, dest_seq=3, hop_count=1), prev_hop=0)
+    assert nodes[1].counters["rrep_tx"] == 2
+    assert nodes[1].counters["rrep_lost"] == 1
+
+
 def test_stale_route_drops_out_of_range(monkeypatch):
     """A receding node keeps using its cached route past the radio edge;
     those frames must surface as out-of-range losses, never vanish."""

@@ -3,10 +3,12 @@
 Each classifier is checked against an independent reference: exhaustive
 neighbor search for KNN, closed-form Gaussian densities for GNB, finite
 differences for the LR gradient, the KKT optimality conditions for the
-SVM dual, and hand-built stub trees for the vote rules of the ensemble
-models.
+SVM dual, hand-built stub trees for the vote rules of the ensemble
+models, and the per-node gini grower of `tree_reference` for the
+forest's lockstep grower.
 """
 
+import collections
 import hashlib
 import json
 import logging
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from tree_reference import grow_gini_tree
 
 from vanetlab.classifiers import (
     KINDS,
@@ -36,7 +39,7 @@ from vanetlab.classifiers import (
 from vanetlab.classifiers import base
 from vanetlab.classifiers.base import check_labels, check_matrix
 from vanetlab.classifiers.forest import bootstrap_rows
-from vanetlab.classifiers.tree import grow_tree, tree_apply
+from vanetlab.classifiers.tree import grow_forest, grow_tree, tree_apply
 from vanetlab.dataset import Dataset, DatasetRow
 from vanetlab.engine import substream
 from vanetlab.errors import (
@@ -472,17 +475,80 @@ def test_grow_tree_skips_a_constant_column_walked_first():
     substream(0, 1).shuffle(order)
     assert order[0] == 0  # the root walks the constant column first
     rng = substream(0, 1)
-    tree = grow_tree(X, y, criterion="gini", max_depth=None, max_features=1, rng=rng)
+    (tree,) = grow_forest(X, y, [np.arange(len(y))], [rng], max_features=1)
     text = json.dumps(tree, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "deef8616c1eafd25be9868fe2cb2afec0d043a3d82007dab19fda5ae687f5c8c")
     assert rng.random() == 0.6880757343025422
     assert '"feature": 0' not in text
     # without an rng the walk is 0, 1, 2: the constant column always leads
-    tree = grow_tree(X, y - 0.5, criterion="mse", max_depth=4)
+    tree = grow_tree(X, y - 0.5, max_depth=4)
     text = json.dumps(tree, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "4694cfd1915b1aef6e20199f0b52674de602feb87ed5a90c32e9cdb59b8fe6bf")
+
+
+# a few values, with both zeros and two adjacent floats whose midpoint
+# rounds onto the upper one, so the threshold falls back to the lower
+TIED_VALUES = [-1.5, -0.0, 0.0, 0.25, 1.0 + 2**-52, 1.0 + 2**-51, 3.0, 1e300]
+
+
+def forest_case(seed):
+    """A small seeded forest input: (X, y, max_features, bootstrap, n_trees)."""
+    rng = substream(seed, 41)
+    width = rng.randint(1, 6)
+    n = rng.randint(2, 40)
+    columns = []
+    for _ in range(width):
+        shape = rng.randrange(3)
+        if shape == 0:  # heavy ties
+            pool = TIED_VALUES[:rng.randint(2, len(TIED_VALUES))]
+            columns.append([rng.choice(pool) for _ in range(n)])
+        elif shape == 1:  # one odd row: constant in bootstraps that miss it
+            column = [2.0] * n
+            column[rng.randrange(n)] = -7.0
+            columns.append(column)
+        else:
+            columns.append([rng.uniform(-5.0, 5.0) for _ in range(n)])
+    X = np.array(columns).T
+    y = np.array([rng.randrange(2) for _ in range(n)])
+    # a row twice more under both labels: a node of its copies cannot split
+    dup = rng.randrange(n)
+    X = np.vstack([X, X[dup], X[dup]])
+    y = np.concatenate([y, [0, 1]])
+    return X, y, rng.randint(1, width), rng.random() < 0.7, rng.choice((1, 2, 7))
+
+
+def test_grow_forest_matches_the_per_node_grower():
+    """Lockstep growth gives every tree and every tree's next draw exactly
+    as growing each tree alone, node by node, does."""
+    seen = collections.Counter()
+    for seed in range(200):
+        X, y, max_features, bootstrap, n_trees = forest_case(seed)
+        n, width = X.shape
+        got_rngs = [substream(seed, 211, i) for i in range(n_trees)]
+        want_rngs = [substream(seed, 211, i) for i in range(n_trees)]
+        row_sets = [bootstrap_rows(rng, n) if bootstrap else np.arange(n) for rng in got_rngs]
+        want = []
+        for rng in want_rngs:
+            rows = bootstrap_rows(rng, n) if bootstrap else np.arange(n)
+            want.append(grow_gini_tree(X[rows], y[rows], max_features, rng))
+        got = grow_forest(X, y, row_sets, got_rngs, max_features)
+        assert json.dumps(got) == json.dumps(want), f"case {seed}"
+        assert [r.random() for r in got_rngs] == [r.random() for r in want_rngs], f"case {seed}"
+        seen[f"width {width}"] += 1
+        seen[f"trees {n_trees}"] += 1
+        seen[f"bootstrap {bootstrap}"] += 1
+        seen["max_features 1"] += max_features == 1
+        seen["max_features F"] += max_features == width
+        spans = {tuple(np.ptp(X[rows], axis=0) == 0) for rows in row_sets}
+        seen["constant in some trees only"] += any(len({c[f] for c in spans}) == 2
+                                                  for f in range(width))
+    assert all(seen[f"width {w}"] for w in range(1, 7))
+    assert all(seen[f"trees {t}"] for t in (1, 2, 7))
+    assert seen["bootstrap True"] and seen["bootstrap False"]
+    assert seen["max_features 1"] and seen["max_features F"]
+    assert seen["constant in some trees only"]
 
 
 # -- random forest ------------------------------------------------------------
@@ -531,6 +597,18 @@ def test_rf_even_split_vote_goes_normal():
 def test_rf_unanimous_stub_forest():
     model = RandomForest.from_state(rf_state([{"value": 1.0}] * 5, 5))
     assert model.predict(np.zeros((3, 2))).tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("saved", [3, 7])
+def test_rf_state_must_hold_n_trees_trees(saved, tmp_path):
+    """Three unanimous trees under n_trees 5 would score 0.6, not 1."""
+    state = rf_state([{"value": 1.0}] * saved, 5)
+    with pytest.raises(ValueError, match=f"{saved} trees saved for n_trees 5"):
+        RandomForest.from_state(state)
+    path = tmp_path / "rf.json"
+    path.write_text(json.dumps(state) + "\n")
+    with pytest.raises(SchemaError, match="rf.json"):
+        load_model(path)
 
 
 def test_rf_fits_training_data(separable400):

@@ -169,6 +169,23 @@ def test_roc_requires_both_classes_and_equal_lengths():
         roc_points([0.5], [1, 0])
 
 
+@pytest.mark.parametrize("scores, row", [
+    ([math.nan, 0.5], 0),
+    ([0.1, 0.9, math.nan, math.nan], 2),
+])
+def test_roc_rejects_a_nan_score_naming_its_first_row(scores, row):
+    truth = [0, 1, 0, 1][:len(scores)]
+    with pytest.raises(OutOfRange, match=f"row {row} is NaN"):
+        roc_points(scores, truth)
+    with pytest.raises(OutOfRange, match=f"row {row} is NaN"):
+        evaluate_scores([0] * len(scores), scores, truth)
+
+
+def test_roc_accepts_infinite_scores():
+    pts = roc_points([math.inf, 0.5, -math.inf, 0.2], [1, 1, 0, 0])
+    assert pts == [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
+
+
 def test_trapezoid_area_closed_forms():
     assert auc_trapezoid([(0.0, 0.0), (1.0, 1.0)]) == 0.5
     anchor = auc_trapezoid([(0.0, 0.0), (GB_FPR, GB_TPR), (1.0, 1.0)])

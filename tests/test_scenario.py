@@ -149,11 +149,12 @@ TRACES = {
     0: {"events": 15780, "broadcast": 299, "unicast": 5802,
         "Rreq": 238, "Rrep": 9, "DataPacket": 5793,
         "tx": 9670, "rx": 5791, "drop": 3879, "distance": 6040,
-        "rreq_tx": 299, "rrep_tx": 9, "data_tx": 5793, "data_forwarded": 2},
+        "rreq_tx": 299, "rrep_tx": 9, "rrep_lost": 0, "data_tx": 5793, "data_forwarded": 2},
     9: {"events": 34311, "broadcast": 627, "unicast": 23955,
         "Rreq": 1003, "Rrep": 496, "DataPacket": 23459,
         "tx": 9326, "rx": 1664, "drop": 7662, "distance": 27292,
-        "rreq_tx": 627, "rrep_tx": 496, "data_tx": 23459, "data_forwarded": 14218},
+        "rreq_tx": 627, "rrep_tx": 496, "rrep_lost": 0, "data_tx": 23459,
+        "data_forwarded": 14218},
 }
 
 
