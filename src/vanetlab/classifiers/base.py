@@ -6,7 +6,7 @@ distance and gradient models.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,23 +44,15 @@ def check_labels(y, n_rows: int) -> np.ndarray:
     return y
 
 
-def floats(value) -> np.ndarray:
-    return np.array(value, dtype=np.float64)
-
-
-def ints(value) -> np.ndarray:
-    return np.array(value, dtype=np.int64)
-
-
 class Standardizer:
     """Per-feature (x - mean) / std fitted on training data only.
 
     Zero-variance features keep std = 1 so transform stays defined.
     """
 
-    def __init__(self, mean: Optional[np.ndarray] = None, std: Optional[np.ndarray] = None):
-        self.mean = mean
-        self.std = std
+    def __init__(self) -> None:
+        self.mean: Optional[np.ndarray] = None
+        self.std: Optional[np.ndarray] = None
 
     def fit(self, X: np.ndarray) -> "Standardizer":
         # finite entries near the float maximum can overflow the sums
@@ -81,10 +73,6 @@ class Standardizer:
     def to_state(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "Standardizer":
-        return cls(floats(state["mean"]), floats(state["std"]))
-
 
 class Classifier:
     """Base contract: fit(X, y), score(X) -> reals, predict(X) -> {0,1}
@@ -97,10 +85,10 @@ class Classifier:
 
     kind: str = "?"
     threshold: float = 0.5
-    # fitted attribute -> decoder of its saved JSON value. The saved state
-    # also holds every constructor parameter, read back by name, so each
-    # model must store each of its parameters under its own name.
-    fitted: dict[str, Callable] = {}
+    # the attributes a fit sets, written by to_state after the constructor
+    # parameters; to_state reads each parameter by its own name, so a model
+    # stores every parameter under that name
+    fitted: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.n_features_: Optional[int] = None
@@ -141,8 +129,9 @@ class Classifier:
         return self.classify(X)[0]
 
     def to_state(self) -> dict:
-        """JSON-ready state: kind, n_features, the constructor parameters
-        and the `fitted` attributes (arrays as lists)."""
+        """JSON-ready record: kind, n_features, the constructor parameters
+        and the `fitted` attributes (arrays as lists). Tests pin its
+        SHA-256, which makes "byte-identical models" checkable."""
         if self.n_features_ is None:
             raise UntrainedModel(f"{self.kind}: to_state before fit")
         state = {"kind": self.kind, "n_features": self.n_features_}
@@ -154,16 +143,6 @@ class Classifier:
                 value = value.tolist()
             state[name] = value
         return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Classifier":
-        """The model a `to_state` saved; KeyError on a missing key, other
-        keys are ignored."""
-        model = cls(**{name: state[name] for name in inspect.signature(cls).parameters})
-        model.n_features_ = state["n_features"]
-        for name, decode in cls.fitted.items():
-            setattr(model, name, decode(state[name]))
-        return model
 
 
 def labels_to_pm(y: np.ndarray) -> np.ndarray:

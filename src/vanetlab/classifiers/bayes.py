@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, floats
+from .base import Classifier
 
 VAR_SMOOTHING_FACTOR = 1e-9
 
@@ -21,7 +21,7 @@ VAR_SMOOTHING_FACTOR = 1e-9
 class GaussianNaiveBayes(Classifier):
     kind = "GNB"
     threshold = 0.5
-    fitted = {"log_priors": floats, "means": floats, "variances": floats, "epsilon": float}
+    fitted = ("log_priors", "means", "variances", "epsilon")
 
     def __init__(self):
         super().__init__()

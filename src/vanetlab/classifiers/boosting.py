@@ -26,7 +26,7 @@ def log_loss(y: np.ndarray, raw: np.ndarray) -> float:
 class GradientBoosting(Classifier):
     kind = "GB"
     threshold = 0.5
-    fitted = {"f0": float, "trees": list}
+    fitted = ("f0", "trees")
 
     def __init__(
         self,

@@ -51,7 +51,7 @@ def bootstrap_rows(rng: random.Random, n: int) -> np.ndarray:
 
 class RandomForest(Classifier):
     kind = "RF"
-    fitted = {"trees": list}
+    fitted = ("trees",)
 
     def __init__(
         self,
@@ -76,15 +76,6 @@ class RandomForest(Classifier):
         # drawn lazily, as the grower reaches each group of trees
         row_sets = (bootstrap_rows(rng, n) if self.bootstrap else np.arange(n) for rng in rngs)
         self.trees = grow_forest(X, y, row_sets, rngs, min(self.max_features, X.shape[1]))
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RandomForest":
-        """As Classifier.from_state; ValueError unless the state holds
-        exactly n_trees trees, since a score divides the votes by n_trees."""
-        model = super().from_state(state)
-        if len(model.trees) != model.n_trees:
-            raise ValueError(f"{len(model.trees)} trees saved for n_trees {model.n_trees}")
-        return model
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         votes = np.stack([tree_apply(t, X) for t in self.trees])

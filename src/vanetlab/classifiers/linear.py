@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, Standardizer, floats, sigmoid
+from .base import Classifier, Standardizer, sigmoid
 
 
 def loss_and_grad(
@@ -30,7 +30,7 @@ def loss_and_grad(
 class LogisticRegression(Classifier):
     kind = "LR"
     threshold = 0.5
-    fitted = {"standardizer": Standardizer.from_state, "w": floats, "b": float}
+    fitted = ("standardizer", "w", "b")
 
     def __init__(
         self,

@@ -12,13 +12,13 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, Standardizer, floats, ints
+from .base import Classifier, Standardizer
 
 
 class KNearestNeighbors(Classifier):
     kind = "KNN"
     threshold = 0.5
-    fitted = {"standardizer": Standardizer.from_state, "train_X": floats, "train_y": ints}
+    fitted = ("standardizer", "train_X", "train_y")
 
     def __init__(self, k: int = 5):
         super().__init__()

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, Standardizer, floats, labels_to_pm
+from .base import Classifier, Standardizer, labels_to_pm
 
 log = logging.getLogger("vanetlab.svm")
 
@@ -37,14 +37,7 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 class SupportVectorMachine(Classifier):
     kind = "SVM"
     threshold = 0.0
-    fitted = {
-        "standardizer": Standardizer.from_state,
-        "sv_X": floats,
-        "sv_y": floats,
-        "sv_alpha": floats,
-        "b": float,
-        "converged": bool,
-    }
+    fitted = ("standardizer", "sv_X", "sv_y", "sv_alpha", "b", "converged")
 
     def __init__(
         self,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -89,12 +89,11 @@ def grow_tree(
     X: np.ndarray,
     t: np.ndarray,
     *,
-    max_depth: Optional[int],
-    leaf_value: Optional[Callable[[np.ndarray], float]] = None,
+    max_depth: int,
+    leaf_value: Callable[[np.ndarray], float],
 ) -> dict:
     """The squared-error tree of targets t; a leaf holds
-    leaf_value(row indices), by default the mean target."""
-    value_of = leaf_value or (lambda idx: float(t[idx].mean()))
+    leaf_value(row indices)."""
     # a feature constant over the root rows is constant in every node
     constant = X.min(axis=0) == X.max(axis=0)
     root: dict = {}
@@ -103,13 +102,10 @@ def grow_tree(
         node, idx, depth = stack.pop()
         vals = t[idx]
         pure = bool((vals == vals[0]).all())
-        can_split = (
-            not pure
-            and (max_depth is None or depth < max_depth)
-        )
+        can_split = not pure and depth < max_depth
         split = _best_split(X, t, idx, constant) if can_split else None
         if split is None:
-            node["value"] = value_of(idx)
+            node["value"] = leaf_value(idx)
             continue
         f, thr, left_idx, right_idx = split
         left: dict = {}

@@ -115,7 +115,9 @@ def _write_manifest(cfg: ScenarioConfig, meta, out_dir: str, outputs: dict,
 
 def _load_any_dataset(path: str) -> Dataset:
     """Accept either a flows table or an already-labeled dataset."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 fails the header match here, or the reader
+    # rejects it in a row
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
     if header == FLOWS_HEADER:
         return label_flows(read_flows_csv(path))

@@ -8,8 +8,9 @@ Each CSV table is defined once, by its record's fields: dataset.csv has a
 column per DatasetRow field, flows.csv a column per FlowRecord field plus
 the computed label. One writer and one reader serve both; the reader
 checks the header, width, values, flow-key ranges and label of every row,
-and read_flows_csv adds the record invariants and the label's agreement
-with the ground truth.
+and read_flows_csv adds the record invariants (finite, non-negative
+measures and consistent accounting) and the label's agreement with the
+ground truth.
 """
 
 from __future__ import annotations
@@ -168,11 +169,15 @@ class _Table:
                 fh.write(",".join([fmt(v) for fmt, v in zip(formats, values(r))]) + "\n")
 
     def read(self, path) -> list[tuple[int, Any, list]]:
-        """(line number, record, computed values) per row. SchemaError, with
-        path:line for a row, on a wrong header or width, an unparsable
-        value, a flow-key value outside its column or a label not 0 or 1."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        """(line number, record, computed values) per row. SchemaError on
+        text that is not UTF-8 and, with path:line for a row, on a wrong
+        header or width, an unparsable value, a flow-key value outside its
+        column or a label not 0 or 1."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"{path}: not UTF-8 text ({e})") from None
         if not lines or lines[0] != self.header:
             raise SchemaError(f"{path}:1: header is not {self.header}")
         width = len(self.parses)
@@ -197,6 +202,8 @@ class _Table:
 
 _DATASET = _Table(DatasetRow)
 _FLOWS = _Table(FlowRecord, label=record_label)  # 17 features, ground truth, label
+# every flows.csv column but the flow key: times, counts and throughput
+_MEASURES = [f.name for f in fields(FlowRecord) if f.name not in _KEY_ENDS]
 DATASET_HEADER = _DATASET.header
 FLOWS_HEADER = _FLOWS.header
 
@@ -216,6 +223,10 @@ def write_flows_csv(records: Iterable[FlowRecord], path) -> None:
 def read_flows_csv(path) -> list[FlowRecord]:
     records = []
     for ln, rec, (label,) in _FLOWS.read(path):
+        for name in _MEASURES:
+            value = getattr(rec, name)  # None is an unset rx time
+            if value is not None and not 0 <= value < math.inf:
+                raise SchemaError(f"{path}:{ln}: {name} must be finite and non-negative")
         if rec.rx_packets + rec.lost_packets != rec.tx_packets:
             raise SchemaError(f"{path}:{ln}: rx_packets + lost_packets != tx_packets")
         received = rec.rx_packets > 0

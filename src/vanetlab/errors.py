@@ -9,7 +9,7 @@ class VanetlabError(Exception):
 
 
 class DataError(VanetlabError):
-    """Input data or a saved file cannot support the requested work."""
+    """Input data cannot support the requested work."""
 
     exit_code = 3
 
@@ -45,7 +45,7 @@ class InsufficientClassCount(DataError):
 
 
 class SchemaError(DataError):
-    """A CSV table or saved model does not match the expected schema."""
+    """A CSV table does not match the expected schema."""
 
 
 class ConfigError(VanetlabError):

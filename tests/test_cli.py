@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -298,6 +301,40 @@ def test_broken_flow_accounting_exits_three(tmp_path, capsys):
                "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")])
     assert rc == 3
     assert f"{bad}:2:" in capsys.readouterr().err
+
+
+NOT_UTF8 = {
+    "header": b"src_addr,dst_addr,src_port,dst_port,lab\xffel\n1,2,3,4,0\n",
+    "row": DATASET_HEADER.encode() + b"\n1,2,3,4,0\n1,2,\xff3,4,1\n",
+}
+
+
+@pytest.mark.parametrize("where", NOT_UTF8)
+def test_dataset_that_is_not_utf8_exits_three(tmp_path, capsys, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(NOT_UTF8[where])
+    rc = main(["evaluate", "--dataset", str(bad),
+               "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert f"data error: {bad}:" in capsys.readouterr().err
+
+
+def test_module_entry_point_reports_a_data_error(tmp_path):
+    """`python -m vanetlab` runs main and exits with its code, with no
+    traceback."""
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(NOT_UTF8["row"])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "vanetlab", "evaluate", "--dataset", str(bad),
+         "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith(f"data error: {bad}: not UTF-8 text")
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("rows", [

@@ -1,6 +1,7 @@
 """Dataset labeling, splitting, balancing, and CSV schema tests."""
 
 import dataclasses
+import math
 import re
 
 import pytest
@@ -274,6 +275,19 @@ def test_flows_csv_tampered_label_rejected(tmp_path):
                  "blackhole_absorbed exceeds lost_packets", id="absorbed-over-lost"),
     pytest.param(dict(dst_addr=1 << 32), "dst_addr outside [0, 4294967295]",
                  id="addr-over-32-bits"),
+    # each of these would pass every accounting check above
+    pytest.param(dict(rx_packets=-1, lost_packets=11), "rx_packets must be finite and "
+                 "non-negative", id="rx-negative"),
+    pytest.param(dict(blackhole_absorbed=-3), "blackhole_absorbed must be finite and "
+                 "non-negative", id="absorbed-negative"),
+    pytest.param(dict(tx_bytes=-7), "tx_bytes must be finite and non-negative",
+                 id="tx-bytes-negative"),
+    pytest.param(dict(throughput_bps=math.nan), "throughput_bps must be finite",
+                 id="throughput-nan"),
+    pytest.param(dict(throughput_bps=math.inf), "throughput_bps must be finite",
+                 id="throughput-inf"),
+    pytest.param(dict(time_first_rx=-2), "time_first_rx must be finite and non-negative",
+                 id="rx-time-negative"),
 ])
 def test_flows_csv_broken_accounting_rejected(tmp_path, edits, problem):
     path = tmp_path / "flows.csv"
