@@ -9,6 +9,14 @@ partner j with the largest second-order decrease (WSS2), and takes the
 clipped two-variable step. It stops when the KKT gap m - M is at most
 tol, or gives up (converged=False) after max_iter pair updates. Ties
 break to the lowest index, so fits are deterministic.
+
+As LIBSVM's kernel cache is there, the kernel matrix is the solver's
+one large working array: rbf_kernel allocates only the m x n result,
+takes the Gram matrix into it with one BLAS call and turns it into
+kernel values in place, a bounded block of rows at a time. Each element
+goes through the same floating-point operations in the same order as
+the whole-matrix formula, so the kernel, and every fitted model, is
+bit-for-bit the same.
 """
 
 from __future__ import annotations
@@ -25,13 +33,37 @@ log = logging.getLogger("vanetlab.svm")
 # curvature floor for pairs whose kernel rows coincide (LIBSVM's TAU)
 TAU = 1e-12
 
+# bytes of the one temporary a row block of rbf_kernel allocates
+BLOCK_BYTES = 1 << 19
+
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """K[i, j] = exp(-gamma * ||A_i - B_j||^2)."""
+    """K[i, j] = exp(-gamma * ||A_i - B_j||^2), built in one m x n array.
+
+    Equal, bit for bit, to exp(-gamma * max(a2 + b2 - 2 * (A @ B.T), 0))
+    evaluated one whole-matrix temporary at a time. The Gram matrix
+    G = A @ B.T is one BLAS call, never split, since BLAS may round a
+    row block's dot products differently from the whole product's.
+    Doubling G in place is exact. Each block of rows then takes, element
+    by element, (a2_i + b2_j) - 2 g_ij, the clamp at 0, the product with
+    -gamma and exp: the formula's own operations in its own order. Each
+    is an elementwise ufunc, so a value depends only on its operands, not
+    on where its row sits in a block. Beyond K, a block allocates only
+    a2_i + b2_j for its rows: at most BLOCK_BYTES, or one row if a row is
+    larger.
+    """
     a2 = (A * A).sum(axis=1)[:, None]
     b2 = (B * B).sum(axis=1)[None, :]
-    d2 = np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
-    return np.exp(-gamma * d2)
+    K = A @ B.T
+    K *= 2.0
+    rows = max(1, BLOCK_BYTES // max(1, K.shape[1] * K.itemsize))
+    for start in range(0, K.shape[0], rows):
+        blk = K[start:start + rows]
+        np.subtract(a2[start:start + rows] + b2, blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+        blk *= -gamma
+        np.exp(blk, out=blk)
+    return K
 
 
 class SupportVectorMachine(Classifier):

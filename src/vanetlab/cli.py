@@ -173,9 +173,10 @@ def train_and_report(
         model = _model_for(kind, seed).fit(X_train, y_train)
         pred, scores = model.classify(X_test)
         rep = evaluate_scores(list(pred), list(scores), list(y_test))
-        entry = dataclasses.asdict(rep)
-        del entry["roc_points"]
-        entry["confusion"] = entry.pop("counts")
+        # the ROC points go to roc.csv; asdict would deep-copy them first
+        entry = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
+                 if f.name not in ("counts", "roc_points")}
+        entry["confusion"] = dataclasses.asdict(rep.counts)
         entry["confusion_normal_positive"] = dataclasses.asdict(rep.counts.swapped())
         report["classifiers"][kind] = entry
         for fpr, tpr in rep.roc_points:

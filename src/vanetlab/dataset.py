@@ -9,8 +9,8 @@ column per DatasetRow field, flows.csv a column per FlowRecord field plus
 the computed label. One writer and one reader serve both; the reader
 checks the header, width, values, flow-key ranges and label of every row,
 and read_flows_csv adds the record invariants (finite, non-negative
-measures and consistent accounting) and the label's agreement with the
-ground truth.
+measures, consistent accounting, times and byte counts in order) and
+the label's agreement with the ground truth.
 """
 
 from __future__ import annotations
@@ -204,6 +204,17 @@ _DATASET = _Table(DatasetRow)
 _FLOWS = _Table(FlowRecord, label=record_label)  # 17 features, ground truth, label
 # every flows.csv column but the flow key: times, counts and throughput
 _MEASURES = [f.name for f in fields(FlowRecord) if f.name not in _KEY_ENDS]
+# (low, high) pairs every record keeps low <= high: a flow's first send
+# opens it and a packet arrives after it was sent, each Rx closes a
+# packet sent at the same size, and blackhole losses are losses. A pair
+# with an unset rx time is not compared.
+_ORDERED = [
+    ("time_first_tx", "time_last_tx"),
+    ("time_first_tx", "time_first_rx"),
+    ("time_first_rx", "time_last_rx"),
+    ("rx_bytes", "tx_bytes"),
+    ("blackhole_absorbed", "lost_packets"),
+]
 DATASET_HEADER = _DATASET.header
 FLOWS_HEADER = _FLOWS.header
 
@@ -232,8 +243,10 @@ def read_flows_csv(path) -> list[FlowRecord]:
         received = rec.rx_packets > 0
         if not received == (rec.time_first_rx is not None) == (rec.time_last_rx is not None):
             raise SchemaError(f"{path}:{ln}: rx times must be set exactly when rx_packets > 0")
-        if rec.blackhole_absorbed > rec.lost_packets:
-            raise SchemaError(f"{path}:{ln}: blackhole_absorbed exceeds lost_packets")
+        for low, high in _ORDERED:
+            a, b = getattr(rec, low), getattr(rec, high)
+            if a is not None and b is not None and a > b:
+                raise SchemaError(f"{path}:{ln}: {low} exceeds {high}")
         if record_label(rec) != label:
             raise SchemaError(f"{path}:{ln}: label inconsistent with ground truth")
         records.append(rec)

@@ -387,14 +387,19 @@ def test_default_pipeline_artifacts_match_pinned_digests(pipeline_runs):
     assert digests == PINNED_SHA256
 
 
-# SHA-256 of json.dumps(state, sort_keys=True) of RF and GB fitted on the
+# SHA-256 of json.dumps(state, sort_keys=True) of each model fitted on the
 # default pipeline's training split, as train_and_report fits them. The
 # 1200 rows hold many repeated values and dst_port is constant, so these
 # pin the RF bootstrap draw and the trees' constant-feature skip on the
-# paper's own data.
+# paper's own data, and the SVM's support vectors and alphas, which
+# report.json's metrics would not show.
 DEFAULT_SPLIT_STATE_SHA256 = {
     "RF": "bfd40a2769e1f74faae340b7b3634b8f8c6325cf0ed2e043a30e3124237dce1f",
     "GB": "959586da2500f4388363335c64239be3db7e04012321e78f9ee556cb25cfc363",
+    "SVM": "6d92188f52aef4c5e09eb8f82e5bc50789f7c1c7bf20f2684f28d5e02fb71e57",
+    "KNN": "c2122dec875ce35733961b6836a681decb0a68d354ce20596765b2494b831340",
+    "LR": "735b7738253b6d281aa091fcb3bc9a448eb3e208b50810a1cd067b3fc6007e73",
+    "GNB": "513a899bf2aefb7e7431dad7c30d60b2efeec25d401ff29a14ad9775f96d2da5",
 }
 
 

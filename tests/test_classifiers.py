@@ -3,7 +3,8 @@
 Each classifier is checked against an independent reference: exhaustive
 neighbor search for KNN, closed-form Gaussian densities for GNB, finite
 differences for the LR gradient, the KKT optimality conditions for the
-SVM dual, hand-built stub trees for the vote rules of the ensemble
+SVM dual, the whole-matrix formula for the SVM's blocked in-place
+kernel, hand-built stub trees for the vote rules of the ensemble
 models, and the per-node gini grower of `tree_reference` for the
 forest's lockstep grower.
 """
@@ -14,6 +15,7 @@ import inspect
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from vanetlab.classifiers import (
     rbf_kernel,
     sigmoid,
 )
-from vanetlab.classifiers import base
+from vanetlab.classifiers import base, svm
 from vanetlab.classifiers.base import check_labels, check_matrix
 from vanetlab.classifiers.forest import bootstrap_rows
 from vanetlab.classifiers.tree import grow_forest, grow_tree, tree_apply
@@ -420,6 +422,79 @@ def test_rbf_kernel_values():
     assert K[0, 0] == K[1, 1] == 1.0
     assert K[0, 1] == pytest.approx(math.exp(-0.1 * 25.0), rel=1e-12)
     assert K[0, 1] == K[1, 0]
+
+
+def rbf_kernel_reference(A, B, gamma):
+    """The whole-matrix formula that rbf_kernel's in-place row blocks
+    replaced, kept as the reference they must equal bit for bit."""
+    a2 = (A * A).sum(axis=1)[:, None]
+    b2 = (B * B).sum(axis=1)[None, :]
+    d2 = np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
+    return np.exp(-gamma * d2)
+
+
+def kernel_case(seed):
+    """(A, B, gamma, block bytes) for the kernel's differential test."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 7))
+    m = 1 if seed % 10 == 0 else int(rng.integers(2, 50))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    A = rng.normal(0.0, scale, (m, width))
+    if seed % 3 == 0:
+        B = A  # the fit's Gram matrix
+    else:
+        B = rng.normal(0.0, scale, (int(rng.integers(1, 50)), width))
+        # near-copies of rows of A, whose a2 + b2 - 2 g can round below 0
+        k = min(m, B.shape[0]) // 2
+        B[:k] = A[:k] * (1.0 + rng.normal(0.0, 1e-9, (k, width)))
+    gamma = 10.0 ** rng.uniform(-3.0, math.log10(3.0))
+    # anything from one row per block to the whole matrix in one
+    return A, B, gamma, int(rng.integers(1, 8 * m * B.shape[0] + 9))
+
+
+def test_rbf_kernel_blocks_match_the_whole_matrix_formula(monkeypatch):
+    seen = collections.Counter()
+    for seed in range(200):
+        A, B, gamma, block_bytes = kernel_case(seed)
+        monkeypatch.setattr(svm, "BLOCK_BYTES", block_bytes)
+        got = rbf_kernel(A, B, gamma)
+        want = rbf_kernel_reference(A, B, gamma)
+        assert got.shape == want.shape, f"case {seed}"
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"case {seed}"
+        m, n = got.shape
+        rows = max(1, block_bytes // (8 * n))
+        seen[f"width {A.shape[1]}"] += 1
+        seen["A is B" if A is B else "A is not B"] += 1
+        seen["one row"] += m == 1 or n == 1
+        seen["several blocks, last one short"] += m > rows and m % rows != 0
+        seen["one block"] += rows >= m
+        seen["d2 clamped"] += bool(((A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)
+                                    - 2.0 * (A @ B.T) < 0.0).any())
+        seen["kernel strictly inside (0, 1)"] += bool(((got > 0.0) & (got < 1.0)).any())
+    assert all(seen[f"width {w}"] for w in range(1, 7))
+    assert all(seen[name] for name in ("A is B", "A is not B", "one row", "one block",
+                                       "several blocks, last one short", "d2 clamped",
+                                       "kernel strictly inside (0, 1)")), seen
+
+
+def test_rbf_kernel_peak_memory_is_one_matrix_and_one_block():
+    """numpy reports its buffers to tracemalloc, so the bound is the same
+    on every host. The whole-matrix formula peaked at 3.00 x K.nbytes."""
+    A = np.random.default_rng(17).normal(0.0, 1.0, (1200, 4))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        K = rbf_kernel(A, A, 0.25)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # beyond K and one block's a2 + b2: the two norm vectors and numpy's
+    # ufunc iteration buffer, under 0.2 MiB together
+    assert K.nbytes <= peak <= K.nbytes + svm.BLOCK_BYTES + (1 << 18)
 
 
 def test_svm_duplicate_non_support_row_barely_moves(svm_forty):

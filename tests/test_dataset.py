@@ -288,6 +288,15 @@ def test_flows_csv_tampered_label_rejected(tmp_path):
                  id="throughput-inf"),
     pytest.param(dict(time_first_rx=-2), "time_first_rx must be finite and non-negative",
                  id="rx-time-negative"),
+    # times and byte counts out of order
+    pytest.param(dict(time_last_tx=1), "time_first_tx exceeds time_last_tx",
+                 id="last-tx-before-first-tx"),
+    pytest.param(dict(time_first_rx=1), "time_first_tx exceeds time_first_rx",
+                 id="first-rx-before-first-tx"),
+    pytest.param(dict(time_last_rx=1_004_000_000), "time_first_rx exceeds time_last_rx",
+                 id="last-rx-before-first-rx"),
+    pytest.param(dict(tx_bytes=5120, rx_bytes=10**9), "rx_bytes exceeds tx_bytes",
+                 id="rx-bytes-over-tx-bytes"),
 ])
 def test_flows_csv_broken_accounting_rejected(tmp_path, edits, problem):
     path = tmp_path / "flows.csv"
