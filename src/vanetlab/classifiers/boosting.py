@@ -4,6 +4,10 @@ The ensemble is F(x) = F0 + lr * sum of stage trees, F0 the prior
 log-odds. Each stage fits a squared-error tree to the negative gradient
 y - sigmoid(F) and replaces leaf means with a single Newton step
 sum(residual) / sum(p*(1-p)) over the leaf. Score is sigmoid(F).
+
+All stages grow through one `SortTrie` of the training rows: a node that
+an earlier stage reached by the same splits is searched without being
+sorted again, and the trees are the same as sorting every node afresh.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 import numpy as np
 
 from .base import Classifier, sigmoid
-from .tree import grow_tree, tree_apply
+from .tree import SortTrie, grow_tree, tree_apply
 
 P_HAT_CLIP = 1e-6
 
@@ -35,8 +39,8 @@ class GradientBoosting(Classifier):
         max_depth: int = 10,
     ):
         super().__init__()
-        if n_estimators < 1 or learning_rate <= 0 or max_depth < 1:
-            raise ValueError("n_estimators, learning_rate and max_depth must be positive")
+        if n_estimators < 1 or not 0 < learning_rate < math.inf or max_depth < 1:
+            raise ValueError("n_estimators, max_depth and a finite learning_rate must be positive")
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -51,6 +55,7 @@ class GradientBoosting(Classifier):
         raw = np.full(X.shape[0], self.f0)
         self.trees = []
         self.loss_history = [log_loss(yf, raw)]
+        trie = SortTrie(X)
         for _ in range(self.n_estimators):
             p = sigmoid(raw)
             residual = yf - p
@@ -67,6 +72,7 @@ class GradientBoosting(Classifier):
                 residual,
                 max_depth=self.max_depth,
                 leaf_value=newton_leaf,
+                trie=trie,
             )
             self.trees.append(tree)
             raw = raw + self.learning_rate * tree_apply(tree, X)

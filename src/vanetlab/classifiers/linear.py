@@ -5,6 +5,7 @@ standardized internally; score is the sigmoid probability.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -39,8 +40,8 @@ class LogisticRegression(Classifier):
         l2: float = 1e-4,
     ):
         super().__init__()
-        if step <= 0 or epochs < 1 or l2 < 0:
-            raise ValueError("step and epochs must be positive, l2 non-negative")
+        if not 0 < step < math.inf or epochs < 1 or not 0 <= l2 < math.inf:
+            raise ValueError("step and epochs must be positive, l2 non-negative, step and l2 finite")
         self.step = step
         self.epochs = epochs
         self.l2 = l2

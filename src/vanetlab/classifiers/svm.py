@@ -22,6 +22,7 @@ bit-for-bit the same.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Optional
 
 import numpy as np
@@ -79,8 +80,8 @@ class SupportVectorMachine(Classifier):
         max_iter: int = 100_000,
     ):
         super().__init__()
-        if C <= 0 or gamma <= 0 or tol <= 0 or max_iter < 1:
-            raise ValueError("C, gamma, tol and max_iter must be positive")
+        if not (0 < C < math.inf and 0 < gamma < math.inf and 0 < tol < math.inf) or max_iter < 1:
+            raise ValueError("C, gamma, tol and max_iter must be positive, the floats finite")
         self.C = C
         self.gamma = gamma
         self.tol = tol

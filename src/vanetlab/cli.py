@@ -172,7 +172,7 @@ def train_and_report(
         log.info("training %s on %d rows", kind, len(train.rows))
         model = _model_for(kind, seed).fit(X_train, y_train)
         pred, scores = model.classify(X_test)
-        rep = evaluate_scores(list(pred), list(scores), list(y_test))
+        rep = evaluate_scores(pred.tolist(), scores.tolist(), y_test.tolist())
         # the ROC points go to roc.csv; asdict would deep-copy them first
         entry = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
                  if f.name not in ("counts", "roc_points")}

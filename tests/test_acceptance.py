@@ -29,6 +29,7 @@ from vanetlab.classifiers import (
     log_loss,
     loss_and_grad,
 )
+from vanetlab.classifiers import boosting, tree
 from vanetlab.classifiers.tree import tree_apply
 from vanetlab.config import default_config, derived_seed, sample_scenario
 from vanetlab.dataset import SplitSpec, read_csv, record_label, split
@@ -403,19 +404,60 @@ DEFAULT_SPLIT_STATE_SHA256 = {
 }
 
 
+def default_training_split(run_dir):
+    """(X, y) of the training split train_and_report takes from run_dir."""
+    cfg = default_config()
+    train, _ = split(
+        read_csv(run_dir / "dataset.csv"),
+        SplitSpec(cfg.split_fraction, derived_seed(cfg.seed, SPLIT_SEED), cfg.stratified_split),
+    )
+    return as_arrays(train)
+
+
+def state_sha256(model) -> str:
+    text = json.dumps(model.to_state(), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("kind", sorted(DEFAULT_SPLIT_STATE_SHA256))
 def test_default_training_split_states_match_pinned_digests(kind, pipeline_runs):
     (run1, _), _ = pipeline_runs
-    cfg = default_config()
-    train, _ = split(
-        read_csv(run1 / "dataset.csv"),
-        SplitSpec(cfg.split_fraction, derived_seed(cfg.seed, SPLIT_SEED), cfg.stratified_split),
-    )
-    X, y = as_arrays(train)
+    X, y = default_training_split(run1)
     assert X.shape == (1200, 4) and np.unique(X[:, 3]).size == 1
-    model = _model_for(kind, cfg.seed).fit(X, y)
-    text = json.dumps(model.to_state(), sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_SPLIT_STATE_SHA256[kind]
+    model = _model_for(kind, default_config().seed).fit(X, y)
+    assert state_sha256(model) == DEFAULT_SPLIT_STATE_SHA256[kind]
+
+
+def test_gb_node_sort_budget_bounds_memory_not_the_model(pipeline_runs, monkeypatch):
+    """Whatever the byte budget of GB's shared node sorts, down to 0 (each
+    search sorts its node anew), the default split's model is the same and
+    the kept bytes stay within it. The default budget keeps every node."""
+    (run1, _), _ = pipeline_runs
+    X, y = default_training_split(run1)
+    tries, built = [], []
+
+    class RecordedTrie(tree.SortTrie):
+        def __init__(self, X):
+            super().__init__(X)
+            tries.append(self)
+
+    build = tree._NodeSorts.__init__
+
+    def recorded_build(self, *args):
+        build(self, *args)
+        built.append(self.nbytes)
+
+    monkeypatch.setattr(boosting, "SortTrie", RecordedTrie)
+    monkeypatch.setattr(tree._NodeSorts, "__init__", recorded_build)
+    default = tree.SORT_BYTES
+    for budget in (0, 50_000, default):
+        monkeypatch.setattr(tree, "SORT_BYTES", budget)
+        built.clear()
+        model = _model_for("GB", default_config().seed).fit(X, y)
+        assert state_sha256(model) == DEFAULT_SPLIT_STATE_SHA256["GB"], budget
+        kept = tries[-1].kept_bytes
+        assert kept <= budget
+        assert (kept == sum(built)) == (budget == default), (budget, kept, sum(built))
 
 
 # flows.csv and manifest.json SHA-256 of the benchmark's two simulator

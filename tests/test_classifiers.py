@@ -5,8 +5,8 @@ neighbor search for KNN, closed-form Gaussian densities for GNB, finite
 differences for the LR gradient, the KKT optimality conditions for the
 SVM dual, the whole-matrix formula for the SVM's blocked in-place
 kernel, hand-built stub trees for the vote rules of the ensemble
-models, and the per-node gini grower of `tree_reference` for the
-forest's lockstep grower.
+models, and the per-node growers of `tree_reference` for the forest's
+lockstep grower and the boosting stages' shared node sorts.
 """
 
 import collections
@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from tree_reference import grow_gini_tree
+from tree_reference import grow_gini_tree, grow_mse_tree
 
 from vanetlab.classifiers import (
     KINDS,
@@ -37,10 +37,10 @@ from vanetlab.classifiers import (
     rbf_kernel,
     sigmoid,
 )
-from vanetlab.classifiers import base, svm
+from vanetlab.classifiers import base, svm, tree
 from vanetlab.classifiers.base import check_labels, check_matrix
 from vanetlab.classifiers.forest import bootstrap_rows
-from vanetlab.classifiers.tree import grow_forest, grow_tree, tree_apply
+from vanetlab.classifiers.tree import SortTrie, grow_forest, grow_tree, tree_apply
 from vanetlab.dataset import Dataset, DatasetRow
 from vanetlab.engine import substream
 from vanetlab.errors import (
@@ -625,6 +625,100 @@ def test_grow_forest_matches_the_per_node_grower():
     assert seen["constant in some trees only"]
 
 
+def float_hex(node):
+    """node with every float as its hex form, exact to the bit (and sign)."""
+    if isinstance(node, dict):
+        return {key: float_hex(v) for key, v in node.items()}
+    return node.hex() if isinstance(node, float) else node
+
+
+def boosting_case(seed):
+    """A small seeded boosting input: (X, y, stages, drawn, max_depth).
+
+    Columns hold few distinct integers (nodes repeat across stages), tied
+    values, one constant value or all-distinct floats. A stage's targets
+    are the log-loss residuals of labels y, or, when drawn is a list, its
+    entry for the stage, drawn from a few values, so some nodes are pure
+    and some scores tie.
+    """
+    rng = substream(seed, 43)
+    width = rng.randint(1, 6)
+    n = rng.randint(2, 60)
+    columns = []
+    for _ in range(width):
+        shape = rng.randrange(4)
+        if shape == 0:
+            hi = rng.randint(1, 4)
+            columns.append([float(rng.randint(0, hi)) for _ in range(n)])
+        elif shape == 1:
+            pool = TIED_VALUES[:rng.randint(2, len(TIED_VALUES))]
+            columns.append([rng.choice(pool) for _ in range(n)])
+        elif shape == 2:
+            columns.append([2.0] * n)
+        else:
+            columns.append([rng.uniform(-5.0, 5.0) for _ in range(n)])
+    X = np.array(columns).T
+    y = np.array([float(rng.randrange(2)) for _ in range(n)])
+    stages = rng.randint(3, 10)
+    drawn = None
+    if rng.random() < 0.5:
+        drawn = [np.array([rng.choice((-1.0, 0.0, 0.5, 1.0)) for _ in range(n)])
+                 for _ in range(stages)]
+    return X, y, stages, drawn, rng.randint(1, 6)
+
+
+def test_shared_node_sorts_match_the_per_node_grower(monkeypatch):
+    """Stages of changing targets grown through one SortTrie give every
+    tree, threshold, leaf value and leaf row order exactly as the per-node
+    grower, which shares nothing between trees, does."""
+    counts = collections.Counter()
+    build, split = tree._NodeSorts.__init__, SortTrie.split
+
+    def counted_build(self, *args):
+        counts["builds"] += 1
+        build(self, *args)
+
+    def counted_split(self, *args):
+        counts["searches"] += 1
+        return split(self, *args)
+
+    monkeypatch.setattr(tree._NodeSorts, "__init__", counted_build)
+    monkeypatch.setattr(SortTrie, "split", counted_split)
+    seen = collections.Counter()
+    for seed in range(200):
+        X, y, stages, drawn, max_depth = boosting_case(seed)
+        n, width = X.shape
+        trie = SortTrie(X)
+        raw = np.zeros(n)
+        before = counts.copy()
+        for stage in range(stages):
+            t = drawn[stage] if drawn else y - sigmoid(raw)
+            got_leaves, want_leaves = [], []
+
+            def leaf(leaves):
+                def value(idx):
+                    leaves.append(idx.tolist())
+                    return float(t[idx].sum())
+                return value
+
+            got = grow_tree(X, t, max_depth=max_depth, leaf_value=leaf(got_leaves), trie=trie)
+            want = grow_mse_tree(X, t, max_depth, leaf(want_leaves))
+            assert float_hex(got) == float_hex(want), f"case {seed} stage {stage}"
+            assert got_leaves == want_leaves, f"case {seed} stage {stage}"
+            raw = raw + 0.5 * tree_apply(want, X)
+        seen[f"width {width}"] += 1
+        seen["drawn" if drawn else "residuals"] += 1
+        seen["constant column"] += bool((np.ptp(X, axis=0) == 0).any())
+        seen["distinct floats"] += any(np.unique(c).size == n > 4 for c in X.T)
+        seen["hits"] += counts["builds"] - before["builds"] < counts["searches"] - before["searches"]
+    assert all(seen[f"width {w}"] for w in range(1, 7))
+    assert seen["residuals"] and seen["drawn"]
+    assert seen["constant column"] and seen["distinct floats"]
+    # most cases search some node again without sorting it again
+    assert seen["hits"] > 100, seen
+    assert counts["builds"] < counts["searches"], counts
+
+
 # -- random forest ------------------------------------------------------------
 
 
@@ -919,6 +1013,16 @@ STATE_SHA256 = {
 def test_saved_state_matches_its_pinned_digest(kind, separable400):
     text = json.dumps(make(kind).fit(*separable400).to_state(), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STATE_SHA256[kind]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("kind, param", [
+    ("GB", "learning_rate"), ("LR", "step"), ("LR", "l2"),
+    ("SVM", "C"), ("SVM", "gamma"), ("SVM", "tol"),
+])
+def test_float_parameters_must_be_finite(kind, param, value):
+    with pytest.raises(ValueError, match=param):
+        make(kind, **{param: value})
 
 
 def test_make_rejects_unknown_kind():
