@@ -30,7 +30,7 @@ _REGISTRY: dict[str, type[Classifier]] = {
 
 
 def make(kind: str, **params) -> Classifier:
-    """A fresh untrained model of the given kind with default parameters."""
+    """A fresh untrained model of the given kind; RF takes its `seed`."""
     if kind not in _REGISTRY:
         raise ValueError(f"unknown classifier kind {kind!r}; expected one of {KINDS}")
     return _REGISTRY[kind](**params)

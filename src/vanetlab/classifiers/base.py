@@ -5,7 +5,6 @@ distance and gradient models.
 
 from __future__ import annotations
 
-import inspect
 from typing import Optional
 
 import numpy as np
@@ -85,9 +84,8 @@ class Classifier:
 
     kind: str = "?"
     threshold: float = 0.5
-    # the attributes a fit sets, written by to_state after the constructor
-    # parameters; to_state reads each parameter by its own name, so a model
-    # stores every parameter under that name
+    # the attributes a fit sets, written by to_state after the header;
+    # each model's settings are module constants, so none is stored
     fitted: tuple[str, ...] = ()
 
     def __init__(self) -> None:
@@ -129,13 +127,13 @@ class Classifier:
         return self.classify(X)[0]
 
     def to_state(self) -> dict:
-        """JSON-ready record: kind, n_features, the constructor parameters
-        and the `fitted` attributes (arrays as lists). Tests pin its
-        SHA-256, which makes "byte-identical models" checkable."""
+        """JSON-ready record: kind, n_features and the `fitted` attributes
+        (arrays as lists). Tests pin its SHA-256, which makes
+        "byte-identical models" checkable."""
         if self.n_features_ is None:
             raise UntrainedModel(f"{self.kind}: to_state before fit")
         state = {"kind": self.kind, "n_features": self.n_features_}
-        for name in (*inspect.signature(type(self)).parameters, *self.fitted):
+        for name in self.fitted:
             value = getattr(self, name)
             if isinstance(value, Standardizer):
                 value = value.to_state()

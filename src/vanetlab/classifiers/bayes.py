@@ -1,8 +1,8 @@
 """Gaussian naive Bayes on raw features.
 
 Per class: empirical prior, per-feature mean and variance. Every
-variance is widened by var_smoothing = 1e-9 times the largest feature
-variance so constant features stay finite in log space. Score is the
+variance is widened by VAR_SMOOTHING_FACTOR (1e-9) times the largest
+feature variance so constant features stay finite in log space. Score is the
 normalized posterior of the malicious class.
 """
 
@@ -52,12 +52,9 @@ class GaussianNaiveBayes(Classifier):
         self.means = means
         self.variances = variances
 
-    def log_joint(self, X) -> np.ndarray:
-        """(N, 2) log P(C=c) + sum_i log N(x_i | mean, var)."""
-        return self._joint(self._check_ready(X))
-
     def _joint(self, X: np.ndarray) -> np.ndarray:
-        """log_joint of rows already checked by _check_ready."""
+        """(N, 2) log P(C=c) + sum_i log N(x_i | mean, var) of rows
+        already checked by _check_ready."""
         out = np.empty((X.shape[0], 2))
         for c in (0, 1):
             diff = X - self.means[c]

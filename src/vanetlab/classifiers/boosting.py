@@ -21,6 +21,10 @@ from .tree import SortTrie, grow_tree, tree_apply
 
 P_HAT_CLIP = 1e-6
 
+N_ESTIMATORS = 50
+LEARNING_RATE = 0.1
+MAX_DEPTH = 10
+
 
 def log_loss(y: np.ndarray, raw: np.ndarray) -> float:
     """Mean binomial deviance of raw scores F against {0,1} labels."""
@@ -32,18 +36,8 @@ class GradientBoosting(Classifier):
     threshold = 0.5
     fitted = ("f0", "trees")
 
-    def __init__(
-        self,
-        n_estimators: int = 50,
-        learning_rate: float = 0.1,
-        max_depth: int = 10,
-    ):
+    def __init__(self):
         super().__init__()
-        if n_estimators < 1 or not 0 < learning_rate < math.inf or max_depth < 1:
-            raise ValueError("n_estimators, max_depth and a finite learning_rate must be positive")
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
         self.f0: float = 0.0
         self.trees: list[dict] = []
         self.loss_history: list[float] = []
@@ -56,7 +50,7 @@ class GradientBoosting(Classifier):
         self.trees = []
         self.loss_history = [log_loss(yf, raw)]
         trie = SortTrie(X)
-        for _ in range(self.n_estimators):
+        for _ in range(N_ESTIMATORS):
             p = sigmoid(raw)
             residual = yf - p
             weight = p * (1.0 - p)
@@ -70,23 +64,20 @@ class GradientBoosting(Classifier):
             tree = grow_tree(
                 X,
                 residual,
-                max_depth=self.max_depth,
+                max_depth=MAX_DEPTH,
                 leaf_value=newton_leaf,
                 trie=trie,
             )
             self.trees.append(tree)
-            raw = raw + self.learning_rate * tree_apply(tree, X)
+            raw = raw + LEARNING_RATE * tree_apply(tree, X)
             self.loss_history.append(log_loss(yf, raw))
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
         """F(x) of rows already checked by _check_ready."""
         raw = np.full(X.shape[0], self.f0)
         for tree in self.trees:
-            raw += self.learning_rate * tree_apply(tree, X)
+            raw += LEARNING_RATE * tree_apply(tree, X)
         return raw
-
-    def decision_function(self, X) -> np.ndarray:
-        return self._raw(self._check_ready(X))
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self._raw(X))

@@ -3,7 +3,8 @@
 The predicted label is the majority vote over trees; score is the
 fraction of trees voting malicious. With an even tree count an exact
 50/50 vote resolves to normal, encoded by the decision threshold
-(n_trees // 2 + 1) / n_trees.
+(N_TREES // 2 + 1) / N_TREES, read from the constant when the model is
+built.
 
 Tree i draws its bootstrap and then its per-node feature orders from its
 own substream (seed, 211, i). `tree.grow_forest` grows the trees side by
@@ -25,6 +26,9 @@ from .base import Classifier
 from .tree import grow_forest, tree_apply
 
 _RF_TREE_KEY = 211
+
+N_TREES = 100
+MAX_FEATURES = 2
 
 
 def bootstrap_rows(rng: random.Random, n: int) -> np.ndarray:
@@ -53,30 +57,19 @@ class RandomForest(Classifier):
     kind = "RF"
     fitted = ("trees",)
 
-    def __init__(
-        self,
-        n_trees: int = 100,
-        max_features: int = 2,
-        bootstrap: bool = True,
-        seed: int = 0,
-    ):
+    def __init__(self, seed: int = 0):
         super().__init__()
-        if n_trees < 1 or max_features < 1:
-            raise ValueError("n_trees and max_features must be positive")
-        self.n_trees = n_trees
-        self.max_features = max_features
-        self.bootstrap = bootstrap
         self.seed = seed
-        self.threshold = (n_trees // 2 + 1) / n_trees
+        self.threshold = (N_TREES // 2 + 1) / N_TREES
         self.trees: list[dict] = []
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n = X.shape[0]
-        rngs = [substream(self.seed, _RF_TREE_KEY, i) for i in range(self.n_trees)]
+        rngs = [substream(self.seed, _RF_TREE_KEY, i) for i in range(N_TREES)]
         # drawn lazily, as the grower reaches each group of trees
-        row_sets = (bootstrap_rows(rng, n) if self.bootstrap else np.arange(n) for rng in rngs)
-        self.trees = grow_forest(X, y, row_sets, rngs, min(self.max_features, X.shape[1]))
+        row_sets = (bootstrap_rows(rng, n) for rng in rngs)
+        self.trees = grow_forest(X, y, row_sets, rngs, min(MAX_FEATURES, X.shape[1]))
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         votes = np.stack([tree_apply(t, X) for t in self.trees])
-        return votes.sum(axis=0) / self.n_trees
+        return votes.sum(axis=0) / len(self.trees)

@@ -5,12 +5,15 @@ standardized internally; score is the sigmoid probability.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from .base import Classifier, Standardizer, sigmoid
+
+STEP = 0.1
+EPOCHS = 500
+L2 = 1e-4
 
 
 def loss_and_grad(
@@ -33,18 +36,8 @@ class LogisticRegression(Classifier):
     threshold = 0.5
     fitted = ("standardizer", "w", "b")
 
-    def __init__(
-        self,
-        step: float = 0.1,
-        epochs: int = 500,
-        l2: float = 1e-4,
-    ):
+    def __init__(self):
         super().__init__()
-        if not 0 < step < math.inf or epochs < 1 or not 0 <= l2 < math.inf:
-            raise ValueError("step and epochs must be positive, l2 non-negative, step and l2 finite")
-        self.step = step
-        self.epochs = epochs
-        self.l2 = l2
         self.standardizer = Standardizer()
         self.w: Optional[np.ndarray] = None
         self.b: float = 0.0
@@ -56,12 +49,12 @@ class LogisticRegression(Classifier):
         self.w = np.zeros(X.shape[1])
         self.b = 0.0
         self.loss_history = []
-        for _ in range(self.epochs):
-            loss, grad_w, grad_b = loss_and_grad(self.w, self.b, Xs, yf, self.l2)
+        for _ in range(EPOCHS):
+            loss, grad_w, grad_b = loss_and_grad(self.w, self.b, Xs, yf, L2)
             self.loss_history.append(loss)
-            self.w = self.w - self.step * grad_w
-            self.b = self.b - self.step * grad_b
-        final_loss, _, _ = loss_and_grad(self.w, self.b, Xs, yf, self.l2)
+            self.w = self.w - STEP * grad_w
+            self.b = self.b - STEP * grad_b
+        final_loss, _, _ = loss_and_grad(self.w, self.b, Xs, yf, L2)
         self.loss_history.append(final_loss)
 
     def _score(self, X: np.ndarray) -> np.ndarray:

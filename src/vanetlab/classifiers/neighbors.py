@@ -1,9 +1,11 @@
 """k-nearest-neighbor voting over standardized features.
 
-Distance ties resolve to the lower training-row index. A split vote
-goes to the class with the smaller summed neighbor distance, then to
-normal. Score is the malicious fraction of the neighborhood, so for odd
-k the majority label coincides with score >= 0.5.
+Each query votes over its K nearest training rows, or every row when
+there are fewer. Distance ties resolve to the lower training-row index.
+A split vote goes to the class with the smaller summed neighbor
+distance, then to normal. Score is the malicious fraction of the
+neighborhood, so for an odd count the majority label coincides with
+score >= 0.5.
 """
 
 from __future__ import annotations
@@ -14,17 +16,16 @@ import numpy as np
 
 from .base import Classifier, Standardizer
 
+K = 5
+
 
 class KNearestNeighbors(Classifier):
     kind = "KNN"
     threshold = 0.5
     fitted = ("standardizer", "train_X", "train_y")
 
-    def __init__(self, k: int = 5):
+    def __init__(self):
         super().__init__()
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.k = k
         self.standardizer = Standardizer()
         self.train_X: Optional[np.ndarray] = None
         self.train_y: Optional[np.ndarray] = None
@@ -33,8 +34,9 @@ class KNearestNeighbors(Classifier):
         self.train_X = self.standardizer.fit(X).transform(X)
         self.train_y = y.copy()
 
-    def _neighbors(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, distances) of the k nearest per query row.
+    def _neighbors(self, Xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, distances) of the k nearest per query row, k clamped
+        to the training rows.
 
         The k-th smallest squared distance comes from a partition; only the
         rows not above it are then stably sorted, so the k kept are those a
@@ -42,7 +44,7 @@ class KNearestNeighbors(Classifier):
         NaN distances sort last (Standardizer.fit rejects the overflowing
         features that would produce them).
         """
-        k = min(self.k, self.train_X.shape[0])
+        k = min(k, self.train_X.shape[0])
         idx = np.empty((Xs.shape[0], k), dtype=np.int64)
         dist = np.empty((Xs.shape[0], k))
         for q in range(Xs.shape[0]):
@@ -55,13 +57,13 @@ class KNearestNeighbors(Classifier):
         return idx, dist
 
     def _score(self, X: np.ndarray) -> np.ndarray:
-        idx, _ = self._neighbors(self.standardizer.transform(X))
+        idx, _ = self._neighbors(self.standardizer.transform(X), K)
         return self.train_y[idx].mean(axis=1)
 
     def classify(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Majority labels and scores from one neighbor search."""
         X = self._check_ready(X)
-        idx, dist = self._neighbors(self.standardizer.transform(X))
+        idx, dist = self._neighbors(self.standardizer.transform(X), K)
         labels = self.train_y[idx]
         pos = labels.sum(axis=1)
         neg = labels.shape[1] - pos

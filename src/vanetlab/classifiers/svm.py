@@ -7,7 +7,7 @@ the kernel sees them. The solver is LIBSVM's (Fan, Chen & Lin, JMLR
 F = -y*G (G the dual gradient), picks the maximal violator i and the
 partner j with the largest second-order decrease (WSS2), and takes the
 clipped two-variable step. It stops when the KKT gap m - M is at most
-tol, or gives up (converged=False) after max_iter pair updates. Ties
+TOL, or gives up (converged=False) after MAX_ITER pair updates. Ties
 break to the lowest index, so fits are deterministic.
 
 As LIBSVM's kernel cache is there, the kernel matrix is the solver's
@@ -22,7 +22,6 @@ bit-for-bit the same.
 from __future__ import annotations
 
 import logging
-import math
 from typing import Optional
 
 import numpy as np
@@ -36,6 +35,12 @@ TAU = 1e-12
 
 # bytes of the one temporary a row block of rbf_kernel allocates
 BLOCK_BYTES = 1 << 19
+
+C = 1.0
+GAMMA = 0.25
+# KKT gap at which SMO stops, and its cap on pair updates
+TOL = 1e-3
+MAX_ITER = 100_000
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -72,20 +77,8 @@ class SupportVectorMachine(Classifier):
     threshold = 0.0
     fitted = ("standardizer", "sv_X", "sv_y", "sv_alpha", "b", "converged")
 
-    def __init__(
-        self,
-        C: float = 1.0,
-        gamma: float = 0.25,
-        tol: float = 1e-3,
-        max_iter: int = 100_000,
-    ):
+    def __init__(self):
         super().__init__()
-        if not (0 < C < math.inf and 0 < gamma < math.inf and 0 < tol < math.inf) or max_iter < 1:
-            raise ValueError("C, gamma, tol and max_iter must be positive, the floats finite")
-        self.C = C
-        self.gamma = gamma
-        self.tol = tol
-        self.max_iter = max_iter
         self.standardizer = Standardizer()
         self.sv_X: Optional[np.ndarray] = None
         self.sv_y: Optional[np.ndarray] = None
@@ -97,8 +90,7 @@ class SupportVectorMachine(Classifier):
     def _fit(self, X: np.ndarray, y01: np.ndarray) -> None:
         Xs = self.standardizer.fit(X).transform(X)
         y = labels_to_pm(y01)
-        C = self.C
-        K = rbf_kernel(Xs, Xs, self.gamma)
+        K = rbf_kernel(Xs, Xs, GAMMA)
         diag = K.diagonal()
         alpha = np.zeros(X.shape[0])
         # F = y - K @ (alpha * y): the offset each point would need to sit
@@ -113,8 +105,8 @@ class SupportVectorMachine(Classifier):
             i = int(np.argmax(F_up))
             m = F_up[i]
             M = np.where(low, F, np.inf).min()
-            self.converged = bool(m - M <= self.tol)
-            if self.converged or updates == self.max_iter:
+            self.converged = bool(m - M <= TOL)
+            if self.converged or updates == MAX_ITER:
                 break
             gain = m - F
             curv = diag[i] + diag - 2.0 * K[i]
@@ -137,7 +129,7 @@ class SupportVectorMachine(Classifier):
         if not self.converged:
             log.warning(
                 "SMO hit the iteration cap (%d pair updates) with KKT gap %.3g",
-                self.max_iter, m - M,
+                MAX_ITER, m - M,
             )
         # any b in [M, m] keeps every KKT residual within the gap
         free = (alpha > 0.0) & (alpha < C)
@@ -147,13 +139,10 @@ class SupportVectorMachine(Classifier):
         self.sv_y = y[keep]
         self.sv_alpha = alpha[keep]
 
-    def decision_function(self, X) -> np.ndarray:
-        """Pre-sign margin of Eq. 3's sum over retained support vectors."""
-        return self.score(X)
-
     def _score(self, X: np.ndarray) -> np.ndarray:
+        """Pre-sign margin of Eq. 3's sum over retained support vectors."""
         Xs = self.standardizer.transform(X)
         if self.sv_X.shape[0] == 0:
             return np.full(X.shape[0], self.b)
-        K = rbf_kernel(Xs, self.sv_X, self.gamma)
+        K = rbf_kernel(Xs, self.sv_X, GAMMA)
         return K @ (self.sv_alpha * self.sv_y) + self.b

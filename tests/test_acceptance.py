@@ -2,9 +2,10 @@
 
 Each test prints a `[criterion N] PASS/FAIL` line with the measured
 numbers before asserting, so a full run always shows the scoreboard.
-Criteria 3 and 6 share a module fixture that runs the default pipeline
-twice, and the artifact digest lock reads the same runs; everything else
-builds its own small inputs.
+Criteria 3, 6 and 7 share a module fixture that runs the default
+pipeline twice, recording the second run's flow observations, and the
+artifact digest lock reads the same runs; everything else builds its
+own small inputs.
 """
 
 import collections
@@ -13,11 +14,13 @@ import json
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from flow_audit import recompute_from_log, record_observations
 
+from vanetlab import cli
 from vanetlab.cli import SPLIT_SEED, _model_for, cmd_pipeline, cmd_simulate
 from vanetlab.classifiers import (
     GaussianNaiveBayes,
@@ -29,9 +32,9 @@ from vanetlab.classifiers import (
     log_loss,
     loss_and_grad,
 )
-from vanetlab.classifiers import boosting, tree
+from vanetlab.classifiers import boosting, forest, svm, tree
 from vanetlab.classifiers.tree import tree_apply
-from vanetlab.config import default_config, derived_seed, sample_scenario
+from vanetlab.config import default_config, derived_seed
 from vanetlab.dataset import SplitSpec, read_csv, record_label, split
 from vanetlab.engine import RadioConfig, seconds, substream
 from vanetlab.flows import FlowSpec
@@ -60,17 +63,29 @@ def _verdict(criterion: int, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="module")
 def pipeline_runs(tmp_path_factory):
-    """The default pipeline executed twice into separate directories."""
+    """The default pipeline executed twice into separate directories:
+    run1 and run2, run 1's seconds, run 2's flow records, and every flow
+    observation run 2 made, one list per flow monitor."""
     base = tmp_path_factory.mktemp("acceptance")
     config_path = base / "config.json"
     config_path.write_text(json.dumps(default_config().to_dict()) + "\n")
-    dirs = []
     started = time.perf_counter()
     cmd_pipeline(str(config_path), str(base / "run1"))
     elapsed = time.perf_counter() - started
-    cmd_pipeline(str(config_path), str(base / "run2"))
-    dirs = [base / "run1", base / "run2"]
-    return dirs, elapsed
+    sweeps = []
+    run_sweep = cli.run_sweep
+
+    def recorded_sweep(cfg):
+        sweeps.append(run_sweep(cfg))
+        return sweeps[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        logs = record_observations(mp)
+        mp.setattr(cli, "run_sweep", recorded_sweep)
+        cmd_pipeline(str(config_path), str(base / "run2"))
+    (records, _), = sweeps
+    return SimpleNamespace(run1=base / "run1", run2=base / "run2", elapsed=elapsed,
+                           records=records, logs=logs)
 
 
 def test_criterion_1_legend_reproduction():
@@ -124,7 +139,7 @@ def test_criterion_2_metric_identities():
 
 
 def test_criterion_3_default_pipeline_quality(pipeline_runs):
-    (run1, _), elapsed = pipeline_runs
+    run1, elapsed = pipeline_runs.run1, pipeline_runs.elapsed
     manifest = json.loads((run1 / "manifest.json").read_text())
     report = json.loads((run1 / "report.json").read_text())
 
@@ -252,13 +267,13 @@ def gauss_clusters(seed, n_per_class, sigma, dims=4):
     return X, y
 
 
-def test_criterion_5_classifier_oracles():
+def test_criterion_5_classifier_oracles(monkeypatch):
     started = time.perf_counter()
     checks = []
 
     # KNN: exhaustive all-pairs search over 200 rows
     X, y = gauss_clusters(seed=7, n_per_class=100, sigma=2.0)
-    knn = KNearestNeighbors(k=5).fit(X, y)
+    knn = KNearestNeighbors().fit(X, y)
     rng = substream(13, 2)
     probes = np.array([[rng.gauss(25.0, 15.0) for _ in range(4)] for _ in range(40)])
     got = knn.predict(probes)
@@ -281,7 +296,7 @@ def test_criterion_5_classifier_oracles():
     def log_gauss(x, mean, var):
         return -0.5 * (math.log(2 * math.pi * var) + (x - mean) ** 2 / var)
 
-    joint = gnb.log_joint(np.array([[2.0, 11.0]]))[0]
+    joint = gnb._joint(np.array([[2.0, 11.0]]))[0]
     want0 = math.log(2 / 3) + log_gauss(2, 2, 1 + eps) + log_gauss(11, 12, 4 + eps)
     want1 = math.log(1 / 3) + log_gauss(2, 20, eps) + log_gauss(11, 2, eps)
     checks.append(("GNB closed form", abs(joint[0] - want0) <= 1e-12
@@ -309,21 +324,21 @@ def test_criterion_5_classifier_oracles():
 
     # SVM: KKT residuals within tol on a separable 40-point set
     Xs, ys = gauss_clusters(seed=101, n_per_class=20, sigma=6.0)
-    svm = SupportVectorMachine().fit(Xs, ys)
-    Xstd = svm.standardizer.transform(Xs)
+    smo = SupportVectorMachine().fit(Xs, ys)
+    Xstd = smo.standardizer.transform(Xs)
     alpha = np.zeros(40)
-    for svx, a in zip(svm.sv_X, svm.sv_alpha):
+    for svx, a in zip(smo.sv_X, smo.sv_alpha):
         hits = np.where((np.abs(Xstd - svx) < 1e-12).all(axis=1))[0]
         alpha[hits[0]] = a
-    margins = (2.0 * ys - 1.0) * svm.decision_function(Xs)
-    kkt_ok = svm.converged
+    margins = (2.0 * ys - 1.0) * smo.score(Xs)
+    kkt_ok = smo.converged
     for a, m in zip(alpha, margins):
         if a < 1e-12:
-            kkt_ok = kkt_ok and m >= 1.0 - svm.tol - 1e-6
+            kkt_ok = kkt_ok and m >= 1.0 - svm.TOL - 1e-6
         elif a > svm.C - 1e-12:
-            kkt_ok = kkt_ok and m <= 1.0 + svm.tol + 1e-6
+            kkt_ok = kkt_ok and m <= 1.0 + svm.TOL + 1e-6
         else:
-            kkt_ok = kkt_ok and abs(m - 1.0) <= svm.tol + 1e-6
+            kkt_ok = kkt_ok and abs(m - 1.0) <= svm.TOL + 1e-6
     checks.append(("SVM KKT", kkt_ok))
 
     Xx = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -332,14 +347,15 @@ def test_criterion_5_classifier_oracles():
     checks.append(("SVM XOR-4", xor_fit.predict(Xx).tolist() == [0, 0, 1, 1]))
 
     # RF: prediction equals the mode of the tree votes on every test row
-    rf = RandomForest(n_trees=25, seed=5).fit(X, y)
+    monkeypatch.setattr(forest, "N_TREES", 25)
+    rf = RandomForest(seed=5).fit(X, y)
     votes = np.stack([tree_apply(t, probes) for t in rf.trees])
     mode = (votes.sum(axis=0) * 2 > 25).astype(int)
     checks.append(("RF vote mode", np.array_equal(rf.predict(probes), mode)))
 
     # GB: training loss strictly improves over the prior
     gb = GradientBoosting().fit(X, y)
-    final = log_loss(y.astype(float), gb.decision_function(X))
+    final = log_loss(y.astype(float), gb._raw(X))
     checks.append(("GB loss drop", final < gb.loss_history[0]))
 
     elapsed = time.perf_counter() - started
@@ -354,7 +370,7 @@ def test_criterion_5_classifier_oracles():
 
 
 def test_criterion_6_pipeline_determinism(pipeline_runs):
-    (run1, run2), _ = pipeline_runs
+    run1, run2 = pipeline_runs.run1, pipeline_runs.run2
     mismatched = [
         name for name in ("flows.csv", "dataset.csv", "report.json")
         if (run1 / name).read_bytes() != (run2 / name).read_bytes()
@@ -380,7 +396,7 @@ PINNED_SHA256 = {
 
 
 def test_default_pipeline_artifacts_match_pinned_digests(pipeline_runs):
-    (run1, _), _ = pipeline_runs
+    run1 = pipeline_runs.run1
     digests = {
         name: hashlib.sha256((run1 / name).read_bytes()).hexdigest()
         for name in PINNED_SHA256
@@ -395,11 +411,11 @@ def test_default_pipeline_artifacts_match_pinned_digests(pipeline_runs):
 # paper's own data, and the SVM's support vectors and alphas, which
 # report.json's metrics would not show.
 DEFAULT_SPLIT_STATE_SHA256 = {
-    "RF": "bfd40a2769e1f74faae340b7b3634b8f8c6325cf0ed2e043a30e3124237dce1f",
-    "GB": "959586da2500f4388363335c64239be3db7e04012321e78f9ee556cb25cfc363",
-    "SVM": "6d92188f52aef4c5e09eb8f82e5bc50789f7c1c7bf20f2684f28d5e02fb71e57",
-    "KNN": "c2122dec875ce35733961b6836a681decb0a68d354ce20596765b2494b831340",
-    "LR": "735b7738253b6d281aa091fcb3bc9a448eb3e208b50810a1cd067b3fc6007e73",
+    "RF": "ce2cc30ac681eae2be9244b2dfc2d772f1419971bfb40bd78c22f6c2159942f6",
+    "GB": "f64c166b5f25d6d55c4de3ac06be94cc7492e28569b72de948c43f88dbb47961",
+    "SVM": "5a9e1f99fbbfd753b3f96b3b135b789f9fb4d84727da6423b845c951f4519ed2",
+    "KNN": "2e0bd32b854eb5af5b46f2a6b4817fc41d6fd7251fb67f743d7ce34b046057fc",
+    "LR": "9eb2dbe0513aa366ff32fc5309612063dbe0f1638a63e809b90c73ef3c5c8b54",
     "GNB": "513a899bf2aefb7e7431dad7c30d60b2efeec25d401ff29a14ad9775f96d2da5",
 }
 
@@ -421,7 +437,7 @@ def state_sha256(model) -> str:
 
 @pytest.mark.parametrize("kind", sorted(DEFAULT_SPLIT_STATE_SHA256))
 def test_default_training_split_states_match_pinned_digests(kind, pipeline_runs):
-    (run1, _), _ = pipeline_runs
+    run1 = pipeline_runs.run1
     X, y = default_training_split(run1)
     assert X.shape == (1200, 4) and np.unique(X[:, 3]).size == 1
     model = _model_for(kind, default_config().seed).fit(X, y)
@@ -432,7 +448,7 @@ def test_gb_node_sort_budget_bounds_memory_not_the_model(pipeline_runs, monkeypa
     """Whatever the byte budget of GB's shared node sorts, down to 0 (each
     search sorts its node anew), the default split's model is the same and
     the kept bytes stay within it. The default budget keeps every node."""
-    (run1, _), _ = pipeline_runs
+    run1 = pipeline_runs.run1
     X, y = default_training_split(run1)
     tries, built = [], []
 
@@ -490,35 +506,37 @@ def test_simulator_workload_flows_match_pinned_digests(workload, tmp_path):
     assert digests == want
 
 
-def test_criterion_7_flow_accounting(monkeypatch):
-    logs = record_observations(monkeypatch)
+def test_criterion_7_flow_accounting(pipeline_runs):
+    """Audits the flow records of the fixture's second default run against
+    every observation that run made. Each scenario owns a disjoint block of
+    ports, so a flow key names one flow of the whole sweep and the
+    scenarios' logs can be re-derived as one."""
+    records, logs = pipeline_runs.records, pipeline_runs.logs
     cfg = default_config()
-    flows_checked = 0
+    assert len(logs) == cfg.scenario_count
+    audit = recompute_from_log(o for log in logs.values() for o in log)
+    assert len({rec.key for rec in records}) == len(records) == len(audit)
     conservation_bad = 0
     audit_bad = 0
-    for index in range(cfg.scenario_count):
-        result = run_scenario(sample_scenario(cfg, index))
-        audit = recompute_from_log(logs[result.monitor])
-        for rec in result.records:
-            flows_checked += 1
-            if rec.rx_packets + rec.lost_packets != rec.tx_packets:
-                conservation_bad += 1
-            ref = audit[rec.key]
-            exact = (
-                rec.tx_packets == ref["tx_packets"]
-                and rec.rx_packets == ref["rx_packets"]
-                and rec.lost_packets == ref["lost_packets"]
-                and rec.delay_sum == ref["delay_sum"]
-                and rec.jitter_sum == ref["jitter_sum"]
-                and rec.last_delay == ref["last_delay"]
-                and rec.blackhole_absorbed == ref["blackhole_absorbed"]
-            )
-            if not exact:
-                audit_bad += 1
+    for rec in records:
+        if rec.rx_packets + rec.lost_packets != rec.tx_packets:
+            conservation_bad += 1
+        ref = audit[rec.key]
+        exact = (
+            rec.tx_packets == ref["tx_packets"]
+            and rec.rx_packets == ref["rx_packets"]
+            and rec.lost_packets == ref["lost_packets"]
+            and rec.delay_sum == ref["delay_sum"]
+            and rec.jitter_sum == ref["jitter_sum"]
+            and rec.last_delay == ref["last_delay"]
+            and rec.blackhole_absorbed == ref["blackhole_absorbed"]
+        )
+        if not exact:
+            audit_bad += 1
     ok = conservation_bad == 0 and audit_bad == 0
     assert _verdict(
         7, ok,
-        f"{flows_checked} flows over {cfg.scenario_count} scenarios: "
+        f"{len(records)} flows over {cfg.scenario_count} scenarios: "
         f"rx+lost==tx everywhere, accumulators equal brute-force recomputation"
         if ok else
         f"{conservation_bad} conservation / {audit_bad} accumulator mismatches",
