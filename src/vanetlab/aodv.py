@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .engine import BROADCAST, Engine, SimTime, seconds
-from .errors import InvalidSpec
+from .errors import VanetlabError
 from .flows import DataPacket, DropCause, FlowMonitor
 
 U32_MAX = 0xFFFFFFFF
@@ -113,7 +113,7 @@ class AodvNode:
     def send_data(self, pkt: DataPacket) -> None:
         """Origin entry point: route if possible, else queue and discover."""
         if pkt.dst == self.id:
-            raise InvalidSpec("packet addressed to its own source")
+            raise VanetlabError("packet addressed to its own source")
         if self._send_routed(pkt):
             return
         queue = self._pending.setdefault(pkt.dst, [])

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from ..dataset import Dataset
-from ..errors import SingleClassTraining, UntrainedModel, WidthMismatch
+from ..errors import DataError, VanetlabError
 
 
 def as_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -39,7 +39,7 @@ def check_labels(y, n_rows: int) -> np.ndarray:
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     if np.unique(y).size < 2:
-        raise SingleClassTraining("training labels contain a single class")
+        raise DataError("training labels contain a single class")
     return y
 
 
@@ -66,7 +66,7 @@ class Standardizer:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         if self.mean is None or self.std is None:
-            raise UntrainedModel("standardizer used before fit")
+            raise VanetlabError("standardizer used before fit")
         return (X - self.mean) / self.std
 
     def to_state(self) -> dict:
@@ -107,10 +107,10 @@ class Classifier:
 
     def _check_ready(self, X) -> np.ndarray:
         if self.n_features_ is None:
-            raise UntrainedModel(f"{self.kind}: predict/score before fit")
+            raise VanetlabError(f"{self.kind}: predict/score before fit")
         X = check_matrix(X)
         if X.shape[1] != self.n_features_:
-            raise WidthMismatch(
+            raise VanetlabError(
                 f"{self.kind}: fit width {self.n_features_}, got {X.shape[1]}"
             )
         return X
@@ -131,7 +131,7 @@ class Classifier:
         (arrays as lists). Tests pin its SHA-256, which makes
         "byte-identical models" checkable."""
         if self.n_features_ is None:
-            raise UntrainedModel(f"{self.kind}: to_state before fit")
+            raise VanetlabError(f"{self.kind}: to_state before fit")
         state = {"kind": self.kind, "n_features": self.n_features_}
         for name in self.fitted:
             value = getattr(self, name)

@@ -61,13 +61,7 @@ class GradientBoosting(Classifier):
                     return 0.0
                 return float(residual[idx].sum()) / den
 
-            tree = grow_tree(
-                X,
-                residual,
-                max_depth=MAX_DEPTH,
-                leaf_value=newton_leaf,
-                trie=trie,
-            )
+            tree = grow_tree(trie, residual, max_depth=MAX_DEPTH, leaf_value=newton_leaf)
             self.trees.append(tree)
             raw = raw + LEARNING_RATE * tree_apply(tree, X)
             self.loss_history.append(log_loss(yf, raw))

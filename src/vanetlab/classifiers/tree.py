@@ -183,18 +183,15 @@ class SortTrie:
 
 
 def grow_tree(
-    X: np.ndarray,
+    trie: SortTrie,
     t: np.ndarray,
     *,
     max_depth: int,
     leaf_value: Callable[[np.ndarray], float],
-    trie: SortTrie | None = None,
 ) -> dict:
-    """The squared-error tree of targets t; a leaf holds
-    leaf_value(row indices). trie holds the node sorts of X, shared with
-    the other trees grown on X; without one the tree sorts its own."""
-    if trie is None:
-        trie = SortTrie(X)
+    """The squared-error tree of targets t on the rows trie sorts; a leaf
+    holds leaf_value(row indices). The trie's node sorts are shared with
+    the other trees grown on the same rows."""
     root: dict = {}
     stack = [(root, trie.root, 0)]
     while stack:

@@ -32,7 +32,7 @@ from .dataset import (
     write_csv,
     write_flows_csv,
 )
-from .errors import ConfigError, DataError, SchemaError, SingleClassDataset, VanetlabError
+from .errors import ConfigError, DataError, VanetlabError
 from .metrics import evaluate_scores
 from .scenario import run_scenario
 
@@ -123,7 +123,7 @@ def _load_any_dataset(path: str) -> Dataset:
         return label_flows(read_flows_csv(path))
     if header == DATASET_HEADER:
         return read_csv(path)
-    raise SchemaError(f"{path}: header is neither a flows nor a dataset table")
+    raise DataError(f"{path}: header is neither a flows nor a dataset table")
 
 
 def _model_for(kind: str, seed: int):
@@ -147,7 +147,7 @@ def train_and_report(
 ) -> dict:
     positive, negative = ds.class_counts()
     if positive == 0 or negative == 0:
-        raise SingleClassDataset(
+        raise DataError(
             f"evaluation needs both classes, got {positive} positive / {negative} negative"
         )
     train, test = split(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, get_type_hints
 
-from .errors import InsufficientClassCount, SchemaError, TooFewRows
+from .errors import DataError
 from .flows import FlowRecord
 
 
@@ -78,7 +78,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Uniform random partition; first round(fraction*N) permuted rows train.
 
     With stratified=True the rounding rule applies per class instead.
-    TooFewRows if either side would be empty.
+    DataError if either side would be empty.
     """
     spec.validate()
     n = len(ds.rows)
@@ -101,7 +101,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         train = [ds.rows[i] for i in order[:n_train]]
         test = [ds.rows[i] for i in order[n_train:]]
     if not train or not test:
-        raise TooFewRows(
+        raise DataError(
             f"a {spec.train_fraction} split of {n} rows leaves "
             f"{len(train)} train / {len(test)} test rows; both need at least one"
         )
@@ -113,11 +113,9 @@ def balance(ds: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset
     pos = [r for r in ds.rows if r.label == 1]
     neg = [r for r in ds.rows if r.label == 0]
     if len(pos) < target_pos or len(neg) < target_neg:
-        raise InsufficientClassCount(
+        raise DataError(
             f"need {target_pos} positive / {target_neg} negative rows, "
-            f"have {len(pos)} / {len(neg)}",
-            available_positive=len(pos),
-            available_negative=len(neg),
+            f"have {len(pos)} / {len(neg)}"
         )
     rng = random.Random(seed)
     chosen = rng.sample(pos, target_pos) + rng.sample(neg, target_neg)
@@ -169,7 +167,7 @@ class _Table:
                 fh.write(",".join([fmt(v) for fmt, v in zip(formats, values(r))]) + "\n")
 
     def read(self, path) -> list[tuple[int, Any, list]]:
-        """(line number, record, computed values) per row. SchemaError on
+        """(line number, record, computed values) per row. DataError on
         text that is not UTF-8 and, with path:line for a row, on a wrong
         header or width, an unparsable value, a flow-key value outside its
         column or a label not 0 or 1."""
@@ -177,24 +175,24 @@ class _Table:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
         except UnicodeDecodeError as e:
-            raise SchemaError(f"{path}: not UTF-8 text ({e})") from None
+            raise DataError(f"{path}: not UTF-8 text ({e})") from None
         if not lines or lines[0] != self.header:
-            raise SchemaError(f"{path}:1: header is not {self.header}")
+            raise DataError(f"{path}:1: header is not {self.header}")
         width = len(self.parses)
         rows = []
         for ln, line in enumerate(lines[1:], start=2):
             texts = line.split(",")
             if len(texts) != width:
-                raise SchemaError(f"{path}:{ln}: expected {width} fields, got {len(texts)}")
+                raise DataError(f"{path}:{ln}: expected {width} fields, got {len(texts)}")
             try:
                 values = [parse(text) for parse, text in zip(self.parses, texts)]
             except ValueError as e:
-                raise SchemaError(f"{path}:{ln}: bad field ({e})") from None
+                raise DataError(f"{path}:{ln}: bad field ({e})") from None
             for i, name, end in self.ranges:
                 if not 0 <= values[i] < end:
-                    raise SchemaError(f"{path}:{ln}: {name} outside [0, {end - 1}]")
+                    raise DataError(f"{path}:{ln}: {name} outside [0, {end - 1}]")
             if values[self.label] not in (0, 1):
-                raise SchemaError(
+                raise DataError(
                     f"{path}:{ln}: label must be 0 or 1, got {values[self.label]}")
             rows.append((ln, self.cls(*values[:self.n_fields]), values[self.n_fields:]))
         return rows
@@ -237,17 +235,17 @@ def read_flows_csv(path) -> list[FlowRecord]:
         for name in _MEASURES:
             value = getattr(rec, name)  # None is an unset rx time
             if value is not None and not 0 <= value < math.inf:
-                raise SchemaError(f"{path}:{ln}: {name} must be finite and non-negative")
+                raise DataError(f"{path}:{ln}: {name} must be finite and non-negative")
         if rec.rx_packets + rec.lost_packets != rec.tx_packets:
-            raise SchemaError(f"{path}:{ln}: rx_packets + lost_packets != tx_packets")
+            raise DataError(f"{path}:{ln}: rx_packets + lost_packets != tx_packets")
         received = rec.rx_packets > 0
         if not received == (rec.time_first_rx is not None) == (rec.time_last_rx is not None):
-            raise SchemaError(f"{path}:{ln}: rx times must be set exactly when rx_packets > 0")
+            raise DataError(f"{path}:{ln}: rx times must be set exactly when rx_packets > 0")
         for low, high in _ORDERED:
             a, b = getattr(rec, low), getattr(rec, high)
             if a is not None and b is not None and a > b:
-                raise SchemaError(f"{path}:{ln}: {low} exceeds {high}")
+                raise DataError(f"{path}:{ln}: {low} exceeds {high}")
         if record_label(rec) != label:
-            raise SchemaError(f"{path}:{ln}: label inconsistent with ground truth")
+            raise DataError(f"{path}:{ln}: label inconsistent with ground truth")
         records.append(rec)
     return records

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
-from .errors import SchedulingInPast, UnknownNode
+from .errors import VanetlabError
 
 SimTime = int  # nanoseconds of virtual time
 
@@ -136,13 +136,13 @@ class Engine:
 
     def _require(self, node_id: int) -> None:
         if node_id not in self._kin:
-            raise UnknownNode(f"node {node_id} is not registered")
+            raise VanetlabError(f"node {node_id} is not registered")
 
     # -- scheduling ----------------------------------------------------
 
     def schedule_at(self, fire_time: SimTime, action: Callable[[], None]) -> None:
         if fire_time < self.clock:
-            raise SchedulingInPast(f"event at t={fire_time} but clock is {self.clock}")
+            raise VanetlabError(f"event at t={fire_time} but clock is {self.clock}")
         self._seq += 1
         heapq.heappush(self._queue, (fire_time, self._seq, _call, action, None))
 
@@ -159,7 +159,7 @@ class Engine:
         made here would; but the heap holds only its next event.
         """
         if start < self.clock:
-            raise SchedulingInPast(f"event at t={start} but clock is {self.clock}")
+            raise VanetlabError(f"event at t={start} but clock is {self.clock}")
         if interval < 0 or count <= 0:
             raise ValueError("a series needs interval >= 0 and count > 0")
         first_seq = self._seq + 1
@@ -202,7 +202,7 @@ class Engine:
             ax, ay, avx, avy = self._kin[a]
             bx, by, bvx, bvy = self._kin[b]
         except KeyError as e:
-            raise UnknownNode(f"node {e.args[0]} is not registered") from None
+            raise VanetlabError(f"node {e.args[0]} is not registered") from None
         dt = t / NS_PER_S
         return math.hypot((ax + avx * dt) - (bx + bvx * dt), (ay + avy * dt) - (by + bvy * dt))
 
@@ -268,7 +268,7 @@ class Engine:
         flood after their first, as AODV does a route request it has seen.
         """
         if src not in self._kin:
-            raise UnknownNode(f"node {src} is not registered")
+            raise VanetlabError(f"node {src} is not registered")
         if size_bytes <= 0:
             raise ValueError("size_bytes must be > 0")
         clock, radio = self.clock, self.radio

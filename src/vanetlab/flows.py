@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .engine import NS_PER_S, SimTime
-from .errors import DuplicateTerminal, InvalidSpec
+from .errors import VanetlabError
 
 
 def node_address(node_id: int) -> int:
@@ -55,11 +55,11 @@ class FlowSpec:
 
     def validate(self) -> None:
         if self.src == self.dst:
-            raise InvalidSpec("flow src and dst must differ")
+            raise VanetlabError("flow src and dst must differ")
         if self.packet_size_bytes <= 0 or self.data_rate_bps <= 0 or self.packet_count <= 0:
-            raise InvalidSpec("packet size, data rate and packet count must be positive")
+            raise VanetlabError("packet size, data rate and packet count must be positive")
         if not (0 <= self.src_port <= 0xFFFF and 0 <= self.dst_port <= 0xFFFF):
-            raise InvalidSpec("ports must fit in 16 bits")
+            raise VanetlabError("ports must fit in 16 bits")
 
     @property
     def key(self) -> FlowKey:
@@ -153,7 +153,7 @@ class FlowMonitor:
         entry = self._flows.get(key)
         sent = [] if entry is None else entry[1]
         if seq != len(sent):
-            raise DuplicateTerminal(f"Tx of {key} seq {seq}, expected seq {len(sent)}")
+            raise VanetlabError(f"Tx of {key} seq {seq}, expected seq {len(sent)}")
         if entry is None:
             entry = self._flows[key] = (FlowRecord(*key, time, None, time, None), sent)
         rec = entry[0]
@@ -185,14 +185,14 @@ class FlowMonitor:
 
     def _close(self, key: FlowKey, seq: int) -> tuple[FlowRecord, SimTime]:
         """Mark the packet's terminal observation; its flow's record and
-        its Tx time. DuplicateTerminal if it has no Tx or is already closed."""
+        its Tx time. VanetlabError if it has no Tx or is already closed."""
         entry = self._flows.get(key)
         if entry is None or not 0 <= seq < len(entry[1]):
-            raise DuplicateTerminal(f"terminal before Tx for {key} seq {seq}")
+            raise VanetlabError(f"terminal before Tx for {key} seq {seq}")
         rec, sent = entry
         tx_time = sent[seq]
         if tx_time is None:
-            raise DuplicateTerminal(f"second terminal observation for {key} seq {seq}")
+            raise VanetlabError(f"second terminal observation for {key} seq {seq}")
         sent[seq] = None
         return rec, tx_time
 

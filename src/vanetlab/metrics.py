@@ -10,13 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import (
-    EmptyInput,
-    LengthMismatch,
-    MalformedCurve,
-    OutOfRange,
-    SingleClassTruth,
-)
+from .errors import DataError, VanetlabError
 
 
 @dataclass(frozen=True)
@@ -56,9 +50,9 @@ class MetricsReport:
 
 def confusion(pred: Sequence[int], truth: Sequence[int]) -> ConfusionCounts:
     if len(pred) != len(truth):
-        raise LengthMismatch(f"pred has {len(pred)} labels, truth has {len(truth)}")
+        raise VanetlabError(f"pred has {len(pred)} labels, truth has {len(truth)}")
     if not pred:
-        raise EmptyInput("confusion needs at least one prediction")
+        raise VanetlabError("confusion needs at least one prediction")
     tp = fp = tn = fn = 0
     for p, t in zip(pred, truth):
         if p == 1:
@@ -84,7 +78,7 @@ def _ratio(num: int, den: int, name: str, degenerate: list[str]) -> float:
 def compute_metrics(c: ConfusionCounts) -> MetricsReport:
     """Accuracy, sensitivity, PPV, NPV and F1 over one confusion matrix."""
     if c.total == 0:
-        raise EmptyInput("confusion counts sum to zero")
+        raise VanetlabError("confusion counts sum to zero")
     degenerate: list[str] = []
     accuracy = (c.tp + c.tn) / c.total
     sensitivity = _ratio(c.tp, c.tp + c.fn, "sensitivity", degenerate)
@@ -107,17 +101,17 @@ def roc_points(scores: Sequence[float], truth: Sequence[int]) -> list[tuple[floa
 
     At threshold s a row is predicted positive when score >= s, so tied
     scores move together. The returned curve starts at (0,0), ends (1,1).
-    Scores may be infinite; a NaN score is OutOfRange.
+    Scores may be infinite; a NaN score is a VanetlabError.
     """
     if len(scores) != len(truth):
-        raise LengthMismatch(f"{len(scores)} scores vs {len(truth)} labels")
+        raise VanetlabError(f"{len(scores)} scores vs {len(truth)} labels")
     for i, s in enumerate(scores):
         if s != s:
-            raise OutOfRange(f"score of row {i} is NaN")
+            raise VanetlabError(f"score of row {i} is NaN")
     n_pos = sum(1 for t in truth if t == 1)
     n_neg = len(truth) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassTruth("ROC needs both classes in truth")
+        raise DataError("ROC needs both classes in truth")
 
     order = sorted(range(len(scores)), key=lambda i: -scores[i])
     points: list[tuple[float, float]] = [(0.0, 0.0)]
@@ -139,16 +133,16 @@ def roc_points(scores: Sequence[float], truth: Sequence[int]) -> list[tuple[floa
 
 def auc_trapezoid(points: Sequence[tuple[float, float]]) -> float:
     if len(points) < 2:
-        raise MalformedCurve("need at least 2 points")
+        raise VanetlabError("need at least 2 points")
     if points[0] != (0.0, 0.0) or points[-1] != (1.0, 1.0):
-        raise MalformedCurve("curve must start at (0,0) and end at (1,1)")
+        raise VanetlabError("curve must start at (0,0) and end at (1,1)")
     prev_x, prev_y = points[0]
     area = 0.0
     for x, y in points[1:]:
         if x < prev_x or y < prev_y:
-            raise MalformedCurve("curve must be monotone non-decreasing")
+            raise VanetlabError("curve must be monotone non-decreasing")
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise MalformedCurve("coordinates must lie in [0,1]")
+            raise VanetlabError("coordinates must lie in [0,1]")
         area += (x - prev_x) * (y + prev_y) / 2.0
         prev_x, prev_y = x, y
     return area
@@ -157,9 +151,9 @@ def auc_trapezoid(points: Sequence[tuple[float, float]]) -> float:
 def single_point_auc(tpr: float, fpr: float) -> float:
     """Area under the 3-point polyline (0,0) -> (fpr,tpr) -> (1,1)."""
     if not (0.0 <= tpr <= 1.0):
-        raise OutOfRange(f"tpr {tpr} outside [0,1]")
+        raise VanetlabError(f"tpr {tpr} outside [0,1]")
     if not (0.0 <= fpr <= 1.0):
-        raise OutOfRange(f"fpr {fpr} outside [0,1]")
+        raise VanetlabError(f"fpr {fpr} outside [0,1]")
     return (1.0 + tpr - fpr) / 2.0
 
 
@@ -172,7 +166,6 @@ def evaluate_scores(
     report.roc_points = points
     report.auc = auc_trapezoid(points)
     c = report.counts
-    tpr = c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0
     fpr = c.fp / (c.fp + c.tn) if c.fp + c.tn else 0.0
-    report.single_point_auc = single_point_auc(tpr, fpr)
+    report.single_point_auc = single_point_auc(report.sensitivity, fpr)
     return report

@@ -43,11 +43,7 @@ from vanetlab.classifiers.forest import bootstrap_rows
 from vanetlab.classifiers.tree import SortTrie, grow_forest, grow_tree, tree_apply
 from vanetlab.dataset import Dataset, DatasetRow
 from vanetlab.engine import substream
-from vanetlab.errors import (
-    SingleClassTraining,
-    UntrainedModel,
-    WidthMismatch,
-)
+from vanetlab.errors import DataError, VanetlabError
 
 
 def gauss_clusters(seed, n_per_class, sigma, mean0=10.0, mean1=40.0, dims=4):
@@ -564,7 +560,7 @@ def test_grow_tree_skips_a_constant_column_walked_first():
     assert '"feature": 0' not in text
     # without an rng the walk is 0, 1, 2: the constant column always leads
     t = y - 0.5
-    tree = grow_tree(X, t, max_depth=4, leaf_value=lambda idx: float(t[idx].mean()))
+    tree = grow_tree(SortTrie(X), t, max_depth=4, leaf_value=lambda idx: float(t[idx].mean()))
     text = json.dumps(tree, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "4694cfd1915b1aef6e20199f0b52674de602feb87ed5a90c32e9cdb59b8fe6bf")
@@ -709,7 +705,7 @@ def test_shared_node_sorts_match_the_per_node_grower(monkeypatch):
                     return float(t[idx].sum())
                 return value
 
-            got = grow_tree(X, t, max_depth=max_depth, leaf_value=leaf(got_leaves), trie=trie)
+            got = grow_tree(trie, t, max_depth=max_depth, leaf_value=leaf(got_leaves))
             want = grow_mse_tree(X, t, max_depth, leaf(want_leaves))
             assert float_hex(got) == float_hex(want), f"case {seed} stage {stage}"
             assert got_leaves == want_leaves, f"case {seed} stage {stage}"
@@ -899,17 +895,22 @@ def test_classify_matches_pinned_predict_and_score(case, monkeypatch):
 def test_untrained_and_width_errors(kind, separable400):
     X, y = separable400
     model = make(kind)
-    with pytest.raises(UntrainedModel):
+    with pytest.raises(VanetlabError, match=f"{kind}: predict/score before fit") as exc:
         model.predict(X)
-    with pytest.raises(UntrainedModel):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match=f"{kind}: predict/score before fit") as exc:
         model.classify(X)
-    with pytest.raises(UntrainedModel):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match=f"{kind}: to_state before fit") as exc:
         model.to_state()
+    assert exc.value.exit_code == 4
     model.fit(X, y)
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(VanetlabError, match=f"{kind}: fit width 4, got 3") as exc:
         model.predict(X[:, :3])
-    with pytest.raises(WidthMismatch):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match=f"{kind}: fit width 4, got 3") as exc:
         model.classify(X[:, :3])
+    assert exc.value.exit_code == 4
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -932,7 +933,7 @@ def test_score_and_classify_check_their_input_once(kind, separable400, monkeypat
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_single_class_training_rejected(kind):
     X = np.arange(20, dtype=np.float64).reshape(10, 2)
-    with pytest.raises(SingleClassTraining):
+    with pytest.raises(DataError, match="training labels contain a single class"):
         make(kind).fit(X, np.ones(10, dtype=np.int64))
 
 
@@ -950,7 +951,7 @@ def test_check_labels_rejects_bad_vectors():
         check_labels([0, 1, 2], 3)
     with pytest.raises(ValueError):
         check_labels([0, 1], 3)
-    with pytest.raises(SingleClassTraining):
+    with pytest.raises(DataError, match="training labels contain a single class"):
         check_labels([1, 1, 1], 3)
 
 
@@ -962,8 +963,9 @@ def test_standardizer_formula_and_zero_variance():
     out = s.transform(X)
     assert np.allclose(out[:, 0] * s.std[0] + s.mean[0], X[:, 0])
     assert np.allclose(out[:, 1], 0.0)
-    with pytest.raises(UntrainedModel):
+    with pytest.raises(VanetlabError, match="standardizer used before fit") as exc:
         Standardizer().transform(X)
+    assert exc.value.exit_code == 4
 
 
 @pytest.mark.parametrize("kind", ["KNN", "SVM", "LR"])

@@ -8,10 +8,10 @@ import sys
 
 import pytest
 
-from vanetlab import cli
+from vanetlab import cli, errors
 from vanetlab.cli import _parse_balance, main
 from vanetlab.dataset import DATASET_HEADER, FLOWS_HEADER
-from vanetlab.errors import ConfigError
+from vanetlab.errors import ConfigError, DataError, VanetlabError
 
 BRIDGED = {
     "seed": 1729,
@@ -382,6 +382,47 @@ def test_split_that_empties_a_side_exits_three(tmp_path, capsys, fraction):
                "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")])
     assert rc == 3
     assert "both need at least one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1, "ROC needs both classes in truth"),
+    (10, "training labels contain a single class"),
+])
+def test_split_that_leaves_one_class_on_a_side_exits_three(tmp_path, capsys, seed, message):
+    """The one positive row lands in train (seed 1) or test (seed 10),
+    leaving the other side with a single class."""
+    rows = "\n".join(f"{100 + i},200,{49153 + i},9,{int(i == 0)}" for i in range(10))
+    ds = tmp_path / "one-positive.csv"
+    ds.write_text(DATASET_HEADER + "\n" + rows + "\n")
+    rc = main(["evaluate", "--dataset", str(ds), "--seed", str(seed),
+               "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_runtime_error_exits_four(tmp_path, monkeypatch, capsys):
+    def boom(cfg):
+        raise VanetlabError("boom")
+
+    monkeypatch.setattr(cli, "run_sweep", boom)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("{}")
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "f.csv")])
+    assert rc == 4
+    assert capsys.readouterr().err == "runtime error: boom\n"
+
+
+def test_one_error_class_per_exit_code():
+    """The exit code is the errors' whole contract: one class owns each
+    code, and nothing subclasses them."""
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert defined == {"VanetlabError", "DataError", "ConfigError"}
+    assert set(VanetlabError.__subclasses__()) == {DataError, ConfigError}
+    assert DataError.__subclasses__() == ConfigError.__subclasses__() == []
+    codes = {cls.exit_code: cls for cls in (VanetlabError, DataError, ConfigError)}
+    assert codes == {4: VanetlabError, 3: DataError, 2: ConfigError}
+    assert set(cli._PREFIXES) == set(codes)
 
 
 def test_parse_balance():

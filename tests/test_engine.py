@@ -17,7 +17,7 @@ from vanetlab.engine import (
     seconds,
     substream,
 )
-from vanetlab.errors import SchedulingInPast, UnknownNode
+from vanetlab.errors import VanetlabError
 
 
 def test_seconds_floors_to_integer_ns():
@@ -90,8 +90,9 @@ def test_run_until_backwards_rejected():
 def test_scheduling_in_the_past_rejected():
     eng = Engine()
     eng.run_until(seconds(3))
-    with pytest.raises(SchedulingInPast):
+    with pytest.raises(VanetlabError, match="but clock is") as exc:
         eng.schedule_at(seconds(2), lambda: None)
+    assert exc.value.exit_code == 4
 
 
 def test_position_static_node():
@@ -111,17 +112,21 @@ def test_position_linear_motion():
 
 def test_unknown_node_raises():
     eng = Engine()
-    with pytest.raises(UnknownNode):
+    with pytest.raises(VanetlabError, match="node 99 is not registered") as exc:
         eng.position_at(99, 0)
-    with pytest.raises(UnknownNode):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match="node 99 is not registered") as exc:
         eng.neighbors(99, 0)
+    assert exc.value.exit_code == 4
     eng.register_node(0, (0.0, 0.0))
     for a, b in ((99, 0), (0, 99)):
-        with pytest.raises(UnknownNode):
+        with pytest.raises(VanetlabError, match="node 99 is not registered") as exc:
             eng.distance(a, b, 0)
+        assert exc.value.exit_code == 4
     for src, dst in ((99, BROADCAST), (99, 0), (99, 99), (0, 99)):
-        with pytest.raises(UnknownNode):
+        with pytest.raises(VanetlabError, match="node 99 is not registered") as exc:
             eng.transmit(src, dst, 64, "x")
+        assert exc.value.exit_code == 4
     assert eng.run_until(seconds(1)) == 0  # nothing was scheduled
 
 
@@ -329,8 +334,9 @@ def test_series_runs_in_eager_schedule_order():
 def test_series_rejects_bad_arguments():
     eng = Engine()
     eng.run_until(seconds(1))
-    with pytest.raises(SchedulingInPast):
+    with pytest.raises(VanetlabError, match="but clock is") as exc:
         eng.schedule_series(0, 10, 3, lambda i: None)
+    assert exc.value.exit_code == 4
     for interval, count in ((-1, 3), (10, 0)):
         with pytest.raises(ValueError):
             eng.schedule_series(seconds(2), interval, count, lambda i: None)
@@ -459,8 +465,9 @@ def test_transmit_edge_cases():
             for dst, p in ((1, "edge"), (3, "mute"), (BROADCAST, "all"))] == [True] * 3
     assert eng.run_until(seconds(2)) == 4  # edge, mute, all to nodes 1 and 3
     assert got == [(1, 0, "edge"), (1, 0, "all")]
-    with pytest.raises(UnknownNode):
+    with pytest.raises(VanetlabError, match="node 9 is not registered") as exc:
         eng.transmit(0, 9, 64, "nobody")
+    assert exc.value.exit_code == 4
 
 
 def _flood_engine(xs, prop_delay=3.336e-9):

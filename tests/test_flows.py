@@ -13,7 +13,7 @@ import pytest
 from flow_audit import recompute_from_log, record_observations
 
 from vanetlab.engine import Engine, seconds, substream
-from vanetlab.errors import DuplicateTerminal, InvalidSpec
+from vanetlab.errors import VanetlabError
 from vanetlab.flows import (
     DropCause,
     FlowKey,
@@ -54,14 +54,18 @@ def test_flow_spec_validation():
                 packet_size_bytes=1024, data_rate_bps=600_000,
                 packet_count=7, start=0)
     FlowSpec(**good).validate()
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(VanetlabError, match="src and dst must differ") as exc:
         FlowSpec(**{**good, "dst": 0}).validate()
-    with pytest.raises(InvalidSpec):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match="packet count must be positive") as exc:
         FlowSpec(**{**good, "packet_count": 0}).validate()
-    with pytest.raises(InvalidSpec):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match="packet count must be positive") as exc:
         FlowSpec(**{**good, "data_rate_bps": 0}).validate()
-    with pytest.raises(InvalidSpec):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match="ports must fit in 16 bits") as exc:
         FlowSpec(**{**good, "src_port": 70000}).validate()
+    assert exc.value.exit_code == 4
 
 
 def test_single_packet_delay():
@@ -111,24 +115,28 @@ def test_non_absorbed_drops_leave_ground_truth_zero():
 def test_duplicate_tx_rejected():
     mon = FlowMonitor()
     mon.observe_tx(KEY, 0, seconds(1), 1024)
-    with pytest.raises(DuplicateTerminal):
+    with pytest.raises(VanetlabError, match="seq 0, expected seq 1") as exc:
         mon.observe_tx(KEY, 0, seconds(2), 1024)
+    assert exc.value.exit_code == 4
 
 
 def test_second_terminal_rejected():
     mon = FlowMonitor()
     mon.observe_tx(KEY, 0, seconds(1), 1024)
     mon.observe_rx(KEY, 0, seconds(1.5), 1024)
-    with pytest.raises(DuplicateTerminal):
+    with pytest.raises(VanetlabError, match="second terminal observation") as exc:
         mon.observe_rx(KEY, 0, seconds(1.6), 1024)
-    with pytest.raises(DuplicateTerminal):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match="second terminal observation") as exc:
         mon.observe_drop(KEY, 0, seconds(1.7), 1024, DropCause.NO_ROUTE)
+    assert exc.value.exit_code == 4
 
 
 def test_terminal_before_tx_rejected():
     mon = FlowMonitor()
-    with pytest.raises(DuplicateTerminal):
+    with pytest.raises(VanetlabError, match="terminal before Tx") as exc:
         mon.observe_rx(KEY, 5, seconds(1), 1024)
+    assert exc.value.exit_code == 4
 
 
 def per_kind(mon, o):
@@ -162,7 +170,7 @@ REJECTED = {
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_per_kind_methods_reject_every_duplicate_and_orphan(case):
-    """Each entry point raises DuplicateTerminal when called directly on a
+    """Each entry point raises a VanetlabError when called directly on a
     Tx that is not its flow's next seq or a terminal without a live Tx,
     and the rejected call changes no record."""
     calls = [
@@ -174,8 +182,10 @@ def test_per_kind_methods_reject_every_duplicate_and_orphan(case):
     for o in calls[:-1]:
         per_kind(mon, o)
     before = copy.deepcopy(mon)
-    with pytest.raises(DuplicateTerminal):
+    with pytest.raises(VanetlabError,
+                       match="expected seq|terminal before Tx|second terminal") as exc:
         per_kind(mon, calls[-1])
+    assert exc.value.exit_code == 4
     assert mon.finalize(seconds(9)) == before.finalize(seconds(9))
 
 
@@ -337,5 +347,6 @@ def test_start_flow_validates_spec():
     mon = FlowMonitor()
     bad = FlowSpec(0, 0, 49153, 9, packet_size_bytes=1024,
                    data_rate_bps=1_024_000, packet_count=7, start=0)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(VanetlabError, match="src and dst must differ") as exc:
         start_flow(eng, _StubNode(), mon, bad)
+    assert exc.value.exit_code == 4

@@ -9,16 +9,11 @@ computed closed forms.
 
 import math
 import random
+import re
 
 import pytest
 
-from vanetlab.errors import (
-    EmptyInput,
-    LengthMismatch,
-    MalformedCurve,
-    OutOfRange,
-    SingleClassTruth,
-)
+from vanetlab.errors import DataError, VanetlabError
 from vanetlab.metrics import (
     ConfusionCounts,
     auc_trapezoid,
@@ -58,10 +53,12 @@ def test_confusion_with_positive_zero_swaps_roles():
 
 
 def test_confusion_input_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(VanetlabError, match="pred has 2 labels, truth has 1") as exc:
         confusion([1, 0], [1])
-    with pytest.raises(EmptyInput):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match="needs at least one prediction") as exc:
         confusion([], [])
+    assert exc.value.exit_code == 4
 
 
 def test_negative_counts_rejected():
@@ -163,10 +160,11 @@ def test_roc_is_monotone_on_random_scores():
 
 
 def test_roc_requires_both_classes_and_equal_lengths():
-    with pytest.raises(SingleClassTruth):
+    with pytest.raises(DataError, match="ROC needs both classes in truth"):
         roc_points([0.5, 0.6], [1, 1])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(VanetlabError, match="1 scores vs 2 labels") as exc:
         roc_points([0.5], [1, 0])
+    assert exc.value.exit_code == 4
 
 
 @pytest.mark.parametrize("scores, row", [
@@ -175,10 +173,12 @@ def test_roc_requires_both_classes_and_equal_lengths():
 ])
 def test_roc_rejects_a_nan_score_naming_its_first_row(scores, row):
     truth = [0, 1, 0, 1][:len(scores)]
-    with pytest.raises(OutOfRange, match=f"row {row} is NaN"):
+    with pytest.raises(VanetlabError, match=f"row {row} is NaN") as exc:
         roc_points(scores, truth)
-    with pytest.raises(OutOfRange, match=f"row {row} is NaN"):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match=f"row {row} is NaN") as exc:
         evaluate_scores([0] * len(scores), scores, truth)
+    assert exc.value.exit_code == 4
 
 
 def test_roc_accepts_infinite_scores():
@@ -194,16 +194,17 @@ def test_trapezoid_area_closed_forms():
     assert auc_trapezoid([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]) == 1.0
 
 
-@pytest.mark.parametrize("points", [
-    [(0.0, 0.0)],
-    [(0.1, 0.0), (1.0, 1.0)],
-    [(0.0, 0.0), (0.9, 0.9)],
-    [(0.0, 0.0), (0.5, 0.8), (0.4, 0.9), (1.0, 1.0)],
-    [(0.0, 0.0), (0.5, 1.2), (1.0, 1.0)],
-])
-def test_trapezoid_rejects_malformed_curves(points):
-    with pytest.raises(MalformedCurve):
+@pytest.mark.parametrize("points, problem", [
+    ([(0.0, 0.0)], "need at least 2 points"),
+    ([(0.1, 0.0), (1.0, 1.0)], "start at (0,0) and end at (1,1)"),
+    ([(0.0, 0.0), (0.9, 0.9)], "start at (0,0) and end at (1,1)"),
+    ([(0.0, 0.0), (0.5, 0.8), (0.4, 0.9), (1.0, 1.0)], "monotone non-decreasing"),
+    ([(0.0, 0.0), (0.5, 1.2), (1.0, 1.0)], "coordinates must lie in [0,1]"),
+], ids=[f"points{i}" for i in range(5)])
+def test_trapezoid_rejects_malformed_curves(points, problem):
+    with pytest.raises(VanetlabError, match=re.escape(problem)) as exc:
         auc_trapezoid(points)
+    assert exc.value.exit_code == 4
 
 
 def test_roc_invariant_under_monotone_score_transform():
@@ -225,10 +226,12 @@ def test_single_point_auc_formula():
 
 
 def test_single_point_auc_rejects_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(VanetlabError, match=re.escape("tpr 1.2 outside [0,1]")) as exc:
         single_point_auc(1.2, 0.0)
-    with pytest.raises(OutOfRange):
+    assert exc.value.exit_code == 4
+    with pytest.raises(VanetlabError, match=re.escape("fpr -0.1 outside [0,1]")) as exc:
         single_point_auc(0.5, -0.1)
+    assert exc.value.exit_code == 4
 
 
 def test_evaluate_scores_populates_every_field():
