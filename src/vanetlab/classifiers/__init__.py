@@ -13,9 +13,9 @@ from .base import Classifier, Standardizer, as_arrays, sigmoid
 from .bayes import GaussianNaiveBayes
 from .boosting import GradientBoosting, log_loss
 from .forest import RandomForest
-from .linear import LogisticRegression, loss_and_grad
+from .linear import LogisticRegression
 from .neighbors import KNearestNeighbors
-from .svm import SupportVectorMachine, rbf_kernel
+from .svm import SupportVectorMachine
 
 KINDS = ("GB", "RF", "SVM", "KNN", "GNB", "LR")
 
@@ -48,8 +48,6 @@ __all__ = [
     "SupportVectorMachine",
     "as_arrays",
     "log_loss",
-    "loss_and_grad",
     "make",
-    "rbf_kernel",
     "sigmoid",
 ]

@@ -1,6 +1,7 @@
 """Shared classifier plumbing: input validation, the
-fit/classify/predict/score contract, and feature standardization for the
-distance and gradient models.
+fit/classify/predict/score contract, feature standardization for the
+distance and gradient models, and the one squared-distance formula that
+the SVM kernel and KNN share.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import DataError, VanetlabError
+
+# bytes of one row block's squared distances; sq_dists holds a second
+# array of that size while it works
+ROW_BLOCK_BYTES = 1 << 19
 
 
 def as_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -156,3 +161,28 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """D[i, j] = ||A_i - B_j||^2, accumulated feature by feature from zero.
+
+    Every element takes the same IEEE operations in the same order,
+    whatever the width, the shapes or the host's BLAS: no BLAS call and
+    no numpy reduction, whose order can change with the row width. The
+    distance of a row to itself is exactly 0. Allocates D and one
+    temporary of its size.
+    """
+    d2 = np.zeros((A.shape[0], B.shape[0]))
+    diff = np.empty_like(d2)
+    for f in range(A.shape[1]):
+        np.subtract(A[:, f, None], B[None, :, f], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def row_blocks(n_rows: int, width: int):
+    """Slices of consecutive rows whose width-column float64 block fits
+    ROW_BLOCK_BYTES, one row at least."""
+    step = max(1, ROW_BLOCK_BYTES // (8 * max(1, width)))
+    return (slice(start, start + step) for start in range(0, n_rows, step))

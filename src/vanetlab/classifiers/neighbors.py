@@ -6,6 +6,10 @@ A split vote goes to the class with the smaller summed neighbor
 distance, then to normal. Score is the malicious fraction of the
 neighborhood, so for an odd count the majority label coincides with
 score >= 0.5.
+
+Squared distances come from base.sq_dists, a bounded block of query
+rows at a time, so each distance is the same fixed-order sum whatever
+the feature count, the block or the host's BLAS.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, Standardizer
+from .base import Classifier, Standardizer, row_blocks, sq_dists
 
 K = 5
 
@@ -44,16 +48,17 @@ class KNearestNeighbors(Classifier):
         NaN distances sort last (Standardizer.fit rejects the overflowing
         features that would produce them).
         """
-        k = min(k, self.train_X.shape[0])
+        n = self.train_X.shape[0]
+        k = min(k, n)
         idx = np.empty((Xs.shape[0], k), dtype=np.int64)
         dist = np.empty((Xs.shape[0], k))
-        for q in range(Xs.shape[0]):
-            diff = self.train_X - Xs[q]
-            d2 = (diff * diff).sum(axis=1)
-            near = np.flatnonzero(~(d2 > np.partition(d2, k - 1)[k - 1]))
-            order = near[np.argsort(d2[near], kind="stable")[:k]]
-            idx[q] = order
-            dist[q] = np.sqrt(d2[order])
+        for blk in row_blocks(Xs.shape[0], n):
+            for q, d2 in enumerate(sq_dists(Xs[blk], self.train_X), blk.start):
+                near = np.flatnonzero(~(d2 > np.partition(d2, k - 1)[k - 1]))
+                order = near[np.argsort(d2[near], kind="stable")[:k]]
+                idx[q] = order
+                dist[q] = np.sqrt(d2[order])
+            del d2  # a row's view would keep its block alive into the next
         return idx, dist
 
     def _score(self, X: np.ndarray) -> np.ndarray:

@@ -3,20 +3,21 @@ optimization on the dual.
 
 Labels map to {-1,+1} internally and features are standardized before
 the kernel sees them. The solver is LIBSVM's (Fan, Chen & Lin, JMLR
-6:1889-1918, 2005): it keeps the full kernel matrix and the residual
-F = -y*G (G the dual gradient), picks the maximal violator i and the
-partner j with the largest second-order decrease (WSS2), and takes the
-clipped two-variable step. It stops when the KKT gap m - M is at most
+6:1889-1918, 2005): it keeps the residual F = -y*G (G the dual
+gradient), picks the maximal violator i and the partner j with the
+largest second-order decrease (WSS2), and takes the clipped
+two-variable step. It stops when the KKT gap m - M is at most
 TOL, or gives up (converged=False) after MAX_ITER pair updates. Ties
 break to the lowest index, so fits are deterministic.
 
-As LIBSVM's kernel cache is there, the kernel matrix is the solver's
-one large working array: rbf_kernel allocates only the m x n result,
-takes the Gram matrix into it with one BLAS call and turns it into
-kernel values in place, a bounded block of rows at a time. Each element
-goes through the same floating-point operations in the same order as
-the whole-matrix formula, so the kernel, and every fitted model, is
-bit-for-bit the same.
+The kernel matrix is never built. SMO reads only the rows K[i] and K[j]
+of its working pair, so, as in LIBSVM's kernel cache, the fit computes
+a row the first time the solver asks for it and keeps it for the rest
+of the fit. Each row is exp(-GAMMA * d2) with d2 from base.sq_dists,
+the fixed-order squared distances that call no BLAS, so every kernel
+value is the same whichever row asks for it, on any BLAS build, and
+the diagonal is exactly 1. Scoring takes the same rows of the test
+points against the support vectors, a bounded block at a time.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, Standardizer, labels_to_pm
+from .base import Classifier, Standardizer, labels_to_pm, row_blocks, sq_dists
 
 log = logging.getLogger("vanetlab.svm")
 
 # curvature floor for pairs whose kernel rows coincide (LIBSVM's TAU)
 TAU = 1e-12
-
-# bytes of the one temporary a row block of rbf_kernel allocates
-BLOCK_BYTES = 1 << 19
 
 C = 1.0
 GAMMA = 0.25
@@ -43,33 +41,11 @@ TOL = 1e-3
 MAX_ITER = 100_000
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """K[i, j] = exp(-gamma * ||A_i - B_j||^2), built in one m x n array.
-
-    Equal, bit for bit, to exp(-gamma * max(a2 + b2 - 2 * (A @ B.T), 0))
-    evaluated one whole-matrix temporary at a time. The Gram matrix
-    G = A @ B.T is one BLAS call, never split, since BLAS may round a
-    row block's dot products differently from the whole product's.
-    Doubling G in place is exact. Each block of rows then takes, element
-    by element, (a2_i + b2_j) - 2 g_ij, the clamp at 0, the product with
-    -gamma and exp: the formula's own operations in its own order. Each
-    is an elementwise ufunc, so a value depends only on its operands, not
-    on where its row sits in a block. Beyond K, a block allocates only
-    a2_i + b2_j for its rows: at most BLOCK_BYTES, or one row if a row is
-    larger.
-    """
-    a2 = (A * A).sum(axis=1)[:, None]
-    b2 = (B * B).sum(axis=1)[None, :]
-    K = A @ B.T
-    K *= 2.0
-    rows = max(1, BLOCK_BYTES // max(1, K.shape[1] * K.itemsize))
-    for start in range(0, K.shape[0], rows):
-        blk = K[start:start + rows]
-        np.subtract(a2[start:start + rows] + b2, blk, out=blk)
-        np.maximum(blk, 0.0, out=blk)
-        blk *= -gamma
-        np.exp(blk, out=blk)
-    return K
+def rbf_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """K[i, j] = exp(-GAMMA * ||A_i - B_j||^2), in place over sq_dists."""
+    K = sq_dists(A, B)
+    K *= -GAMMA
+    return np.exp(K, out=K)
 
 
 class SupportVectorMachine(Classifier):
@@ -90,8 +66,14 @@ class SupportVectorMachine(Classifier):
     def _fit(self, X: np.ndarray, y01: np.ndarray) -> None:
         Xs = self.standardizer.fit(X).transform(X)
         y = labels_to_pm(y01)
-        K = rbf_kernel(Xs, Xs, GAMMA)
-        diag = K.diagonal()
+        # the kernel rows SMO has asked for, by row index
+        rows: dict[int, np.ndarray] = {}
+
+        def row(r: int) -> np.ndarray:
+            if r not in rows:
+                rows[r] = rbf_rows(Xs[r:r + 1], Xs)[0]
+            return rows[r]
+
         alpha = np.zeros(X.shape[0])
         # F = y - K @ (alpha * y): the offset each point would need to sit
         # exactly on its margin
@@ -109,7 +91,9 @@ class SupportVectorMachine(Classifier):
             if self.converged or updates == MAX_ITER:
                 break
             gain = m - F
-            curv = diag[i] + diag - 2.0 * K[i]
+            K_i = row(i)
+            # K[i, i] + K[j, j] - 2 K[i, j], the diagonal being exactly 1
+            curv = 2.0 - 2.0 * K_i
             curv[curv <= 0.0] = TAU
             j = int(np.argmin(np.where(low & (gain > 0.0), -gain * gain / curv, np.inf)))
 
@@ -121,7 +105,7 @@ class SupportVectorMachine(Classifier):
             step = min(gain[j] / curv[j], room_i, room_j)
             new_i = bound_i if step == room_i else alpha[i] + y[i] * step
             new_j = bound_j if step == room_j else alpha[j] - y[j] * step
-            F -= y[i] * (new_i - alpha[i]) * K[i] + y[j] * (new_j - alpha[j]) * K[j]
+            F -= y[i] * (new_i - alpha[i]) * K_i + y[j] * (new_j - alpha[j]) * row(j)
             alpha[i], alpha[j] = new_i, new_j
             updates += 1
 
@@ -140,9 +124,11 @@ class SupportVectorMachine(Classifier):
         self.sv_alpha = alpha[keep]
 
     def _score(self, X: np.ndarray) -> np.ndarray:
-        """Pre-sign margin of Eq. 3's sum over retained support vectors."""
+        """Pre-sign margin of Eq. 3's sum over retained support vectors,
+        summed by a numpy reduction per row, not BLAS."""
         Xs = self.standardizer.transform(X)
-        if self.sv_X.shape[0] == 0:
-            return np.full(X.shape[0], self.b)
-        K = rbf_kernel(Xs, self.sv_X, GAMMA)
-        return K @ (self.sv_alpha * self.sv_y) + self.b
+        coef = self.sv_alpha * self.sv_y
+        out = np.empty(X.shape[0])
+        for blk in row_blocks(X.shape[0], coef.size):
+            out[blk] = (rbf_rows(Xs[blk], self.sv_X) * coef).sum(axis=1)
+        return out + self.b

@@ -30,9 +30,8 @@ from vanetlab.classifiers import (
     SupportVectorMachine,
     as_arrays,
     log_loss,
-    loss_and_grad,
 )
-from vanetlab.classifiers import boosting, forest, svm, tree
+from vanetlab.classifiers import boosting, forest, linear, svm, tree
 from vanetlab.classifiers.tree import tree_apply
 from vanetlab.config import default_config, derived_seed
 from vanetlab.dataset import SplitSpec, read_csv, record_label, split
@@ -307,18 +306,20 @@ def test_criterion_5_classifier_oracles(monkeypatch):
     Xl = np.array([[rng.gauss(0, 1) for _ in range(3)] for _ in range(40)])
     yl = np.array([rng.randint(0, 1) for _ in range(40)], dtype=np.float64)
     w = np.array([0.3, -0.7, 0.2])
-    _, grad_w, grad_b = loss_and_grad(w, 0.1, Xl, yl, 1e-3)
+    grad_w, grad_b = linear.gradient(w, 0.1, Xl.T.copy(), yl, 1e-3)
+
+    def loss(w, b):
+        return log_loss(yl, Xl @ w + b) + 0.5e-3 * float(w @ w)
+
     h = 1e-6
     rel_errs = []
     for j in range(3):
         wp, wm = w.copy(), w.copy()
         wp[j] += h
         wm[j] -= h
-        fd = (loss_and_grad(wp, 0.1, Xl, yl, 1e-3)[0]
-              - loss_and_grad(wm, 0.1, Xl, yl, 1e-3)[0]) / (2 * h)
+        fd = (loss(wp, 0.1) - loss(wm, 0.1)) / (2 * h)
         rel_errs.append(abs(grad_w[j] - fd) / max(abs(fd), 1e-12))
-    fd_b = (loss_and_grad(w, 0.1 + h, Xl, yl, 1e-3)[0]
-            - loss_and_grad(w, 0.1 - h, Xl, yl, 1e-3)[0]) / (2 * h)
+    fd_b = (loss(w, 0.1 + h) - loss(w, 0.1 - h)) / (2 * h)
     rel_errs.append(abs(grad_b - fd_b) / max(abs(fd_b), 1e-12))
     checks.append(("LR gradient", max(rel_errs) < 1e-4))
 
@@ -413,9 +414,9 @@ def test_default_pipeline_artifacts_match_pinned_digests(pipeline_runs):
 DEFAULT_SPLIT_STATE_SHA256 = {
     "RF": "ce2cc30ac681eae2be9244b2dfc2d772f1419971bfb40bd78c22f6c2159942f6",
     "GB": "f64c166b5f25d6d55c4de3ac06be94cc7492e28569b72de948c43f88dbb47961",
-    "SVM": "5a9e1f99fbbfd753b3f96b3b135b789f9fb4d84727da6423b845c951f4519ed2",
+    "SVM": "9b20fb67c57b6a2e241ee26311be852f2868ae3cfdcbe3f7386b3692e0b1f150",
     "KNN": "2e0bd32b854eb5af5b46f2a6b4817fc41d6fd7251fb67f743d7ce34b046057fc",
-    "LR": "9eb2dbe0513aa366ff32fc5309612063dbe0f1638a63e809b90c73ef3c5c8b54",
+    "LR": "16edac5ae5631abae2917f8185c24dbbeeec6105a013d00812852bda94158f85",
     "GNB": "513a899bf2aefb7e7431dad7c30d60b2efeec25d401ff29a14ad9775f96d2da5",
 }
 

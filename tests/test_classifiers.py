@@ -3,10 +3,10 @@
 Each classifier is checked against an independent reference: exhaustive
 neighbor search for KNN, closed-form Gaussian densities for GNB, finite
 differences for the LR gradient, the KKT optimality conditions for the
-SVM dual, the whole-matrix formula for the SVM's blocked in-place
-kernel, hand-built stub trees for the vote rules of the ensemble
-models, and the per-node growers of `tree_reference` for the forest's
-lockstep grower and the boosting stages' shared node sorts.
+SVM dual, a per-pair Python sum for the squared distances that the SVM
+kernel and KNN share, hand-built stub trees for the vote rules of the
+ensemble models, and the per-node growers of `tree_reference` for the
+forest's lockstep grower and the boosting stages' shared node sorts.
 """
 
 import collections
@@ -32,13 +32,11 @@ from vanetlab.classifiers import (
     SupportVectorMachine,
     as_arrays,
     log_loss,
-    loss_and_grad,
     make,
-    rbf_kernel,
     sigmoid,
 )
 from vanetlab.classifiers import base, boosting, forest, linear, neighbors, svm, tree
-from vanetlab.classifiers.base import check_labels, check_matrix
+from vanetlab.classifiers.base import check_labels, check_matrix, sq_dists
 from vanetlab.classifiers.forest import bootstrap_rows
 from vanetlab.classifiers.tree import SortTrie, grow_forest, grow_tree, tree_apply
 from vanetlab.dataset import Dataset, DatasetRow
@@ -111,8 +109,9 @@ def knn_neighbors_full_sort(train_X, Xs, k):
     idx = np.empty((Xs.shape[0], k), dtype=np.int64)
     dist = np.empty((Xs.shape[0], k))
     for q in range(Xs.shape[0]):
-        diff = train_X - Xs[q]
-        d2 = (diff * diff).sum(axis=1)
+        d2 = np.zeros(train_X.shape[0])
+        for f in range(train_X.shape[1]):
+            d2 += (train_X[:, f] - Xs[q, f]) ** 2
         order = np.argsort(d2, kind="stable")[:k]
         idx[q] = order
         dist[q] = np.sqrt(d2[order])
@@ -325,6 +324,11 @@ def test_gnb_zero_variance_stays_finite():
 # -- logistic regression ------------------------------------------------------
 
 
+def lr_loss(w, b, X, y, l2):
+    """The regularized mean log-loss whose gradient linear.gradient takes."""
+    return log_loss(y, X @ w + b) + 0.5 * l2 * float(w @ w)
+
+
 def test_lr_gradient_matches_finite_differences():
     rng = substream(21, 4)
     X = np.array([[rng.gauss(0, 1) for _ in range(3)] for _ in range(40)])
@@ -332,25 +336,36 @@ def test_lr_gradient_matches_finite_differences():
     w = np.array([0.3, -0.7, 0.2])
     b = 0.1
     l2 = 1e-3
-    loss, grad_w, grad_b = loss_and_grad(w, b, X, y, l2)
+    grad_w, grad_b = linear.gradient(w, b, X.T.copy(), y, l2)
     h = 1e-6
     for j in range(3):
         wp, wm = w.copy(), w.copy()
         wp[j] += h
         wm[j] -= h
-        fd = (loss_and_grad(wp, b, X, y, l2)[0] - loss_and_grad(wm, b, X, y, l2)[0]) / (2 * h)
+        fd = (lr_loss(wp, b, X, y, l2) - lr_loss(wm, b, X, y, l2)) / (2 * h)
         assert grad_w[j] == pytest.approx(fd, rel=1e-4)
-    fd_b = (loss_and_grad(w, b + h, X, y, l2)[0] - loss_and_grad(w, b - h, X, y, l2)[0]) / (2 * h)
+    fd_b = (lr_loss(w, b + h, X, y, l2) - lr_loss(w, b - h, X, y, l2)) / (2 * h)
     assert grad_b == pytest.approx(fd_b, rel=1e-4)
 
 
 def test_lr_loss_history_descends(separable400):
+    """Replays the fit's recurrence: the loss falls between the sampled
+    epochs, and the replay ends on the model's w and b bit for bit."""
     X, y = separable400
     model = LogisticRegression().fit(X, y)
-    hist = model.loss_history
-    assert len(hist) == linear.EPOCHS + 1
-    for earlier, later in zip(hist, hist[1:]):
-        assert later <= earlier + 1e-9
+    Xs = model.standardizer.transform(X)
+    Xt, yf = Xs.T.copy(), y.astype(np.float64)
+    w, b = np.zeros(X.shape[1]), 0.0
+    history = [lr_loss(w, b, Xs, yf, linear.L2)]
+    for epoch in range(1, linear.EPOCHS + 1):
+        grad_w, grad_b = linear.gradient(w, b, Xt, yf, linear.L2)
+        w = w - linear.STEP * grad_w
+        b = b - linear.STEP * grad_b
+        if epoch in (1, 10, 100, linear.EPOCHS):
+            history.append(lr_loss(w, b, Xs, yf, linear.L2))
+    assert all(later < earlier for earlier, later in zip(history, history[1:])), history
+    assert w.tobytes() == model.w.tobytes()
+    assert np.float64(b).tobytes() == np.float64(model.b).tobytes()
 
 
 def test_sigmoid_identities():
@@ -419,85 +434,126 @@ def test_svm_fully_fits_xor():
     assert d[2] == pytest.approx(-d[0], abs=1e-9)
 
 
-def test_rbf_kernel_values():
+def test_sq_dists_values():
     A = np.array([[0.0, 0.0], [3.0, 4.0]])
-    K = rbf_kernel(A, A, gamma=0.1)
+    assert sq_dists(A, A).tolist() == [[0.0, 25.0], [25.0, 0.0]]
+    K = svm.rbf_rows(A, A)
     assert K[0, 0] == K[1, 1] == 1.0
-    assert K[0, 1] == pytest.approx(math.exp(-0.1 * 25.0), rel=1e-12)
+    assert K[0, 1] == pytest.approx(math.exp(-svm.GAMMA * 25.0), rel=1e-12)
     assert K[0, 1] == K[1, 0]
 
 
-def rbf_kernel_reference(A, B, gamma):
-    """The whole-matrix formula that rbf_kernel's in-place row blocks
-    replaced, kept as the reference they must equal bit for bit."""
-    a2 = (A * A).sum(axis=1)[:, None]
-    b2 = (B * B).sum(axis=1)[None, :]
-    d2 = np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
-    return np.exp(-gamma * d2)
+def pair_reference(a, b):
+    """(d2, kernel value) of one row pair: the fixed-order sum from zero in
+    Python floats, then numpy's exp, the one step left to a ufunc."""
+    d2 = 0.0
+    for x, z in zip(a.tolist(), b.tolist()):
+        d2 += (x - z) * (x - z)
+    return d2, float(np.exp(-svm.GAMMA * d2))
 
 
-def kernel_case(seed):
-    """(A, B, gamma, block bytes) for the kernel's differential test."""
+def dist_case(seed):
+    """(A, B) for the differential test; B holds near-copies of A's first
+    rows, or is A itself, the fit's case."""
     rng = np.random.default_rng(seed)
-    width = int(rng.integers(1, 7))
-    m = 1 if seed % 10 == 0 else int(rng.integers(2, 50))
-    scale = 10.0 ** rng.uniform(-3, 3)
+    width = int(rng.integers(1, 13))
+    m = 1 if seed % 10 == 0 else int(rng.integers(2, 25))
+    scale = 10.0 ** rng.uniform(-2, 1)
     A = rng.normal(0.0, scale, (m, width))
     if seed % 3 == 0:
-        B = A  # the fit's Gram matrix
-    else:
-        B = rng.normal(0.0, scale, (int(rng.integers(1, 50)), width))
-        # near-copies of rows of A, whose a2 + b2 - 2 g can round below 0
-        k = min(m, B.shape[0]) // 2
-        B[:k] = A[:k] * (1.0 + rng.normal(0.0, 1e-9, (k, width)))
-    gamma = 10.0 ** rng.uniform(-3.0, math.log10(3.0))
-    # anything from one row per block to the whole matrix in one
-    return A, B, gamma, int(rng.integers(1, 8 * m * B.shape[0] + 9))
+        return A, A
+    B = rng.normal(0.0, scale, (int(rng.integers(1, 25)), width))
+    k = min(m, B.shape[0]) // 2
+    B[:k] = A[:k] * (1.0 + rng.normal(0.0, 1e-12, (k, width)))
+    return A, B
 
 
-def test_rbf_kernel_blocks_match_the_whole_matrix_formula(monkeypatch):
+def test_sq_dists_and_rbf_rows_match_a_per_pair_reference():
     seen = collections.Counter()
     for seed in range(200):
-        A, B, gamma, block_bytes = kernel_case(seed)
-        monkeypatch.setattr(svm, "BLOCK_BYTES", block_bytes)
-        got = rbf_kernel(A, B, gamma)
-        want = rbf_kernel_reference(A, B, gamma)
-        assert got.shape == want.shape, f"case {seed}"
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"case {seed}"
-        m, n = got.shape
-        rows = max(1, block_bytes // (8 * n))
+        A, B = dist_case(seed)
+        D, K = sq_dists(A, B), svm.rbf_rows(A, B)
+        want = [[pair_reference(a, b) for b in B] for a in A]
+        want_D = np.array([[d2 for d2, _ in row] for row in want]).reshape(D.shape)
+        want_K = np.array([[k for _, k in row] for row in want]).reshape(K.shape)
+        assert np.array_equal(D.view(np.int64), want_D.view(np.int64)), f"case {seed}"
+        assert np.array_equal(K.view(np.int64), want_K.view(np.int64)), f"case {seed}"
+        # the diagonal of A against itself, or B's near-copies of A's rows
+        near = np.arange(A.shape[0] if A is B else min(A.shape[0], B.shape[0]) // 2)
+        assert (K[near, near] == 1.0).all(), f"case {seed}"
         seen[f"width {A.shape[1]}"] += 1
         seen["A is B" if A is B else "A is not B"] += 1
-        seen["one row"] += m == 1 or n == 1
-        seen["several blocks, last one short"] += m > rows and m % rows != 0
-        seen["one block"] += rows >= m
-        seen["d2 clamped"] += bool(((A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)
-                                    - 2.0 * (A @ B.T) < 0.0).any())
-        seen["kernel strictly inside (0, 1)"] += bool(((got > 0.0) & (got < 1.0)).any())
-    assert all(seen[f"width {w}"] for w in range(1, 7))
-    assert all(seen[name] for name in ("A is B", "A is not B", "one row", "one block",
-                                       "several blocks, last one short", "d2 clamped",
+        seen["one row"] += A.shape[0] == 1 or B.shape[0] == 1
+        seen["near-duplicate at kernel 1"] += bool((D[near, near] > 0.0).any())
+        seen["kernel strictly inside (0, 1)"] += bool(((K > 0.0) & (K < 1.0)).any())
+    assert all(seen[f"width {w}"] for w in range(1, 13)), seen
+    assert all(seen[name] for name in ("A is B", "A is not B", "one row",
+                                       "near-duplicate at kernel 1",
                                        "kernel strictly inside (0, 1)")), seen
 
 
-def test_rbf_kernel_peak_memory_is_one_matrix_and_one_block():
-    """numpy reports its buffers to tracemalloc, so the bound is the same
-    on every host. The whole-matrix formula peaked at 3.00 x K.nbytes."""
-    A = np.random.default_rng(17).normal(0.0, 1.0, (1200, 4))
+def traced_peak(fn):
+    """Peak bytes that fn() allocates beyond what was live before it.
+    numpy reports its buffers to tracemalloc, so this is the same on
+    every host."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        K = rbf_kernel(A, A, 0.25)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    # beyond K and one block's a2 + b2: the two norm vectors and numpy's
-    # ufunc iteration buffer, under 0.2 MiB together
-    assert K.nbytes <= peak <= K.nbytes + svm.BLOCK_BYTES + (1 << 18)
+
+
+def test_svm_fit_peak_memory_is_the_kernel_rows_it_reads(monkeypatch):
+    """The fit keeps only the rows SMO asked for; the kernel matrix it
+    no longer builds would be 11.0 MiB here."""
+    X, y = gauss_clusters(seed=23, n_per_class=600, sigma=15.0)
+    n = X.shape[0]
+    SupportVectorMachine().fit(X[::60], y[::60])  # first-call allocations
+    asked = []
+    rbf_rows = svm.rbf_rows
+
+    def counted(A, B):
+        asked.append(A.shape[0])
+        return rbf_rows(A, B)
+
+    monkeypatch.setattr(svm, "rbf_rows", counted)
+    peak = traced_peak(lambda: SupportVectorMachine().fit(X, y))
+    assert len(set(asked)) == 1 and sum(asked) < n // 4
+    # the rows, plus the solver's and sq_dists' n-long working vectors
+    assert peak <= (sum(asked) + 32) * n * 8
+    assert peak < n * n * 8 // 4
+
+
+@pytest.mark.parametrize("kind", ["SVM", "KNN"])
+def test_classify_allocates_about_one_row_block_beyond_its_output(kind):
+    X, y = gauss_clusters(seed=23, n_per_class=600, sigma=15.0)
+    probes = gauss_clusters(seed=24, n_per_class=400, sigma=15.0)[0]
+    model = make(kind).fit(X, y)
+    model.classify(probes[:5])  # first-call allocations
+    peak = traced_peak(lambda: model.classify(probes))
+    # labels and scores, then sq_dists' two block arrays and numpy's
+    # ufunc buffers, under 0.25 MiB with every per-row array
+    assert peak <= 16 * probes.shape[0] + 2 * base.ROW_BLOCK_BYTES + (1 << 18)
+
+
+@pytest.mark.parametrize("budget", [1, 8 * 37, 1 << 14])
+def test_row_blocks_leave_svm_and_knn_outputs_unchanged(budget, separable400, monkeypatch):
+    """Any block size gives the same labels and scores, bit for bit."""
+    X, y = separable400
+    probes = gauss_clusters(seed=29, n_per_class=50, sigma=12.0, mean0=20.0, mean1=30.0)[0]
+    models = [make("SVM").fit(X, y), make("KNN").fit(X, y)]
+    want = [model.classify(probes) for model in models]
+    monkeypatch.setattr(base, "ROW_BLOCK_BYTES", budget)
+    for model, (labels, scores) in zip(models, want):
+        got_labels, got_scores = model.classify(probes)
+        assert np.array_equal(got_labels, labels), model.kind
+        assert got_scores.tobytes() == scores.tobytes(), model.kind
 
 
 def test_svm_duplicate_non_support_row_barely_moves(svm_forty):
@@ -862,10 +918,10 @@ def overlap120():
 CLASSIFY_SHA256 = {
     "GB": "a24b1e28894cf9afebf1a47b81b4f82cf7687b3d9c40a2b3b60c9e925b8d4e6d",
     "RF": "8cc0c01cf203038084168237697d80a93b5a604ea62ebd64d53e7900b610a464",
-    "SVM": "d4a408bb4d429b8d0aac14f17df70f6609e49b9e6caa00ae988b880f5b5db1c0",
+    "SVM": "b8d12351c255e97fcc5f40b684ad666ce1327c33a51d2e2e798edc087da95e05",
     "KNN": "72c356531c59a6a208874dec8b6766ee133ea14b6923a597cba5fd43c2e0b7cb",
     "GNB": "4986d8bb63f2f080709506a404f0a3d60b93844c6b30f9bc69e4e9f415c1738e",
-    "LR": "5eb76becd53079382cc09f36ac2ac558a6d88b614b6fcd49143c3a759bcf3e5a",
+    "LR": "768a2f817981dcbf47125f6a4aa74c09d743439ae86ae04181c9560eaab5d966",
     "KNN-k4": "d33de4a2d0517f608b46cd25d47b808f8111f80fd58cf7893392f97b20faa748",
     "RF-10": "43739e9f1abf50196038c283992ebc405c28be7c364ee358bd983680bc806bf0",
 }
@@ -1004,7 +1060,7 @@ UNSAVED = {
     "SVM": {"sweeps_run"},
     "KNN": set(),
     "GNB": set(),
-    "LR": {"loss_history"},
+    "LR": set(),
 }
 
 
@@ -1028,10 +1084,10 @@ def test_only_the_forest_seed_is_settable():
 STATE_SHA256 = {
     "GB": "33fa0cb9339fe41f3c09e9ebc660cb4455102a3916fd24d5143dbdcae64bfaad",
     "RF": "be711de3c2d49bfb5543893158c6ad863a91191f35134d2402925730b06e212a",
-    "SVM": "6463340f57d1cb2b226a1d6350777afe228139739528ef3c3c3887c6fe854d4b",
+    "SVM": "36e58fed3d6d57d5f67e960db6eba158defe8bf469706cbdcc7d9ce3bb4682a8",
     "KNN": "4ab1518bd25c84d927253f83f9a3fcc92e17a0e723d7e362021f7fca539ccc5a",
     "GNB": "4a97770c2c62b06517d89c82b2f75cd692ce37d6b59b547abf56e8bf98dc1a01",
-    "LR": "8bba23f34d1c2f7b80c251788627a582219584dcd8a2aeb438398fafb8ae53f9",
+    "LR": "f9e43837f1589eb1018969a49891dfb2bf1d09d856b6af5e891fff3a8ebcfdd1",
 }
 
 
