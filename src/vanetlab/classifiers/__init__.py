@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from .base import Classifier, Standardizer, as_arrays, sigmoid
 from .bayes import GaussianNaiveBayes
-from .boosting import GradientBoosting, log_loss
+from .boosting import GradientBoosting
 from .forest import RandomForest
 from .linear import LogisticRegression
 from .neighbors import KNearestNeighbors
 from .svm import SupportVectorMachine
-
-KINDS = ("GB", "RF", "SVM", "KNN", "GNB", "LR")
 
 _REGISTRY: dict[str, type[Classifier]] = {
     "GB": GradientBoosting,
@@ -27,6 +25,8 @@ _REGISTRY: dict[str, type[Classifier]] = {
     "GNB": GaussianNaiveBayes,
     "LR": LogisticRegression,
 }
+# report.json and roc.csv list the models in registry order
+KINDS = tuple(_REGISTRY)
 
 
 def make(kind: str, **params) -> Classifier:
@@ -47,7 +47,6 @@ __all__ = [
     "RandomForest",
     "SupportVectorMachine",
     "as_arrays",
-    "log_loss",
     "make",
     "sigmoid",
 ]

@@ -10,7 +10,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..dataset import Dataset
 from ..errors import DataError, VanetlabError
 
 # bytes of one row block's squared distances; sq_dists holds a second
@@ -18,13 +17,13 @@ from ..errors import DataError, VanetlabError
 ROW_BLOCK_BYTES = 1 << 19
 
 
-def as_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def as_arrays(rows: list) -> tuple[np.ndarray, np.ndarray]:
     """Dataset rows as (N x 4 float matrix, N int label vector)."""
     X = np.array(
-        [[r.src_addr, r.dst_addr, r.src_port, r.dst_port] for r in ds.rows],
+        [[r.src_addr, r.dst_addr, r.src_port, r.dst_port] for r in rows],
         dtype=np.float64,
-    ).reshape(len(ds.rows), 4)
-    y = np.array([r.label for r in ds.rows], dtype=np.int64)
+    ).reshape(len(rows), 4)
+    y = np.array([r.label for r in rows], dtype=np.int64)
     return X, y
 
 

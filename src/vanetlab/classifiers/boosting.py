@@ -26,11 +26,6 @@ LEARNING_RATE = 0.1
 MAX_DEPTH = 10
 
 
-def log_loss(y: np.ndarray, raw: np.ndarray) -> float:
-    """Mean binomial deviance of raw scores F against {0,1} labels."""
-    return float(np.mean(np.logaddexp(0.0, raw) - y * raw))
-
-
 class GradientBoosting(Classifier):
     kind = "GB"
     threshold = 0.5
@@ -40,7 +35,6 @@ class GradientBoosting(Classifier):
         super().__init__()
         self.f0: float = 0.0
         self.trees: list[dict] = []
-        self.loss_history: list[float] = []
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         yf = y.astype(np.float64)
@@ -48,7 +42,6 @@ class GradientBoosting(Classifier):
         self.f0 = math.log(p_hat / (1.0 - p_hat))
         raw = np.full(X.shape[0], self.f0)
         self.trees = []
-        self.loss_history = [log_loss(yf, raw)]
         trie = SortTrie(X)
         for _ in range(N_ESTIMATORS):
             p = sigmoid(raw)
@@ -64,7 +57,6 @@ class GradientBoosting(Classifier):
             tree = grow_tree(trie, residual, max_depth=MAX_DEPTH, leaf_value=newton_leaf)
             self.trees.append(tree)
             raw = raw + LEARNING_RATE * tree_apply(tree, X)
-            self.loss_history.append(log_loss(yf, raw))
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
         """F(x) of rows already checked by _check_ready."""

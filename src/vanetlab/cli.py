@@ -20,10 +20,10 @@ from .classifiers import KINDS, as_arrays, make
 from .config import ScenarioConfig, derived_seed, sample_scenario
 from .dataset import (
     DATASET_HEADER,
-    Dataset,
     FLOWS_HEADER,
-    SplitSpec,
+    DatasetRow,
     balance,
+    class_counts,
     label_flows,
     read_csv,
     read_flows_csv,
@@ -113,7 +113,7 @@ def _write_manifest(cfg: ScenarioConfig, meta, out_dir: str, outputs: dict,
     return manifest
 
 
-def _load_any_dataset(path: str) -> Dataset:
+def _load_any_dataset(path: str) -> list[DatasetRow]:
     """Accept either a flows table or an already-labeled dataset."""
     # a byte that is not UTF-8 fails the header match here, or the reader
     # rejects it in a row
@@ -132,36 +132,34 @@ def _model_for(kind: str, seed: int):
     return make(kind)
 
 
-def _class_counts(ds: Dataset) -> dict:
-    """The dataset's class counts as report.json and manifest.json write them."""
-    return dict(zip(("positive", "negative"), ds.class_counts()))
+def _class_counts(rows: list[DatasetRow]) -> dict:
+    """The rows' class counts as report.json and manifest.json write them."""
+    return dict(zip(("positive", "negative"), class_counts(rows)))
 
 
 def train_and_report(
-    ds: Dataset,
+    rows: list[DatasetRow],
     seed: int,
     split_fraction: float,
     stratified: bool,
     report_path: str,
     roc_path: str,
 ) -> dict:
-    positive, negative = ds.class_counts()
+    positive, negative = class_counts(rows)
     if positive == 0 or negative == 0:
         raise DataError(
             f"evaluation needs both classes, got {positive} positive / {negative} negative"
         )
-    train, test = split(
-        ds, SplitSpec(split_fraction, derived_seed(seed, SPLIT_SEED), stratified)
-    )
+    train, test = split(rows, split_fraction, derived_seed(seed, SPLIT_SEED), stratified)
     X_train, y_train = as_arrays(train)
     X_test, y_test = as_arrays(test)
 
     report = {
         "seed": seed,
         "split_fraction": split_fraction,
-        "rows": {"train": len(train.rows), "test": len(test.rows)},
+        "rows": {"train": len(train), "test": len(test)},
         "class_counts": {
-            "dataset": _class_counts(ds),
+            "dataset": _class_counts(rows),
             "train": _class_counts(train),
             "test": _class_counts(test),
         },
@@ -169,7 +167,7 @@ def train_and_report(
     }
     roc_lines = ["classifier,fpr,tpr"]
     for kind in KINDS:
-        log.info("training %s on %d rows", kind, len(train.rows))
+        log.info("training %s on %d rows", kind, len(train))
         model = _model_for(kind, seed).fit(X_train, y_train)
         pred, scores = model.classify(X_test)
         rep = evaluate_scores(pred.tolist(), scores.tolist(), y_test.tolist())
@@ -217,10 +215,10 @@ def cmd_evaluate(
     balance_counts=None,
 ) -> dict:
     _check_out_dirs(report_path, roc_path)
-    ds = _load_any_dataset(dataset_path)
+    rows = _load_any_dataset(dataset_path)
     if balance_counts is not None:
-        ds = balance(ds, *balance_counts, derived_seed(seed, BALANCE_SEED))
-    return train_and_report(ds, seed, split_fraction, False, report_path, roc_path)
+        rows = balance(rows, *balance_counts, derived_seed(seed, BALANCE_SEED))
+    return train_and_report(rows, seed, split_fraction, False, report_path, roc_path)
 
 
 def cmd_pipeline(config_path: str, out_dir: str) -> dict:
@@ -229,14 +227,14 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
     records, meta = run_sweep(cfg)
     write_flows_csv(records, os.path.join(out_dir, "flows.csv"))
 
-    ds = label_flows(records)
-    raw_counts = _class_counts(ds)
+    rows = label_flows(records)
+    raw_counts = _class_counts(rows)
     if cfg.balance is not None:
-        ds = balance(ds, *cfg.balance, derived_seed(cfg.seed, BALANCE_SEED))
-    write_csv(ds, os.path.join(out_dir, "dataset.csv"))
+        rows = balance(rows, *cfg.balance, derived_seed(cfg.seed, BALANCE_SEED))
+    write_csv(rows, os.path.join(out_dir, "dataset.csv"))
 
     report = train_and_report(
-        ds,
+        rows,
         cfg.seed,
         cfg.split_fraction,
         cfg.stratified_split,
@@ -247,7 +245,7 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
         cfg, meta, out_dir,
         {"flows": "flows.csv", "dataset": "dataset.csv",
          "report": "report.json", "roc": "roc.csv"},
-        {"raw": raw_counts, "dataset": _class_counts(ds)},
+        {"raw": raw_counts, "dataset": _class_counts(rows)},
     )
     return report
 

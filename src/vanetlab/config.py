@@ -166,12 +166,6 @@ _FIELDS = {
 }
 
 
-def default_config() -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    cfg.validate()
-    return cfg
-
-
 def _grid(lo: int, hi: int, index: int, count: int) -> int:
     """Integer grid point `index` of `count` spanning [lo, hi] inclusive."""
     if count <= 1:

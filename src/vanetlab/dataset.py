@@ -34,62 +34,46 @@ class DatasetRow:
     label: int
 
 
-@dataclass
-class Dataset:
-    rows: list[DatasetRow]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def class_counts(self) -> tuple[int, int]:
-        """(positive, negative) row counts."""
-        pos = sum(1 for r in self.rows if r.label == 1)
-        return pos, len(self.rows) - pos
+def class_counts(rows: list[DatasetRow]) -> tuple[int, int]:
+    """(positive, negative) row counts."""
+    pos = sum(1 for r in rows if r.label == 1)
+    return pos, len(rows) - pos
 
 
 def record_label(record: FlowRecord) -> int:
     return 1 if record.blackhole_absorbed >= 1 else 0
 
 
-def label_flows(records: Iterable[FlowRecord]) -> Dataset:
-    rows = [
+def label_flows(records: Iterable[FlowRecord]) -> list[DatasetRow]:
+    return [
         DatasetRow(r.src_addr, r.dst_addr, r.src_port, r.dst_port, record_label(r))
         for r in records
     ]
-    return Dataset(rows)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float
-    seed: int
-    stratified: bool = False
-
-    def validate(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+def split(rows: list[DatasetRow], fraction: float, seed: int,
+          stratified: bool = False) -> tuple[list[DatasetRow], list[DatasetRow]]:
     """Uniform random partition; first round(fraction*N) permuted rows train.
 
     With stratified=True the rounding rule applies per class instead.
-    DataError if either side would be empty.
+    ValueError unless 0 < fraction < 1; DataError if either side would
+    be empty.
     """
-    spec.validate()
-    n = len(ds.rows)
-    rng = random.Random(spec.seed)
-    if spec.stratified:
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"split fraction must lie in (0, 1), got {fraction}")
+    n = len(rows)
+    rng = random.Random(seed)
+    if stratified:
         train: list[DatasetRow] = []
         test: list[DatasetRow] = []
         for label in (1, 0):
-            group = [r for r in ds.rows if r.label == label]
+            group = [r for r in rows if r.label == label]
             rng.shuffle(group)
-            k = _round_half_up(spec.train_fraction * len(group))
+            k = _round_half_up(fraction * len(group))
             train.extend(group[:k])
             test.extend(group[k:])
         rng.shuffle(train)
@@ -97,21 +81,22 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     else:
         order = list(range(n))
         rng.shuffle(order)
-        n_train = _round_half_up(spec.train_fraction * n)
-        train = [ds.rows[i] for i in order[:n_train]]
-        test = [ds.rows[i] for i in order[n_train:]]
+        n_train = _round_half_up(fraction * n)
+        train = [rows[i] for i in order[:n_train]]
+        test = [rows[i] for i in order[n_train:]]
     if not train or not test:
         raise DataError(
-            f"a {spec.train_fraction} split of {n} rows leaves "
+            f"a {fraction} split of {n} rows leaves "
             f"{len(train)} train / {len(test)} test rows; both need at least one"
         )
-    return Dataset(train), Dataset(test)
+    return train, test
 
 
-def balance(ds: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset:
+def balance(rows: list[DatasetRow], target_pos: int, target_neg: int,
+            seed: int) -> list[DatasetRow]:
     """Subsample without replacement to exact per-class counts, then shuffle."""
-    pos = [r for r in ds.rows if r.label == 1]
-    neg = [r for r in ds.rows if r.label == 0]
+    pos = [r for r in rows if r.label == 1]
+    neg = [r for r in rows if r.label == 0]
     if len(pos) < target_pos or len(neg) < target_neg:
         raise DataError(
             f"need {target_pos} positive / {target_neg} negative rows, "
@@ -120,7 +105,7 @@ def balance(ds: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset
     rng = random.Random(seed)
     chosen = rng.sample(pos, target_pos) + rng.sample(neg, target_neg)
     rng.shuffle(chosen)
-    return Dataset(chosen)
+    return chosen
 
 
 # -- CSV I/O ----------------------------------------------------------------
@@ -217,12 +202,12 @@ DATASET_HEADER = _DATASET.header
 FLOWS_HEADER = _FLOWS.header
 
 
-def write_csv(ds: Dataset, path) -> None:
-    _DATASET.write(ds.rows, path)
+def write_csv(rows: list[DatasetRow], path) -> None:
+    _DATASET.write(rows, path)
 
 
-def read_csv(path) -> Dataset:
-    return Dataset([row for _, row, _ in _DATASET.read(path)])
+def read_csv(path) -> list[DatasetRow]:
+    return [row for _, row, _ in _DATASET.read(path)]
 
 
 def write_flows_csv(records: Iterable[FlowRecord], path) -> None:

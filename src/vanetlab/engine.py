@@ -190,14 +190,9 @@ class Engine:
 
     # -- positions and connectivity -------------------------------------
 
-    def position_at(self, node_id: int, t: SimTime) -> tuple[float, float]:
-        self._require(node_id)
-        x, y, vx, vy = self._kin[node_id]
-        dt = t / NS_PER_S
-        return (x + vx * dt, y + vy * dt)
-
     def distance(self, a: int, b: int, t: SimTime) -> float:
-        # position_at's arithmetic, inlined: this is the radio's inner loop
+        """Metres between nodes a and b at time t, each at its
+        registered position plus velocity * t; the radio's inner loop."""
         try:
             ax, ay, avx, avy = self._kin[a]
             bx, by, bvx, bvy = self._kin[b]
@@ -238,12 +233,6 @@ class Engine:
 
     # -- radio -----------------------------------------------------------
 
-    def latency_ns(self, size_bytes: int, distance_m: float) -> SimTime:
-        """Serialization plus propagation delay, floored to whole ns, >= 1."""
-        tx = (size_bytes * 8 * NS_PER_S) // self.radio.bandwidth_bps
-        prop = int(self.radio.prop_delay_s_per_m * distance_m * NS_PER_S)
-        return max(1, tx + prop)
-
     def transmit(
         self, src: int, dst: int, size_bytes: int, payload: Any, flood: Hashable = None
     ) -> bool:
@@ -254,9 +243,10 @@ class Engine:
         ascending id order, and returns True even when no node is in
         range. A unicast to an out-of-range destination (or to src
         itself) is lost and returns False; the sender records the loss.
-        Each receiver is confirmed with one scalar distance() and its
-        arrival time follows latency_ns(); its heap entry carries the
-        receiver and its (src, payload) arguments.
+        Each receiver is confirmed with one scalar distance(), d metres
+        away; its frame arrives floor(size_bytes * 8e9 / bandwidth_bps) +
+        floor(prop_delay_s_per_m * d * 1e9) ns later, at least 1 ns. Its
+        heap entry carries the receiver and its (src, payload) arguments.
 
         A broadcast with a `flood` key queues a copy only for a node that
         this copy can reach first: the engine keeps, per key, each node's

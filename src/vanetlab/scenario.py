@@ -59,7 +59,6 @@ class ScenarioResult:
     records: list[FlowRecord]
     monitor: FlowMonitor
     nodes: dict[int, AodvNode]
-    engine: Engine
 
 
 def _layout_positions(params: ScenarioParams, rng) -> dict[int, float]:
@@ -121,4 +120,4 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
 
     engine.run_until(params.sim_duration_ns)
     records = monitor.finalize(params.sim_duration_ns)
-    return ScenarioResult(params, records, monitor, nodes, engine)
+    return ScenarioResult(params, records, monitor, nodes)

@@ -31,7 +31,6 @@ from vanetlab.classifiers import (
     Standardizer,
     SupportVectorMachine,
     as_arrays,
-    log_loss,
     make,
     sigmoid,
 )
@@ -39,7 +38,7 @@ from vanetlab.classifiers import base, boosting, forest, linear, neighbors, svm,
 from vanetlab.classifiers.base import check_labels, check_matrix, sq_dists
 from vanetlab.classifiers.forest import bootstrap_rows
 from vanetlab.classifiers.tree import SortTrie, grow_forest, grow_tree, tree_apply
-from vanetlab.dataset import Dataset, DatasetRow
+from vanetlab.dataset import DatasetRow
 from vanetlab.engine import substream
 from vanetlab.errors import DataError, VanetlabError
 
@@ -322,6 +321,11 @@ def test_gnb_zero_variance_stays_finite():
 
 
 # -- logistic regression ------------------------------------------------------
+
+
+def log_loss(y, raw):
+    """Mean binomial deviance of raw scores against {0,1} labels."""
+    return float(np.mean(np.logaddexp(0.0, raw) - y * raw))
 
 
 def lr_loss(w, b, X, y, l2):
@@ -871,15 +875,21 @@ def test_gb_fits_xor_with_shallow_trees(monkeypatch):
 
 
 def test_gb_loss_history_descends_and_matches_decision(separable400):
+    """Replaying the fitted stages from the prior, each one lowers the
+    training loss, and the replay ends on the model's own raw score."""
     X, y = separable400
     model = GradientBoosting().fit(X, y)
-    hist = model.loss_history
-    assert len(hist) == boosting.N_ESTIMATORS + 1
+    assert len(model.trees) == boosting.N_ESTIMATORS
+    yf = y.astype(np.float64)
+    raw = np.full(len(y), model.f0)
+    hist = [log_loss(yf, raw)]
+    for t in model.trees:
+        raw = raw + boosting.LEARNING_RATE * tree_apply(t, X)
+        hist.append(log_loss(yf, raw))
     for earlier, later in zip(hist, hist[1:]):
         assert later <= earlier + 1e-12
-    yf = y.astype(np.float64)
-    assert hist[-1] == pytest.approx(log_loss(yf, model._raw(X)), abs=1e-12)
-    assert hist[0] == pytest.approx(log_loss(yf, np.full(len(y), model.f0)), abs=1e-12)
+    assert hist[-1] < hist[0]
+    assert np.array_equal(raw, model._raw(X))
 
 
 # -- cross-model contract -----------------------------------------------------
@@ -1055,7 +1065,7 @@ def test_standardizer_names_the_feature_whose_std_overflows():
 # of the fit, and RF's seed and threshold, which the saved trees and
 # N_TREES determine
 UNSAVED = {
-    "GB": {"loss_history"},
+    "GB": set(),
     "RF": {"seed", "threshold"},
     "SVM": {"sweeps_run"},
     "KNN": set(),
@@ -1104,11 +1114,10 @@ def test_make_rejects_unknown_kind():
 
 
 def test_as_arrays_shapes():
-    ds = Dataset([
+    X, y = as_arrays([
         DatasetRow(167837953, 167837954, 49153, 9, 1),
         DatasetRow(167837955, 167837956, 49154, 9, 0),
     ])
-    X, y = as_arrays(ds)
     assert X.shape == (2, 4)
     assert X.dtype == np.float64
     assert y.tolist() == [1, 0]

@@ -15,7 +15,6 @@ from vanetlab.config import (
     MobilityConfig,
     ScenarioConfig,
     _grid,
-    default_config,
     derived_seed,
     sample_scenario,
 )
@@ -24,7 +23,8 @@ from vanetlab.errors import ConfigError
 
 
 def test_defaults_are_valid_and_match_sweep_ranges():
-    cfg = default_config()
+    cfg = ScenarioConfig()
+    cfg.validate()
     assert cfg.seed == 1729
     assert cfg.scenario_count == 12
     assert cfg.flows_per_scenario == 250
@@ -48,7 +48,7 @@ def test_grid_hits_both_endpoints_and_ascends():
 
 
 def test_sample_scenario_respects_bounds():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     for index in range(cfg.scenario_count):
         params = sample_scenario(cfg, index)
         assert cfg.vehicles[0] <= params.vehicles <= cfg.vehicles[1]
@@ -70,7 +70,7 @@ def test_sample_scenario_respects_bounds():
 
 
 def test_sample_scenario_is_deterministic():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     a = sample_scenario(cfg, 7)
     b = sample_scenario(cfg, 7)
     assert a.blackholes == b.blackholes
@@ -78,14 +78,14 @@ def test_sample_scenario_is_deterministic():
 
 
 def test_sample_scenario_varies_with_seed():
-    cfg_a = default_config()
-    cfg_b = default_config()
+    cfg_a = ScenarioConfig()
+    cfg_b = ScenarioConfig()
     cfg_b.seed = 999
     assert sample_scenario(cfg_a, 5).flows != sample_scenario(cfg_b, 5).flows
 
 
 def test_round_trip_through_dict():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     cfg.stratified_split = True
     cfg.balance = None
     again = ScenarioConfig.from_dict(cfg.to_dict())
@@ -138,7 +138,7 @@ def test_from_dict_rejects_malformed_values():
     {"balance": (0, 100)},
 ])
 def test_validate_error_catalogue(patch):
-    cfg = default_config()
+    cfg = ScenarioConfig()
     for key, value in patch.items():
         setattr(cfg, key, value)
     with pytest.raises(ConfigError):
@@ -158,7 +158,7 @@ def test_partial_section_keeps_the_sweep_defaults():
 
 def test_float_fields_accept_integers_and_serialise_as_floats():
     cfg = ScenarioConfig.from_dict({"sim_duration_s": 30, "arena": {"width_m": 20}})
-    assert json.dumps(cfg.to_dict()) == json.dumps(default_config().to_dict())
+    assert json.dumps(cfg.to_dict()) == json.dumps(ScenarioConfig().to_dict())
 
 
 _DEFAULT = ScenarioConfig().to_dict()
@@ -245,7 +245,12 @@ def _accepts(raw) -> bool:
     except ConfigError:
         return False
     seconds(cfg.sim_duration_s)
-    Engine(cfg.radio).latency_ns(1, cfg.radio.range_m)
+    # one byte across the whole range: the longest propagation delay the
+    # radio can schedule, which must fit in integer ns
+    engine = Engine(cfg.radio)
+    engine.register_node(0, (0.0, 0.0))
+    engine.register_node(1, (cfg.radio.range_m, 0.0))
+    assert engine.transmit(0, 1, 1, None)
     got = cfg.to_dict()
     assert _kept(raw, got)
     types = _json_types(got)
@@ -273,7 +278,7 @@ def test_from_dict_fuzz_returns_a_config_or_raises_config_error():
 
 
 def test_honest_room_guard_checks_both_ends():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     cfg.vehicles = (10, 65)
     cfg.malicious = (8, 10)
     cfg.validate()
@@ -288,7 +293,7 @@ def test_derived_seed_is_plain_mix():
 
 
 def test_arena_and_radio_are_copied_not_shared():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     params = sample_scenario(cfg, 0)
     assert params.arena is not cfg.arena
     assert params.radio is not cfg.radio
@@ -307,14 +312,14 @@ def test_each_section_has_one_default():
 
 
 def test_flow_pair_cap_is_inclusive():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     cfg.flow_pairs_per_scenario = MAX_FLOW_PAIRS
     cfg.validate()
 
 
 def test_flow_pairs_reuse_endpoints():
     """All flows of a scenario must come from the fixed conversation pool."""
-    cfg = default_config()
+    cfg = ScenarioConfig()
     params = sample_scenario(cfg, 3)
     pairs = {(s.src, s.dst) for s in params.flows}
     assert len(pairs) <= cfg.flow_pairs_per_scenario

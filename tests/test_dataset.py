@@ -6,14 +6,13 @@ import re
 
 import pytest
 
-from vanetlab.config import default_config, sample_scenario
+from vanetlab.config import ScenarioConfig, sample_scenario
 from vanetlab.dataset import (
     DATASET_HEADER,
     FLOWS_HEADER,
-    Dataset,
     DatasetRow,
-    SplitSpec,
     balance,
+    class_counts,
     label_flows,
     read_csv,
     read_flows_csv,
@@ -57,7 +56,7 @@ def make_rows(pos, neg):
         rows.append(DatasetRow(100 + i, 200, 49153 + i, 9, 1))
     for i in range(neg):
         rows.append(DatasetRow(300 + i, 400, 52000 + i, 9, 0))
-    return Dataset(rows)
+    return rows
 
 
 def test_label_rule_is_absorption_not_loss():
@@ -71,74 +70,76 @@ def test_label_rule_is_absorption_not_loss():
 def test_label_flows_and_class_counts():
     records = [make_record(absorbed=1, port=49153 + i) for i in range(4)]
     records += [make_record(port=50000 + i) for i in range(12)]
-    ds = label_flows(records)
-    assert ds.class_counts() == (4, 12)
-    assert len(ds) == 16
+    rows = label_flows(records)
+    assert class_counts(rows) == (4, 12)
+    assert len(rows) == 16
 
 
 def test_split_2000_rows_default_fraction():
     ds = make_rows(500, 1500)
-    train, test = split(ds, SplitSpec(0.6, seed=42))
+    train, test = split(ds, 0.6, seed=42)
     assert len(train) == 1200
     assert len(test) == 800
 
 
 def test_split_rounds_half_up():
     ds = make_rows(3, 2)
-    train, test = split(ds, SplitSpec(0.6, seed=1))
+    train, test = split(ds, 0.6, seed=1)
     assert len(train) == 3  # round(3.0) stays 3
-    train, test = split(ds, SplitSpec(0.5, seed=1))
+    train, test = split(ds, 0.5, seed=1)
     assert len(train) == 3  # 2.5 rounds up
 
 
 def test_split_partitions_without_loss():
     ds = make_rows(40, 60)
-    train, test = split(ds, SplitSpec(0.6, seed=9))
-    combined = sorted(train.rows + test.rows, key=lambda r: (r.src_addr, r.src_port))
-    original = sorted(ds.rows, key=lambda r: (r.src_addr, r.src_port))
+    train, test = split(ds, 0.6, seed=9)
+    combined = sorted(train + test, key=lambda r: (r.src_addr, r.src_port))
+    original = sorted(ds, key=lambda r: (r.src_addr, r.src_port))
     assert combined == original
 
 
 def test_split_is_deterministic_and_seed_sensitive():
     ds = make_rows(40, 60)
-    a_train, a_test = split(ds, SplitSpec(0.6, seed=9))
-    b_train, b_test = split(ds, SplitSpec(0.6, seed=9))
-    assert a_train.rows == b_train.rows and a_test.rows == b_test.rows
-    c_train, _ = split(ds, SplitSpec(0.6, seed=10))
-    assert c_train.rows != a_train.rows
+    a_train, a_test = split(ds, 0.6, seed=9)
+    b_train, b_test = split(ds, 0.6, seed=9)
+    assert a_train == b_train and a_test == b_test
+    c_train, _ = split(ds, 0.6, seed=10)
+    assert c_train != a_train
 
 
 def test_stratified_split_preserves_class_ratio():
     ds = make_rows(100, 300)
-    train, test = split(ds, SplitSpec(0.6, seed=5, stratified=True))
-    assert train.class_counts() == (60, 180)
-    assert test.class_counts() == (40, 120)
+    train, test = split(ds, 0.6, seed=5, stratified=True)
+    assert class_counts(train) == (60, 180)
+    assert class_counts(test) == (40, 120)
 
 
 def test_split_too_few_rows():
     cases = [
-        (make_rows(1, 0), SplitSpec(0.6, seed=1)),
-        (make_rows(5, 5), SplitSpec(0.99, seed=1)),  # no test rows
-        (make_rows(5, 5), SplitSpec(0.01, seed=1)),  # no train rows
-        (make_rows(5, 5), SplitSpec(0.99, seed=1, stratified=True)),
-        (make_rows(5, 5), SplitSpec(0.05, seed=1, stratified=True)),
+        (make_rows(1, 0), 0.6, False),
+        (make_rows(5, 5), 0.99, False),  # no test rows
+        (make_rows(5, 5), 0.01, False),  # no train rows
+        (make_rows(5, 5), 0.99, True),
+        (make_rows(5, 5), 0.05, True),
     ]
-    for ds, spec in cases:
+    for ds, fraction, stratified in cases:
         with pytest.raises(DataError, match="both need at least one"):
-            split(ds, spec)
+            split(ds, fraction, seed=1, stratified=stratified)
 
 
-def test_split_spec_validates_fraction():
-    with pytest.raises(ValueError):
-        SplitSpec(0.0, seed=1).validate()
-    with pytest.raises(ValueError):
-        SplitSpec(1.0, seed=1).validate()
+def test_split_validates_fraction_first():
+    # checked before the rows, so rows that no fraction could split
+    # still report the fraction
+    for fraction in (0.0, 1.0, -0.5, 1.5, math.nan):
+        for rows in (make_rows(5, 5), []):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+                split(rows, fraction, seed=1)
 
 
 def test_balance_exact_counts():
     ds = make_rows(812, 3100)
     out = balance(ds, 500, 1500, seed=7)
-    assert out.class_counts() == (500, 1500)
+    assert class_counts(out) == (500, 1500)
     assert len(out) == 2000
 
 
@@ -146,10 +147,10 @@ def test_balance_deterministic_and_subset():
     ds = make_rows(812, 3100)
     a = balance(ds, 500, 1500, seed=7)
     b = balance(ds, 500, 1500, seed=7)
-    assert a.rows == b.rows
-    pool = set(ds.rows)
-    assert all(r in pool for r in a.rows)
-    assert len(set(a.rows)) == len(a.rows)  # sampled without replacement
+    assert a == b
+    pool = set(ds)
+    assert all(r in pool for r in a)
+    assert len(set(a)) == len(a)  # sampled without replacement
 
 
 def test_balance_insufficient_rows_reports_counts():
@@ -163,11 +164,11 @@ def test_dataset_csv_round_trip(tmp_path):
     path = tmp_path / "dataset.csv"
     write_csv(ds, path)
     again = read_csv(path)
-    assert again.rows == ds.rows
+    assert again == ds
 
 
 def test_dataset_csv_literal_line(tmp_path):
-    ds = Dataset([DatasetRow(167837957, 167837958, 49153, 9, 1)])
+    ds = [DatasetRow(167837957, 167837958, 49153, 9, 1)]
     path = tmp_path / "one.csv"
     write_csv(ds, path)
     text = path.read_text().splitlines()
@@ -177,9 +178,9 @@ def test_dataset_csv_literal_line(tmp_path):
 
 def test_dataset_csv_empty_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv(Dataset([]), path)
+    write_csv([], path)
     assert path.read_text() == DATASET_HEADER + "\n"
-    assert read_csv(path).rows == []
+    assert read_csv(path) == []
 
 
 @pytest.mark.parametrize("content", [
@@ -219,7 +220,7 @@ def test_flows_csv_round_trip_with_unset_rx(tmp_path):
 def test_flows_csv_round_trips_simulator_records(tmp_path):
     """Real records, not hand-made ones: received, blackholed and
     never-received flows come back equal from flows.csv."""
-    cfg = dataclasses.replace(default_config(), flows_per_scenario=40)
+    cfg = dataclasses.replace(ScenarioConfig(), flows_per_scenario=40)
     records = run_scenario(sample_scenario(cfg, 9)).records
     assert {record_label(r) for r in records} == {0, 1}
     assert any(r.time_first_rx is None for r in records)

@@ -98,23 +98,22 @@ def test_scheduling_in_the_past_rejected():
 def test_position_static_node():
     eng = Engine()
     eng.register_node(0, (100.0, 0.0))
-    assert eng.position_at(0, 0) == (100.0, 0.0)
-    assert eng.position_at(0, seconds(42)) == (100.0, 0.0)
+    eng.register_node(1, (0.0, 0.0))
+    assert eng.distance(0, 1, 0) == 100.0
+    assert eng.distance(0, 1, seconds(42)) == 100.0
 
 
 def test_position_linear_motion():
+    # node 0 drives along x onto the spot 30 m straight below node 1
     eng = Engine()
     eng.register_node(0, (0.0, 0.0), velocity=(10.0, 0.0))
-    x, y = eng.position_at(0, seconds(5))
-    assert x == pytest.approx(50.0)
-    assert y == 0.0
+    eng.register_node(1, (50.0, 30.0))
+    assert eng.distance(0, 1, 0) == math.hypot(50.0, 30.0)
+    assert eng.distance(0, 1, seconds(5)) == 30.0
 
 
 def test_unknown_node_raises():
     eng = Engine()
-    with pytest.raises(VanetlabError, match="node 99 is not registered") as exc:
-        eng.position_at(99, 0)
-    assert exc.value.exit_code == 4
     with pytest.raises(VanetlabError, match="node 99 is not registered") as exc:
         eng.neighbors(99, 0)
     assert exc.value.exit_code == 4
@@ -156,22 +155,41 @@ def test_neighbors_symmetry_random_layout():
             assert n in eng.neighbors(m, 0)
 
 
+def latency(radio, size, d):
+    """The radio's delay for `size` bytes over d metres, from the raw
+    formula: serialization plus propagation, floored to whole ns, >= 1."""
+    tx = (size * 8 * NS_PER_S) // radio.bandwidth_bps
+    prop = int(radio.prop_delay_s_per_m * d * NS_PER_S)
+    return max(1, tx + prop)
+
+
+def arrival(radio, size, d):
+    """When a unicast of `size` bytes sent at t = 0 reaches a node d
+    metres away."""
+    eng = Engine(radio)
+    got = []
+    eng.register_node(0, (0.0, 0.0))
+    eng.register_node(1, (d, 0.0), receiver=lambda src, p: got.append(eng.clock))
+    assert eng.transmit(0, 1, size, "x")
+    eng.run_until(seconds(1))
+    assert len(got) == 1
+    return got[0]
+
+
 def test_latency_formula_serialization_only():
-    eng = Engine(RadioConfig(bandwidth_bps=6_000_000))
     # 1024 bytes over 6 Mbps at zero distance: floor(1024*8/6e6 * 1e9)
-    assert eng.latency_ns(1024, 0.0) == 1_365_333
+    assert arrival(RadioConfig(bandwidth_bps=6_000_000), 1024, 0.0) == 1_365_333
 
 
 def test_latency_includes_propagation():
     radio = RadioConfig(bandwidth_bps=6_000_000, prop_delay_s_per_m=3.336e-9)
-    eng = Engine(radio)
     expected = (1024 * 8 * NS_PER_S) // 6_000_000 + int(3.336e-9 * 200.0 * NS_PER_S)
-    assert eng.latency_ns(1024, 200.0) == expected
+    assert arrival(radio, 1024, 200.0) == latency(radio, 1024, 200.0) == expected
 
 
 def test_latency_floors_at_one_ns():
     eng = Engine(RadioConfig(bandwidth_bps=10**12))
-    assert eng.latency_ns(1, 0.0) == 1
+    assert arrival(eng.radio, 1, 0.0) == 1
     # a frame whose serialization rounds to 0 ns, between co-located nodes
     got = []
     for n in (0, 1):
@@ -194,7 +212,7 @@ def test_unicast_delivery_time_and_payload():
     src, payload, at = got[0]
     assert src == 0
     assert payload == "hello"
-    assert at == eng.latency_ns(1024, 100.0)
+    assert at == latency(eng.radio, 1024, 100.0)
 
 
 def test_unicast_out_of_range_reports_no_delivery():
@@ -276,19 +294,26 @@ def test_distance_matches_hypot():
 
 
 def test_distance_is_bitwise_hypot_of_positions():
-    # exact equality: a last-ulp difference could flip latency_ns
+    # exact equality: a last-ulp difference could flip an arrival time
     eng = Engine()
     rng = substream(5, 0)
+    kin = {}
     for n in range(12):
-        eng.register_node(
-            n,
+        kin[n] = (
             (rng.uniform(0.0, 2000.0), rng.uniform(0.0, 20.0)),
             (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
         )
+        eng.register_node(n, *kin[n])
+
+    def position(n, t):
+        (x, y), (vx, vy) = kin[n]
+        dt = t / NS_PER_S
+        return x + vx * dt, y + vy * dt
+
     for t in (0, 1, seconds(0.3), seconds(17.123456789), seconds(29.9)):
         for a in range(12):
             for b in range(12):
-                (ax, ay), (bx, by) = eng.position_at(a, t), eng.position_at(b, t)
+                (ax, ay), (bx, by) = position(a, t), position(b, t)
                 assert eng.distance(a, b, t) == math.hypot(ax - bx, ay - by)
 
 
@@ -364,21 +389,17 @@ def test_radio_config_validation():
 
 def _reference_frames(eng, ids, frames, radio):
     """Brute-force deliveries of `frames` [(t, src, dst, size)]: every
-    node in `ids` but src (or dst only, for a unicast) whose hypot
-    distance at t is within range, arriving after the raw latency
-    formula, ordered by arrival time, then transmit order, then id.
+    node in `ids` but src (or dst only, for a unicast) whose distance at
+    t is within range, arriving after the raw latency formula, ordered
+    by arrival time, then transmit order, then id.
     Returns (deliveries [(arrival, rcv, src, frame)], dropped frames)."""
     out, dropped = [], []
     for k, (t, src, dst, size) in enumerate(frames):
-        sx, sy = eng.position_at(src, t)
         hits = []
         for rcv in (sorted(ids) if dst == BROADCAST else [dst]):
-            rx, ry = eng.position_at(rcv, t)
-            d = math.hypot(sx - rx, sy - ry)
+            d = eng.distance(src, rcv, t)
             if rcv != src and d <= radio.range_m:
-                tx = (size * 8 * NS_PER_S) // radio.bandwidth_bps
-                prop = int(radio.prop_delay_s_per_m * d * NS_PER_S)
-                hits.append((t + max(1, tx + prop), k, rcv))
+                hits.append((t + latency(radio, size, d), k, rcv))
         if dst != BROADCAST and not hits:
             dropped.append(k)
         out.extend(hits)
@@ -490,7 +511,7 @@ def test_flood_copy_with_an_equal_arrival_is_not_queued(prop_delay):
     eng.transmit(0, BROADCAST, 64, "first", flood="k")
     eng.transmit(1, BROADCAST, 64, "second", flood="k")
     eng.run_until(seconds(1))
-    assert got == [(2, 0, "first", eng.latency_ns(64, 200.0))]
+    assert got == [(2, 0, "first", latency(eng.radio, 64, 200.0))]
     # the second copy could arrive no earlier than node 2's record: with no
     # propagation delay that is known before its distance is measured
     assert checks == ([(0, 2), (1, 2)] if prop_delay else [(0, 2)])
@@ -502,7 +523,7 @@ def test_flood_copy_that_overtakes_an_earlier_one_is_queued():
     eng.run_until(100)
     eng.transmit(1, BROADCAST, 64, "near", flood="k")  # 10 m away, sent 100 ns later
     eng.run_until(seconds(1))
-    near, far = 100 + eng.latency_ns(64, 10.0), eng.latency_ns(64, 240.0)
+    near, far = 100 + latency(eng.radio, 64, 10.0), latency(eng.radio, 64, 240.0)
     assert near < far
     # the earlier copy is already queued and still arrives; the receiver
     # discards it as it would any copy after its first

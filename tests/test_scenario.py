@@ -6,7 +6,7 @@ import pytest
 from flow_audit import record_observations
 
 from vanetlab.aodv import AodvNode, Rreq
-from vanetlab.config import ScenarioConfig, default_config, sample_scenario
+from vanetlab.config import ScenarioConfig, sample_scenario
 from vanetlab.engine import BROADCAST, Engine, RadioConfig, seconds, substream
 from vanetlab.flows import FlowMonitor, FlowSpec
 from vanetlab.scenario import (
@@ -86,27 +86,35 @@ def test_layout_gap_clamped_to_minimum():
 
 
 def test_run_scenario_is_deterministic():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     params = sample_scenario(cfg, 11)
     first = run_scenario(params).records
     second = run_scenario(params).records
     assert first == second
 
 
-def test_run_scenario_blackhole_places_attacker_mid_width():
+def test_run_scenario_blackhole_places_attacker_mid_width(monkeypatch):
     flows = [FlowSpec(0, 2, 49153, 9, packet_size_bytes=1024,
                       data_rate_bps=1_024_000, packet_count=5,
                       start=seconds(1))]
     params = make_params(vehicles=3, blackholes=(1,), length_m=444.0,
                          flows=flows)
+    registered = {}
+    register = Engine.register_node
+
+    def recorded(engine, node_id, position, velocity=(0.0, 0.0), receiver=None):
+        registered[node_id] = (position, velocity)
+        register(engine, node_id, position, velocity, receiver)
+
+    monkeypatch.setattr(Engine, "register_node", recorded)
     result = run_scenario(params)
-    engine = result.engine
-    assert engine.position_at(1, engine.clock)[1] == params.arena.width_m / 2.0
+    (_, y), (_, vy) = registered[1]
+    assert y == params.arena.width_m / 2.0 and vy == 0.0
     assert result.records[0].tx_packets == 5
 
 
 def test_default_sweep_low_end_is_clean_and_high_end_is_poisoned():
-    cfg = default_config()
+    cfg = ScenarioConfig()
 
     lo = run_scenario(sample_scenario(cfg, 0))
     assert all(r.blackhole_absorbed == 0 for r in lo.records)
@@ -132,7 +140,7 @@ def test_every_observation_passes_once_through_one_per_kind_method(monkeypatch):
         observe(monitor, o)
 
     monkeypatch.setattr(FlowMonitor, "observe", counting)
-    result = run_scenario(sample_scenario(default_config(), 9))
+    result = run_scenario(sample_scenario(ScenarioConfig(), 9))
     total = sum(r.tx_packets + r.rx_packets + r.lost_packets for r in result.records)
     assert total > 0
     assert list(logs) == [result.monitor]
@@ -181,7 +189,7 @@ def test_default_scenario_keeps_its_event_trace(index, monkeypatch):
     count(AodvNode, "on_frame", lambda node, prev_hop, payload: type(payload).__name__)
     for kind in ("tx", "rx", "drop"):
         count(FlowMonitor, f"observe_{kind}", lambda *a, kind=kind: kind)
-    result = run_scenario(sample_scenario(default_config(), index))
+    result = run_scenario(sample_scenario(ScenarioConfig(), index))
     for node in result.nodes.values():
         counts.update(node.counters)
     assert dict(counts) == TRACES[index]
