@@ -33,8 +33,9 @@ from .dataset import (
     write_flows_csv,
 )
 from .errors import ConfigError, DataError, VanetlabError
+from .flows import FlowRecord
 from .metrics import evaluate_scores
-from .scenario import run_scenario
+from .scenario import ScenarioParams, run_scenario
 
 log = logging.getLogger("vanetlab.cli")
 
@@ -64,29 +65,74 @@ def load_config(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_dict(raw)
 
 
+def _scenario_records(params: ScenarioParams) -> list[FlowRecord]:
+    """One scenario's flow records, the unit of work a sweep worker runs.
+    Only the records cross back: the result's nodes hold the engine,
+    whose queued events are closures that cannot be pickled."""
+    return run_scenario(params).records
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (so `taskset -c 0` gives 1); 1
+    where the platform has no affinity mask. Every platform that has one
+    can fork."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def run_sweep(cfg: ScenarioConfig):
-    """All scenarios in index order; (records, per-scenario manifest rows)."""
+    """All scenarios in index order; (records, per-scenario manifest rows).
+
+    Scenarios are sampled here and run in forked worker processes, one
+    per usable CPU up to the scenario count; with one, they run in
+    process. Each scenario draws only from its own (seed, index)
+    substreams and the results are gathered in index order, so the
+    records are the same either way. No worker outlives the call."""
+    scenarios = [sample_scenario(cfg, i) for i in range(cfg.scenario_count)]
+    workers = min(_usable_cpus(), len(scenarios))
+    if workers < 2:
+        return _gather(scenarios, map(_scenario_records, scenarios))
+
+    # imported here so that a start that never sweeps does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn or forkserver: a fresh interpreter and its imports
+    # in each worker would cost about what the second CPU saves
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return _gather(scenarios, pool.map(_scenario_records, scenarios))
+    except BrokenProcessPool as e:
+        raise VanetlabError(f"scenario sweep: a worker process died: {e}") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _gather(scenarios: list[ScenarioParams], results):
+    """Concatenate each scenario's records, given in index order, and
+    build its manifest row; logs one line per scenario."""
     records = []
     meta = []
-    for i in range(cfg.scenario_count):
-        params = sample_scenario(cfg, i)
+    for params, scenario_records in zip(scenarios, results):
+        positive = sum(map(record_label, scenario_records))
         log.info(
-            "scenario %d: %d vehicles, %d blackholes",
-            i, params.vehicles, len(params.blackholes),
+            "scenario %d: %d vehicles, %d blackholes, %d of %d flows positive",
+            params.index, params.vehicles, len(params.blackholes),
+            positive, len(scenario_records),
         )
-        result = run_scenario(params)
-        positive = sum(map(record_label, result.records))
         meta.append(
             {
-                "index": i,
+                "index": params.index,
                 "vehicles": params.vehicles,
                 "blackholes": list(params.blackholes),
-                "flows": len(result.records),
+                "flows": len(scenario_records),
                 "positive": positive,
-                "negative": len(result.records) - positive,
+                "negative": len(scenario_records) - positive,
             }
         )
-        records.extend(result.records)
+        records.extend(scenario_records)
     return records, meta
 
 

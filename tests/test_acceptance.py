@@ -12,6 +12,7 @@ import collections
 import hashlib
 import json
 import math
+import os
 import random
 import time
 from types import SimpleNamespace
@@ -68,7 +69,10 @@ def _verdict(criterion: int, ok: bool, detail: str) -> bool:
 def pipeline_runs(tmp_path_factory):
     """The default pipeline executed twice into separate directories:
     run1 and run2, run 1's seconds, run 2's flow records, and every flow
-    observation run 2 made, one list per flow monitor."""
+    observation run 2 made, one list per flow monitor. Run 1 sweeps in
+    worker processes where more than one CPU is usable; run 2 sees one
+    CPU and sweeps in process, where its observations can be recorded,
+    so comparing the two runs compares both sweeps."""
     base = tmp_path_factory.mktemp("acceptance")
     config_path = base / "config.json"
     config_path.write_text(json.dumps(ScenarioConfig().to_dict()) + "\n")
@@ -85,6 +89,7 @@ def pipeline_runs(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         logs = record_observations(mp)
         mp.setattr(cli, "run_sweep", recorded_sweep)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
         cmd_pipeline(str(config_path), str(base / "run2"))
     (records, _), = sweeps
     return SimpleNamespace(run1=base / "run1", run2=base / "run2", elapsed=elapsed,

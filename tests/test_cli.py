@@ -1,7 +1,10 @@
 """Command-line workflow tests driven through main(argv) return codes."""
 
+import concurrent.futures
 import hashlib
 import json
+import logging
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ import pytest
 
 from vanetlab import cli, errors
 from vanetlab.cli import _parse_balance, main
+from vanetlab.config import ScenarioConfig
 from vanetlab.dataset import DATASET_HEADER, FLOWS_HEADER
 from vanetlab.errors import ConfigError, DataError, VanetlabError
 
@@ -32,6 +36,9 @@ COUNTING = {
     "malicious": [1, 1],
     "balance": None,
 }
+
+
+SWEEP = {**COUNTING, "scenario_count": 4, "vehicles": [10, 12]}
 
 
 def write_config(path, payload):
@@ -410,6 +417,97 @@ def test_runtime_error_exits_four(tmp_path, monkeypatch, capsys):
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "f.csv")])
     assert rc == 4
     assert capsys.readouterr().err == "runtime error: boom\n"
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_worker_left():
+    """No sweep worker may outlive the sweep; one found is joined, with
+    a bound, so that the failing test leaves no process behind."""
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.join(timeout=10)
+    assert left == []
+
+
+def failing_at(index, fail):
+    """A run_scenario that calls fail() on scenario `index`."""
+    run = cli.run_scenario
+
+    def run_scenario(params):
+        if params.index == index:
+            fail()
+        return run(params)
+
+    return run_scenario
+
+
+def test_sweep_workers_follow_the_usable_cpus(monkeypatch):
+    cfg = ScenarioConfig.from_dict({**SWEEP, "scenario_count": 3})
+    pools = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+
+    def spy(workers, mp_context):
+        pools.append((workers, mp_context.get_start_method()))
+        return pool_class(workers, mp_context=mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    usable_cpus(monkeypatch, 1)
+    in_process = cli.run_sweep(cfg)
+    assert pools == []
+    usable_cpus(monkeypatch, 5)
+    pooled = cli.run_sweep(cfg)
+    assert pools == [(3, "fork")]
+    assert_no_worker_left()
+    assert pooled == in_process
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_logs_each_scenario_once_in_index_order(monkeypatch, caplog, cpus):
+    usable_cpus(monkeypatch, cpus)
+    with caplog.at_level(logging.INFO, logger="vanetlab.cli"):
+        records, _ = cli.run_sweep(ScenarioConfig.from_dict(SWEEP))
+    assert_no_worker_left()
+    assert len(records) == 4 * SWEEP["flows_per_scenario"]
+    lines = [r.getMessage() for r in caplog.records if r.name == "vanetlab.cli"]
+    assert [line.split(":")[0] for line in lines] == [f"scenario {i}" for i in range(4)]
+
+
+def test_scenario_error_exits_alike_in_and_out_of_process(tmp_path, monkeypatch, capsys):
+    def fail():
+        raise DataError("scenario 2 cannot run")
+
+    monkeypatch.setattr(cli, "run_scenario", failing_at(2, fail))
+    cfg = write_config(tmp_path / "config.json", SWEEP)
+    outcomes = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "flows.csv")])
+        assert_no_worker_left()
+        outcomes.append((rc, capsys.readouterr().err))
+    assert outcomes == [(3, "data error: scenario 2 cannot run\n")] * 2
+    assert not (tmp_path / "flows.csv").exists()
+
+
+def test_dying_worker_exits_four_naming_the_sweep(tmp_path, monkeypatch, capsys):
+    test_process = os.getpid()
+
+    def die():
+        # os._exit in the test process would end the test run
+        assert os.getpid() != test_process, "scenario ran in process"
+        os._exit(1)
+
+    monkeypatch.setattr(cli, "run_scenario", failing_at(2, die))
+    usable_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path / "config.json", SWEEP)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "flows.csv")])
+    assert_no_worker_left()
+    assert rc == 4
+    assert capsys.readouterr().err.startswith(
+        "runtime error: scenario sweep: a worker process died: ")
+    assert not (tmp_path / "flows.csv").exists()
 
 
 def test_one_error_class_per_exit_code():

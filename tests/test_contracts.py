@@ -7,11 +7,13 @@ air than their send interval, single-packet flows, three vehicles,
 fast-expiring neighbour lists, a radio that reaches nobody, and one
 conversation pair. Every run must still account for each packet
 (`rx + lost == tx`), count a blackhole loss only as a loss, and write
-the same bytes twice. No digest is pinned, so a deliberate behaviour
-change leaves these tests alone.
+the same bytes twice: once sweeping in two worker processes, once in
+process. No digest is pinned, so a deliberate behaviour change leaves
+these tests alone.
 """
 
 import json
+import os
 
 import pytest
 
@@ -42,7 +44,12 @@ OFF_DEFAULT = {
 MISS_THE_ATTACKER = {"one-metre-range", "three-vehicles"}
 
 
-def simulate(tmp_path, config, name):
+# usable CPUs per run: the first sweeps in a pool, the second in process
+CPUS = {"first": {0, 1}, "second": {0}}
+
+
+def simulate(tmp_path, monkeypatch, config, name):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS[name])
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config) + "\n")
     out = tmp_path / name
@@ -52,9 +59,9 @@ def simulate(tmp_path, config, name):
 
 
 @pytest.mark.parametrize("name", sorted(OFF_DEFAULT))
-def test_off_default_sweep_keeps_the_simulator_contracts(name, tmp_path):
+def test_off_default_sweep_keeps_the_simulator_contracts(name, tmp_path, monkeypatch):
     config = {**BASE, **OFF_DEFAULT[name]}
-    first, second = (simulate(tmp_path, config, run) for run in ("first", "second"))
+    first, second = (simulate(tmp_path, monkeypatch, config, run) for run in CPUS)
     assert first.read_bytes() == second.read_bytes()
     records = read_flows_csv(first)
     assert len(records) == BASE["scenario_count"] * BASE["flows_per_scenario"]
