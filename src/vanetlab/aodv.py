@@ -1,10 +1,13 @@
-"""On-demand distance-vector routing with a blackhole behavioral variant.
+"""On-demand distance-vector routing, for honest and blackhole nodes alike.
 
-Honest nodes discover routes by flooding route requests and unicasting
-replies along the reverse path; entries are ordered by destination
-sequence number (higher wins, ties by hop count). A blackhole node
-answers every overheard request with a forged, maximally fresh reply and
-silently absorbs any data packet it is asked to relay.
+Nodes discover routes by flooding route requests and unicasting replies
+along the reverse path; entries are ordered by destination sequence
+number (higher wins, ties by hop count). A blackhole node is the same
+agent with its `blackhole` flag set, and differs at exactly two
+decisions: handle_rreq answers every request not addressed to it with a
+forged, maximally fresh reply (installing no reverse route and never
+rebroadcasting), and handle_data absorbs every data packet it is asked
+to relay.
 
 Nodes record every data-packet loss with its cause: no_route,
 queue_overflow, blackhole_absorbed, or out_of_range when Engine.transmit
@@ -19,7 +22,6 @@ stays, so the outcome does not depend on the engine's skipping.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -39,14 +41,8 @@ MAX_RETRIES = 2
 QUEUE_CAP = 64  # packets buffered per destination while a route is found
 
 
-class Behavior(enum.Enum):
-    HONEST = "honest"
-    BLACKHOLE = "blackhole"
-
-
 @dataclass(slots=True)
 class RouteEntry:
-    dest: int
     next_hop: int
     hop_count: int
     dest_seq: int
@@ -77,12 +73,12 @@ class AodvNode:
         node_id: int,
         engine: Engine,
         monitor: FlowMonitor,
-        behavior: Behavior = Behavior.HONEST,
+        blackhole: bool = False,
     ):
         self.id = node_id
         self.engine = engine
         self.monitor = monitor
-        self.behavior = behavior
+        self.blackhole = blackhole
         self.routes: dict[int, RouteEntry] = {}
         self.own_seq = 0
         self._next_rreq_id = 0
@@ -93,8 +89,7 @@ class AodvNode:
                          "data_forwarded": 0}
         # exact payload type -> handler(payload, prev_hop)
         self._handlers = {
-            Rreq: self.blackhole_handle_rreq
-            if behavior is Behavior.BLACKHOLE else self.handle_rreq,
+            Rreq: self.handle_rreq,
             Rrep: self.handle_rrep,
             DataPacket: self.handle_data,
         }
@@ -118,27 +113,25 @@ class AodvNode:
             return
         queue = self._pending.setdefault(pkt.dst, [])
         if len(queue) >= QUEUE_CAP:
-            self.monitor.observe_drop(
-                pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, DropCause.QUEUE_OVERFLOW
-            )
+            self._drop(pkt, DropCause.QUEUE_OVERFLOW)
         else:
             queue.append(pkt)
         if pkt.dst not in self._discovering:
-            self.originate_route_discovery(pkt.dst)
+            self._discovering[pkt.dst] = 1
+            self._broadcast_rreq(pkt.dst)
+            self._schedule_retry_check(pkt.dst)
 
     def handle_data(self, pkt: DataPacket, prev_hop: int) -> None:
         """Deliver, relay or drop a data packet addressed through this node."""
         if pkt.dst == self.id:
             self.monitor.observe_rx(pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes)
             return
-        if self.behavior is Behavior.BLACKHOLE:
-            cause = DropCause.BLACKHOLE_ABSORBED
+        if self.blackhole:
+            self._drop(pkt, DropCause.BLACKHOLE_ABSORBED)
         elif self._send_routed(pkt):
             self.counters["data_forwarded"] += 1
-            return
         else:
-            cause = DropCause.NO_ROUTE
-        self.monitor.observe_drop(pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, cause)
+            self._drop(pkt, DropCause.NO_ROUTE)
 
     def _send_routed(self, pkt: DataPacket) -> bool:
         """Transmit pkt to its live route's next hop and count it as data_tx,
@@ -150,10 +143,11 @@ class AodvNode:
             return False
         self.counters["data_tx"] += 1
         if not self.engine.transmit(self.id, route.next_hop, pkt.size_bytes, pkt):
-            self.monitor.observe_drop(
-                pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, DropCause.OUT_OF_RANGE
-            )
+            self._drop(pkt, DropCause.OUT_OF_RANGE)
         return True
+
+    def _drop(self, pkt: DataPacket, cause: DropCause) -> None:
+        self.monitor.observe_drop(pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, cause)
 
     # -- route table --------------------------------------------------------
 
@@ -163,7 +157,7 @@ class AodvNode:
             return None
         return entry
 
-    def _maybe_install(self, dest: int, next_hop: int, hop_count: int, dest_seq: int) -> bool:
+    def _maybe_install(self, dest: int, next_hop: int, hop_count: int, dest_seq: int) -> None:
         """Install a route for ROUTE_LIFETIME_NS iff it is fresher than the incumbent.
 
         Higher dest_seq wins; equal seq falls back to shorter hop count;
@@ -173,18 +167,11 @@ class AodvNode:
         if cur is not None and (
             dest_seq < cur.dest_seq or (dest_seq == cur.dest_seq and hop_count >= cur.hop_count)
         ):
-            return False
-        self.routes[dest] = RouteEntry(
-            dest, next_hop, hop_count, dest_seq, self.engine.clock + ROUTE_LIFETIME_NS
-        )
-        return True
+            return
+        expiry = self.engine.clock + ROUTE_LIFETIME_NS
+        self.routes[dest] = RouteEntry(next_hop, hop_count, dest_seq, expiry)
 
     # -- discovery ------------------------------------------------------------
-
-    def originate_route_discovery(self, dest: int) -> None:
-        self._discovering[dest] = 1
-        self._broadcast_rreq(dest)
-        self._schedule_retry_check(dest)
 
     def _broadcast_rreq(self, dest: int) -> None:
         self.own_seq += 1
@@ -224,9 +211,7 @@ class AodvNode:
 
     def _fail_pending(self, dest: int) -> None:
         for pkt in self._pending.pop(dest, []):
-            self.monitor.observe_drop(
-                pkt.key, pkt.seq, self.engine.clock, pkt.size_bytes, DropCause.NO_ROUTE
-            )
+            self._drop(pkt, DropCause.NO_ROUTE)
 
     def _flush_pending(self, dest: int) -> None:
         """Send what waits for dest; the caller holds a live route to it."""
@@ -237,47 +222,31 @@ class AodvNode:
     # -- control plane -----------------------------------------------------------
 
     def handle_rreq(self, r: Rreq, prev_hop: int) -> None:
+        """Answer a request as its destination, else (blackhole) with a
+        forged reply, else from a fresh cached route, else rebroadcast it."""
         key = (r.origin, r.rreq_id)
         if key in self._seen_rreqs:
             return
         self._seen_rreqs.add(key)
-        self._maybe_install(r.origin, prev_hop, r.hop_count + 1, r.origin_seq)
+        if not self.blackhole:
+            self._maybe_install(r.origin, prev_hop, r.hop_count + 1, r.origin_seq)
         if r.dest == self.id:
-            self._reply_as_destination(r, prev_hop)
-            return
-        cached = self.live_route(r.dest)
-        if cached is not None and cached.dest_seq >= r.known_dest_seq:
+            # a blackhole answers in honest form too; it still absorbs relays
+            self.own_seq = max(self.own_seq, r.known_dest_seq)
+            reply = Rrep(dest=self.id, dest_seq=self.own_seq, hop_count=0, origin=r.origin)
+        elif self.blackhole:
+            forged_seq = min(r.known_dest_seq + SEQ_BOOST, U32_MAX)
+            reply = Rrep(dest=r.dest, dest_seq=forged_seq, hop_count=1, origin=r.origin)
+        else:
+            cached = self.live_route(r.dest)
+            if cached is None or cached.dest_seq < r.known_dest_seq:
+                self.counters["rreq_tx"] += 1
+                onward = r._replace(hop_count=r.hop_count + 1)
+                self.engine.transmit(self.id, BROADCAST, RREQ_SIZE_BYTES, onward, flood=key)
+                return
             reply = Rrep(dest=r.dest, dest_seq=cached.dest_seq, hop_count=cached.hop_count,
                          origin=r.origin)
-            self._unicast_rrep(reply, prev_hop)
-            return
-        self.counters["rreq_tx"] += 1
-        self.engine.transmit(
-            self.id, BROADCAST, RREQ_SIZE_BYTES, r._replace(hop_count=r.hop_count + 1), flood=key
-        )
-
-    def blackhole_handle_rreq(self, r: Rreq, prev_hop: int) -> None:
-        """Answer with a forged, maximally fresh reply; never rebroadcast."""
-        key = (r.origin, r.rreq_id)
-        if key in self._seen_rreqs:
-            return
-        self._seen_rreqs.add(key)
-        if r.dest == self.id:
-            # legitimate destination claim, answered in honest form; data
-            # relayed through this node is still absorbed
-            self._reply_as_destination(r, prev_hop)
-            return
-        forged_seq = min(r.known_dest_seq + SEQ_BOOST, U32_MAX)
-        self._unicast_rrep(
-            Rrep(dest=r.dest, dest_seq=forged_seq, hop_count=1, origin=r.origin),
-            prev_hop,
-        )
-
-    def _reply_as_destination(self, r: Rreq, prev_hop: int) -> None:
-        self.own_seq = max(self.own_seq, r.known_dest_seq)
-        self._unicast_rrep(
-            Rrep(dest=self.id, dest_seq=self.own_seq, hop_count=0, origin=r.origin), prev_hop
-        )
+        self._unicast_rrep(reply, prev_hop)
 
     def handle_rrep(self, r: Rrep, prev_hop: int) -> None:
         self._maybe_install(r.dest, prev_hop, r.hop_count + 1, r.dest_seq)

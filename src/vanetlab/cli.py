@@ -88,7 +88,8 @@ def run_sweep(cfg: ScenarioConfig):
     per usable CPU up to the scenario count; with one, they run in
     process. Each scenario draws only from its own (seed, index)
     substreams and the results are gathered in index order, so the
-    records are the same either way. No worker outlives the call."""
+    records are the same either way. No worker outlives the call, and
+    an exception in the parent (Ctrl-C, say) stops the workers first."""
     scenarios = [sample_scenario(cfg, i) for i in range(cfg.scenario_count)]
     workers = min(_usable_cpus(), len(scenarios))
     if workers < 2:
@@ -99,6 +100,7 @@ def run_sweep(cfg: ScenarioConfig):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    before = set(multiprocessing.active_children())
     # fork, not spawn or forkserver: a fresh interpreter and its imports
     # in each worker would cost about what the second CPU saves
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
@@ -106,6 +108,11 @@ def run_sweep(cfg: ScenarioConfig):
         return _gather(scenarios, pool.map(_scenario_records, scenarios))
     except BrokenProcessPool as e:
         raise VanetlabError(f"scenario sweep: a worker process died: {e}") from None
+    except BaseException:
+        # stop the workers, or shutdown waits for the scenarios they run
+        for worker in set(multiprocessing.active_children()) - before:
+            worker.terminate()
+        raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

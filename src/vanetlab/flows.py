@@ -123,10 +123,6 @@ class FlowRecord:
     throughput_bps: float = 0.0
     blackhole_absorbed: int = 0  # ground truth, not one of the 17 features
 
-    @property
-    def key(self) -> FlowKey:
-        return FlowKey(self.src_addr, self.dst_addr, self.src_port, self.dst_port)
-
 
 class FlowMonitor:
     """Collects Tx/Rx/Drop observations straight into one FlowRecord per

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aodv import AodvNode, Behavior
+from .aodv import AodvNode
 from .engine import Engine, RadioConfig, SimTime, substream
 from .flows import FlowMonitor, FlowRecord, FlowSpec, start_flow
 
@@ -108,8 +108,7 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
             y = place_rng.uniform(0.0, params.arena.width_m)
         speed = speed_rng.uniform(mobility.speed_min_mps, mobility.speed_max_mps)
         direction = 1.0 if speed_rng.random() < 0.5 else -1.0
-        behavior = Behavior.BLACKHOLE if n in blackhole_set else Behavior.HONEST
-        node = AodvNode(n, engine, monitor, behavior=behavior)
+        node = AodvNode(n, engine, monitor, blackhole=n in blackhole_set)
         nodes[n] = node
         engine.register_node(
             n, (xs[n], y), (speed * direction, 0.0), receiver=node.on_frame

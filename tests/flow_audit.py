@@ -5,7 +5,19 @@ import collections
 from typing import Iterable
 
 from vanetlab.engine import SimTime
-from vanetlab.flows import DropCause, FlowKey, FlowMonitor, FlowObservation, ObsKind
+from vanetlab.flows import (
+    DropCause,
+    FlowKey,
+    FlowMonitor,
+    FlowObservation,
+    FlowRecord,
+    ObsKind,
+)
+
+
+def flow_key(rec: FlowRecord) -> FlowKey:
+    """The four-tuple that names rec's flow, as its observations carry it."""
+    return FlowKey(rec.src_addr, rec.dst_addr, rec.src_port, rec.dst_port)
 
 
 def record_observations(monkeypatch) -> dict[FlowMonitor, list[FlowObservation]]:

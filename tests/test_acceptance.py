@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from flow_audit import recompute_from_log, record_observations
+from flow_audit import flow_key, recompute_from_log, record_observations
 
 from vanetlab import cli
 from vanetlab.cli import SPLIT_SEED, _model_for, cmd_pipeline, cmd_simulate
@@ -524,13 +524,13 @@ def test_criterion_7_flow_accounting(pipeline_runs):
     cfg = ScenarioConfig()
     assert len(logs) == cfg.scenario_count
     audit = recompute_from_log(o for log in logs.values() for o in log)
-    assert len({rec.key for rec in records}) == len(records) == len(audit)
+    assert len(set(map(flow_key, records))) == len(records) == len(audit)
     conservation_bad = 0
     audit_bad = 0
     for rec in records:
         if rec.rx_packets + rec.lost_packets != rec.tx_packets:
             conservation_bad += 1
-        ref = audit[rec.key]
+        ref = audit[flow_key(rec)]
         exact = (
             rec.tx_packets == ref["tx_packets"]
             and rec.rx_packets == ref["rx_packets"]

@@ -10,7 +10,7 @@ import math
 
 from flow_audit import record_observations
 
-from vanetlab.aodv import ROUTE_LIFETIME_NS, AodvNode, Behavior, RouteEntry, Rrep
+from vanetlab.aodv import ROUTE_LIFETIME_NS, AodvNode, RouteEntry, Rrep
 from vanetlab.engine import Engine, seconds, substream
 from vanetlab.flows import DropCause, FlowMonitor, FlowSpec, start_flow
 
@@ -43,8 +43,7 @@ def build_static(positions, blackholes=()):
     monitor = FlowMonitor()
     nodes = {}
     for node_id, pos in positions.items():
-        behavior = Behavior.BLACKHOLE if node_id in blackholes else Behavior.HONEST
-        node = AodvNode(node_id, engine, monitor, behavior=behavior)
+        node = AodvNode(node_id, engine, monitor, blackhole=node_id in blackholes)
         nodes[node_id] = node
         engine.register_node(node_id, pos, (0.0, 0.0), receiver=node.on_frame)
     return engine, monitor, nodes
@@ -112,8 +111,8 @@ def test_diamond_flood_dedup():
 def test_intermediate_cached_route_reply():
     positions = {0: (0.0, 0.0), 1: (200.0, 0.0), 2: (400.0, 0.0)}
     engine, monitor, nodes = build_static(positions)
-    nodes[1].routes[2] = RouteEntry(dest=2, next_hop=2, hop_count=1,
-                                    dest_seq=5, expiry=seconds(100))
+    nodes[1].routes[2] = RouteEntry(next_hop=2, hop_count=1, dest_seq=5,
+                                    expiry=seconds(100))
     records = run_flow(engine, monitor, nodes, 0, 2)
     # the middle node answered from cache, so the destination stayed silent
     assert nodes[1].counters["rrep_tx"] == 1
@@ -130,24 +129,24 @@ def test_freshness_rules_unit():
     node = nodes[0]
 
     def install(seq, hops):
-        return node._maybe_install(9, 9, hops, seq)
+        """The (dest_seq, hop_count) of the route to 9 after offering one."""
+        node._maybe_install(9, 9, hops, seq)
+        route = node.routes[9]
+        return route.dest_seq, route.hop_count
 
-    assert install(5, 3)
-    assert install(9, 5)          # higher seq replaces despite longer path
-    assert node.routes[9].hop_count == 5
-    assert install(9, 2)          # same seq, fewer hops replaces
-    assert not install(9, 4)      # same seq, more hops keeps incumbent
-    assert not install(8, 1)      # lower seq never replaces
-    assert node.routes[9].dest_seq == 9
-    assert node.routes[9].hop_count == 2
+    assert install(5, 3) == (5, 3)
+    assert install(9, 5) == (9, 5)  # higher seq replaces despite longer path
+    assert install(9, 2) == (9, 2)  # same seq, fewer hops replaces
+    assert install(9, 4) == (9, 2)  # same seq, more hops keeps incumbent
+    assert install(8, 1) == (9, 2)  # lower seq never replaces
 
 
 def test_expired_incumbent_never_blocks():
     engine, monitor, nodes = build_static({0: (0.0, 0.0)})
     node = nodes[0]
-    node.routes[9] = RouteEntry(9, 9, 1, 50, expiry=0)
+    node.routes[9] = RouteEntry(9, 1, 50, expiry=0)
     engine.clock = seconds(1)
-    assert node._maybe_install(9, 9, 3, 2)
+    node._maybe_install(9, 9, 3, 2)
     assert node.routes[9].dest_seq == 2
     assert node.routes[9].expiry == seconds(1) + ROUTE_LIFETIME_NS
 
@@ -204,7 +203,7 @@ def test_blackhole_forges_sequence_from_known_seq():
     positions = {0: (0.0, 0.0), 1: (200.0, 0.0), 2: (400.0, 0.0)}
     engine, monitor, nodes = build_static(positions, blackholes={1})
     # origin remembers an expired route whose seq the forger must top
-    nodes[0].routes[2] = RouteEntry(2, 2, 9, dest_seq=7, expiry=0)
+    nodes[0].routes[2] = RouteEntry(2, 9, dest_seq=7, expiry=0)
     run_flow(engine, monitor, nodes, 0, 2, count=1)
     route = nodes[0].routes[2]
     assert route.dest_seq == 1_000_007
@@ -270,8 +269,8 @@ def test_rrep_to_an_out_of_range_hop_counts_as_lost():
     counted as sent and as lost; one within range only as sent."""
     engine, monitor, nodes = build_static({0: (0.0, 0.0), 1: (200.0, 0.0), 2: (600.0, 0.0)})
     for origin, hop in ((5, 0), (6, 2)):
-        nodes[1].routes[origin] = RouteEntry(dest=origin, next_hop=hop, hop_count=1,
-                                             dest_seq=1, expiry=seconds(100))
+        nodes[1].routes[origin] = RouteEntry(next_hop=hop, hop_count=1, dest_seq=1,
+                                             expiry=seconds(100))
         nodes[1].handle_rrep(Rrep(origin=origin, dest=9, dest_seq=3, hop_count=1), prev_hop=0)
     assert nodes[1].counters["rrep_tx"] == 2
     assert nodes[1].counters["rrep_lost"] == 1

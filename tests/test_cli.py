@@ -6,8 +6,10 @@ import json
 import logging
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -508,6 +510,39 @@ def test_dying_worker_exits_four_naming_the_sweep(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err.startswith(
         "runtime error: scenario sweep: a worker process died: ")
     assert not (tmp_path / "flows.csv").exists()
+
+
+def test_interrupt_stops_the_workers_at_once(monkeypatch):
+    """An exception raised in the parent mid-sweep, as Ctrl-C or a time
+    limit's alarm raises it, stops the workers: the sweep does not wait
+    for the scenarios they are running."""
+    run = cli.run_scenario
+
+    def slow(params):
+        time.sleep(3)
+        return run(params)
+
+    class Interrupt(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupt
+
+    monkeypatch.setattr(cli, "run_scenario", slow)
+    usable_cpus(monkeypatch, 2)
+    cfg = ScenarioConfig.from_dict(SWEEP)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(Interrupt):
+            cli.run_sweep(cfg)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.monotonic() - start
+    assert_no_worker_left()
+    assert elapsed < 2
 
 
 def test_one_error_class_per_exit_code():

@@ -16,6 +16,7 @@ import json
 import os
 
 import pytest
+from flow_audit import flow_key
 
 from vanetlab.cli import cmd_simulate
 from vanetlab.dataset import read_flows_csv
@@ -66,7 +67,7 @@ def test_off_default_sweep_keeps_the_simulator_contracts(name, tmp_path, monkeyp
     records = read_flows_csv(first)
     assert len(records) == BASE["scenario_count"] * BASE["flows_per_scenario"]
     for r in records:
-        assert r.rx_packets + r.lost_packets == r.tx_packets, r.key
-        assert r.blackhole_absorbed <= r.lost_packets, r.key
+        assert r.rx_packets + r.lost_packets == r.tx_packets, flow_key(r)
+        assert r.blackhole_absorbed <= r.lost_packets, flow_key(r)
     if name not in MISS_THE_ATTACKER:
         assert any(r.blackhole_absorbed for r in records)

@@ -10,7 +10,7 @@ observe_tx, observe_rx and observe_drop.
 import copy
 
 import pytest
-from flow_audit import recompute_from_log, record_observations
+from flow_audit import flow_key, recompute_from_log, record_observations
 
 from vanetlab.engine import Engine, seconds, substream
 from vanetlab.errors import VanetlabError
@@ -304,7 +304,7 @@ def test_recompute_matches_monitor_on_random_streams(monkeypatch):
     audit = recompute_from_log(logs[mon])
     assert len(audit) == len(records) == 5
     for rec in records:
-        ref = audit[rec.key]
+        ref = audit[flow_key(rec)]
         assert rec.tx_packets == ref["tx_packets"]
         assert rec.rx_packets == ref["rx_packets"]
         assert rec.lost_packets == ref["lost_packets"]
