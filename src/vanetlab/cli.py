@@ -8,7 +8,6 @@ Set VANETLAB_LOG=DEBUG|INFO|WARNING|ERROR for verbosity.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import hashlib
 import json
@@ -185,11 +184,6 @@ def _model_for(kind: str, seed: int):
     return make(kind)
 
 
-def _class_counts(rows: list[DatasetRow]) -> dict:
-    """The rows' class counts as report.json and manifest.json write them."""
-    return dict(zip(("positive", "negative"), class_counts(rows)))
-
-
 def train_and_report(
     rows: list[DatasetRow],
     seed: int,
@@ -198,11 +192,10 @@ def train_and_report(
     report_path: str,
     roc_path: str,
 ) -> dict:
-    positive, negative = class_counts(rows)
-    if positive == 0 or negative == 0:
-        raise DataError(
-            f"evaluation needs both classes, got {positive} positive / {negative} negative"
-        )
+    counts = class_counts(rows)
+    if 0 in counts.values():
+        raise DataError("evaluation needs both classes, got {positive} positive / "
+                        "{negative} negative".format(**counts))
     train, test = split(rows, split_fraction, derived_seed(seed, SPLIT_SEED), stratified)
     X_train, y_train = as_arrays(train)
     X_test, y_test = as_arrays(test)
@@ -212,9 +205,9 @@ def train_and_report(
         "split_fraction": split_fraction,
         "rows": {"train": len(train), "test": len(test)},
         "class_counts": {
-            "dataset": _class_counts(rows),
-            "train": _class_counts(train),
-            "test": _class_counts(test),
+            "dataset": counts,
+            "train": class_counts(train),
+            "test": class_counts(test),
         },
         "classifiers": {},
     }
@@ -223,14 +216,9 @@ def train_and_report(
         log.info("training %s on %d rows", kind, len(train))
         model = _model_for(kind, seed).fit(X_train, y_train)
         pred, scores = model.classify(X_test)
-        rep = evaluate_scores(pred.tolist(), scores.tolist(), y_test.tolist())
-        # the ROC points go to roc.csv; asdict would deep-copy them first
-        entry = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
-                 if f.name not in ("counts", "roc_points")}
-        entry["confusion"] = dataclasses.asdict(rep.counts)
-        entry["confusion_normal_positive"] = dataclasses.asdict(rep.counts.swapped())
+        entry, points = evaluate_scores(pred.tolist(), scores.tolist(), y_test.tolist())
         report["classifiers"][kind] = entry
-        for fpr, tpr in rep.roc_points:
+        for fpr, tpr in points:
             roc_lines.append(f"{kind},{fpr!r},{tpr!r}")
 
     _write_json(report, report_path)
@@ -255,7 +243,7 @@ def cmd_simulate(config_path: str, out_path: str) -> dict:
     return _write_manifest(
         cfg, meta, os.path.dirname(os.path.abspath(out_path)),
         {"flows": os.path.basename(out_path)},
-        _class_counts(label_flows(records)),
+        class_counts(label_flows(records)),
     )
 
 
@@ -281,7 +269,7 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
     write_flows_csv(records, os.path.join(out_dir, "flows.csv"))
 
     rows = label_flows(records)
-    raw_counts = _class_counts(rows)
+    raw_counts = class_counts(rows)
     if cfg.balance is not None:
         rows = balance(rows, *cfg.balance, derived_seed(cfg.seed, BALANCE_SEED))
     write_csv(rows, os.path.join(out_dir, "dataset.csv"))
@@ -298,7 +286,7 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
         cfg, meta, out_dir,
         {"flows": "flows.csv", "dataset": "dataset.csv",
          "report": "report.json", "roc": "roc.csv"},
-        {"raw": raw_counts, "dataset": _class_counts(rows)},
+        {"raw": raw_counts, "dataset": class_counts(rows)},
     )
     return report
 
@@ -350,7 +338,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--split must lie in (0, 1), got {args.split}")
             if args.seed < 0 or args.seed > 0xFFFFFFFFFFFFFFFF:
                 raise ConfigError("--seed must fit in 64 bits")
-            balance_counts = _parse_balance(args.balance) if args.balance else None
+            balance_counts = _parse_balance(args.balance) if args.balance is not None else None
             cmd_evaluate(
                 args.dataset, args.split, args.seed, args.report, args.roc, balance_counts
             )

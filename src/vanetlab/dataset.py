@@ -34,10 +34,10 @@ class DatasetRow:
     label: int
 
 
-def class_counts(rows: list[DatasetRow]) -> tuple[int, int]:
-    """(positive, negative) row counts."""
+def class_counts(rows: list[DatasetRow]) -> dict:
+    """{"positive": p, "negative": n} row counts, as the reports write them."""
     pos = sum(1 for r in rows if r.label == 1)
-    return pos, len(rows) - pos
+    return {"positive": pos, "negative": len(rows) - pos}
 
 
 def record_label(record: FlowRecord) -> int:

@@ -1,54 +1,19 @@
 """Confusion-matrix metrics, threshold-sweep ROC curves, trapezoidal AUC,
 and the single-operating-point AUC construction.
 
-Positive class is malicious (label 1) throughout. Any metric whose
-denominator is 0 evaluates to 0.0 and is listed in MetricsReport.degenerate.
+Positive class is malicious (label 1) throughout. Confusion counts are a
+{"tp", "fp", "tn", "fn"} dict. Any metric whose denominator is 0
+evaluates to 0.0 and is listed in the entry's "degenerate".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DataError, VanetlabError
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self) -> None:
-        for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    def swapped(self) -> "ConfusionCounts":
-        """The same predictions scored with the opposite positive class."""
-        return ConfusionCounts(tp=self.tn, fp=self.fn, tn=self.tp, fn=self.fp)
-
-
-@dataclass
-class MetricsReport:
-    counts: ConfusionCounts
-    accuracy: float
-    sensitivity: float
-    ppv: float
-    npv: float
-    f1: float
-    degenerate: list[str] = field(default_factory=list)
-    roc_points: Optional[list[tuple[float, float]]] = None
-    auc: Optional[float] = None
-    single_point_auc: Optional[float] = None
-
-
-def confusion(pred: Sequence[int], truth: Sequence[int]) -> ConfusionCounts:
+def confusion(pred: Sequence[int], truth: Sequence[int]) -> dict:
     if len(pred) != len(truth):
         raise VanetlabError(f"pred has {len(pred)} labels, truth has {len(truth)}")
     if not pred:
@@ -65,7 +30,7 @@ def confusion(pred: Sequence[int], truth: Sequence[int]) -> ConfusionCounts:
                 fn += 1
             else:
                 tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    return {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
 
 
 def _ratio(num: int, den: int, name: str, degenerate: list[str]) -> float:
@@ -75,25 +40,25 @@ def _ratio(num: int, den: int, name: str, degenerate: list[str]) -> float:
     return num / den
 
 
-def compute_metrics(c: ConfusionCounts) -> MetricsReport:
-    """Accuracy, sensitivity, PPV, NPV and F1 over one confusion matrix."""
-    if c.total == 0:
+def compute_metrics(c: dict) -> dict:
+    """Accuracy, sensitivity, PPV, NPV and F1 over one confusion matrix,
+    and "degenerate", the ratios whose denominator is 0."""
+    for name in ("tp", "fp", "tn", "fn"):
+        if c[name] < 0:
+            raise ValueError(f"{name} must be non-negative")
+    tp, fp, tn, fn = c["tp"], c["fp"], c["tn"], c["fn"]
+    total = tp + fp + tn + fn
+    if total == 0:
         raise VanetlabError("confusion counts sum to zero")
     degenerate: list[str] = []
-    accuracy = (c.tp + c.tn) / c.total
-    sensitivity = _ratio(c.tp, c.tp + c.fn, "sensitivity", degenerate)
-    ppv = _ratio(c.tp, c.tp + c.fp, "ppv", degenerate)
-    npv = _ratio(c.tn, c.tn + c.fn, "npv", degenerate)
-    f1 = _ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn, "f1", degenerate)
-    return MetricsReport(
-        counts=c,
-        accuracy=accuracy,
-        sensitivity=sensitivity,
-        ppv=ppv,
-        npv=npv,
-        f1=f1,
-        degenerate=degenerate,
-    )
+    return {
+        "accuracy": (tp + tn) / total,
+        "sensitivity": _ratio(tp, tp + fn, "sensitivity", degenerate),
+        "ppv": _ratio(tp, tp + fp, "ppv", degenerate),
+        "npv": _ratio(tn, tn + fn, "npv", degenerate),
+        "f1": _ratio(2 * tp, 2 * tp + fp + fn, "f1", degenerate),
+        "degenerate": degenerate,
+    }
 
 
 def roc_points(scores: Sequence[float], truth: Sequence[int]) -> list[tuple[float, float]]:
@@ -159,13 +124,19 @@ def single_point_auc(tpr: float, fpr: float) -> float:
 
 def evaluate_scores(
     pred: Sequence[int], scores: Sequence[float], truth: Sequence[int]
-) -> MetricsReport:
-    """Full report: scalar metrics plus ROC, AUC and single-point AUC."""
-    report = compute_metrics(confusion(pred, truth))
+) -> tuple[dict, list[tuple[float, float]]]:
+    """One model's report.json entry, and its ROC points for roc.csv.
+
+    The entry holds the scalar metrics, the trapezoid and single-point
+    AUCs, and the confusion counts with malicious and with normal as the
+    positive class."""
+    c = confusion(pred, truth)
+    entry = compute_metrics(c)
     points = roc_points(scores, truth)
-    report.roc_points = points
-    report.auc = auc_trapezoid(points)
-    c = report.counts
-    fpr = c.fp / (c.fp + c.tn) if c.fp + c.tn else 0.0
-    report.single_point_auc = single_point_auc(report.sensitivity, fpr)
-    return report
+    tp, fp, tn, fn = c["tp"], c["fp"], c["tn"], c["fn"]
+    entry["auc"] = auc_trapezoid(points)
+    # roc_points has checked that truth holds both classes, so fp + tn > 0
+    entry["single_point_auc"] = single_point_auc(entry["sensitivity"], fp / (fp + tn))
+    entry["confusion"] = c
+    entry["confusion_normal_positive"] = {"tp": tn, "fp": fn, "tn": tp, "fn": fp}
+    return entry, points

@@ -38,7 +38,6 @@ from vanetlab.dataset import read_csv, record_label, split
 from vanetlab.engine import RadioConfig, seconds, substream
 from vanetlab.flows import FlowSpec
 from vanetlab.metrics import (
-    ConfusionCounts,
     auc_trapezoid,
     compute_metrics,
     single_point_auc,
@@ -118,22 +117,21 @@ def test_criterion_2_metric_identities():
     started = time.perf_counter()
     checked = 0
     for _ in range(1000):
-        c = ConfusionCounts(
-            tp=rng.randint(1, 400), fp=rng.randint(1, 400),
-            tn=rng.randint(1, 400), fn=rng.randint(1, 400),
-        )
-        rep = compute_metrics(c)
+        tp, fp, tn, fn = (rng.randint(1, 400) for _ in range(4))
+        rep = compute_metrics({"tp": tp, "fp": fp, "tn": tn, "fn": fn})
+        total = tp + fp + tn + fn
         # accuracy * total recovers tp+tn (same float expression, and the
         # product lands within rounding of the integer)
-        assert rep.accuracy == (c.tp + c.tn) / c.total
-        assert abs(rep.accuracy * c.total - (c.tp + c.tn)) < 1e-6
-        if rep.ppv + rep.sensitivity > 0:
-            harmonic = 2 * rep.ppv * rep.sensitivity / (rep.ppv + rep.sensitivity)
-            assert abs(rep.f1 - harmonic) <= 1e-12
-        for value in (rep.accuracy, rep.sensitivity, rep.ppv, rep.npv, rep.f1):
-            assert 0.0 <= value <= 1.0
-        tpr = c.tp / (c.tp + c.fn)
-        fpr = c.fp / (c.fp + c.tn)
+        assert rep["accuracy"] == (tp + tn) / total
+        assert abs(rep["accuracy"] * total - (tp + tn)) < 1e-6
+        ppv, sensitivity = rep["ppv"], rep["sensitivity"]
+        if ppv + sensitivity > 0:
+            harmonic = 2 * ppv * sensitivity / (ppv + sensitivity)
+            assert abs(rep["f1"] - harmonic) <= 1e-12
+        for name in ("accuracy", "sensitivity", "ppv", "npv", "f1"):
+            assert 0.0 <= rep[name] <= 1.0
+        tpr = tp / (tp + fn)
+        fpr = fp / (fp + tn)
         trap = auc_trapezoid([(0.0, 0.0), (fpr, tpr), (1.0, 1.0)])
         assert abs(trap - single_point_auc(tpr, fpr)) <= 1e-12
         checked += 1

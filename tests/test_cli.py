@@ -18,6 +18,7 @@ from vanetlab.cli import _parse_balance, main
 from vanetlab.config import ScenarioConfig
 from vanetlab.dataset import DATASET_HEADER, FLOWS_HEADER
 from vanetlab.errors import ConfigError, DataError, VanetlabError
+from vanetlab.metrics import auc_trapezoid
 
 BRIDGED = {
     "seed": 1729,
@@ -41,6 +42,12 @@ COUNTING = {
 
 
 SWEEP = {**COUNTING, "scenario_count": 4, "vehicles": [10, 12]}
+
+# one model's report.json entry
+ENTRY_KEYS = {
+    "accuracy", "sensitivity", "ppv", "npv", "f1", "degenerate",
+    "auc", "single_point_auc", "confusion", "confusion_normal_positive",
+}
 
 
 def write_config(path, payload):
@@ -98,7 +105,15 @@ def test_evaluate_reports_all_six_models(bridged_flows, tmp_path):
     rep = json.loads(report.read_text())
     assert sorted(rep["classifiers"]) == ["GB", "GNB", "KNN", "LR", "RF", "SVM"]
     assert rep["rows"] == {"train": 48, "test": 32}
-    for entry in rep["classifiers"].values():
+    roc_lines = roc.read_text().splitlines()
+    assert roc_lines[0] == "classifier,fpr,tpr"
+    curves = {}
+    for line in roc_lines[1:]:
+        kind, fpr, tpr = line.split(",")
+        curves.setdefault(kind, []).append((float(fpr), float(tpr)))
+    assert sorted(curves) == sorted(rep["classifiers"])
+    for kind, entry in rep["classifiers"].items():
+        assert set(entry) == ENTRY_KEYS
         c = entry["confusion"]
         assert c["tp"] + c["fp"] + c["tn"] + c["fn"] == 32
         assert 0.0 <= entry["accuracy"] <= 1.0
@@ -106,10 +121,12 @@ def test_evaluate_reports_all_six_models(bridged_flows, tmp_path):
         sw = entry["confusion_normal_positive"]
         assert (sw["tp"], sw["fp"], sw["tn"], sw["fn"]) == (
             c["tn"], c["fn"], c["tp"], c["fp"])
-    roc_lines = roc.read_text().splitlines()
-    assert roc_lines[0] == "classifier,fpr,tpr"
-    for kind in ("GB", "RF", "SVM", "KNN", "GNB", "LR"):
-        assert sum(1 for ln in roc_lines[1:] if ln.startswith(kind + ",")) >= 2
+        # roc.csv holds repr floats, so its curve reads back exactly
+        assert len(curves[kind]) >= 2
+        assert entry["auc"] == auc_trapezoid(curves[kind])
+        tpr = c["tp"] / (c["tp"] + c["fn"])
+        fpr = c["fp"] / (c["fp"] + c["tn"])
+        assert entry["single_point_auc"] == (1 + tpr - fpr) / 2
 
 
 def test_evaluate_accepts_labeled_dataset_table(bridged_flows, tmp_path):
@@ -256,6 +273,7 @@ def test_bad_evaluate_flags_exit_two(bridged_flows, tmp_path):
     assert main(base + ["--balance=-1:5"]) == 2
     assert main(base + ["--balance=3:-2"]) == 2
     assert main(base + ["--balance=0:5"]) == 2
+    assert main(base + ["--balance="]) == 2
 
 
 def test_simulate_checks_the_output_directory_first(tmp_path, monkeypatch):

@@ -71,7 +71,7 @@ def test_label_flows_and_class_counts():
     records = [make_record(absorbed=1, port=49153 + i) for i in range(4)]
     records += [make_record(port=50000 + i) for i in range(12)]
     rows = label_flows(records)
-    assert class_counts(rows) == (4, 12)
+    assert class_counts(rows) == {"positive": 4, "negative": 12}
     assert len(rows) == 16
 
 
@@ -110,8 +110,8 @@ def test_split_is_deterministic_and_seed_sensitive():
 def test_stratified_split_preserves_class_ratio():
     ds = make_rows(100, 300)
     train, test = split(ds, 0.6, seed=5, stratified=True)
-    assert class_counts(train) == (60, 180)
-    assert class_counts(test) == (40, 120)
+    assert class_counts(train) == {"positive": 60, "negative": 180}
+    assert class_counts(test) == {"positive": 40, "negative": 120}
 
 
 def test_split_too_few_rows():
@@ -139,7 +139,7 @@ def test_split_validates_fraction_first():
 def test_balance_exact_counts():
     ds = make_rows(812, 3100)
     out = balance(ds, 500, 1500, seed=7)
-    assert class_counts(out) == (500, 1500)
+    assert class_counts(out) == {"positive": 500, "negative": 1500}
     assert len(out) == 2000
 
 

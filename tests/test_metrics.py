@@ -15,7 +15,6 @@ import pytest
 
 from vanetlab.errors import DataError, VanetlabError
 from vanetlab.metrics import (
-    ConfusionCounts,
     auc_trapezoid,
     compute_metrics,
     confusion,
@@ -31,25 +30,22 @@ GB_FPR = 0.02116402
 def test_confusion_enumerates_all_four_cells():
     pred = [1, 0, 1, 0]
     truth = [1, 1, 0, 0]
-    c = confusion(pred, truth)
-    assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
-    assert c.total == 4
+    assert confusion(pred, truth) == {"tp": 1, "fp": 1, "tn": 1, "fn": 1}
 
 
 def test_confusion_all_positive_predictions():
-    c = confusion([1] * 6, [1, 1, 0, 0, 0, 1])
-    assert (c.tp, c.fp, c.tn, c.fn) == (3, 3, 0, 0)
+    assert confusion([1] * 6, [1, 1, 0, 0, 0, 1]) == {"tp": 3, "fp": 3, "tn": 0, "fn": 0}
 
 
 def test_confusion_with_positive_zero_swaps_roles():
-    """swapped() scores the same predictions with normal (0) as the
-    positive class."""
+    """confusion_normal_positive scores the same predictions with normal
+    (0) as the positive class."""
     pred = [1, 0, 1, 0, 0, 0]
     truth = [1, 1, 0, 0, 1, 0]
     # normal-positive by hand: tp = both 0 (rows 3, 5), fp = pred 0 on a
     # 1 (rows 1, 4), tn = both 1 (row 0), fn = pred 1 on a 0 (row 2)
-    c = confusion(pred, truth).swapped()
-    assert (c.tp, c.fp, c.tn, c.fn) == (2, 2, 1, 1)
+    entry, _ = evaluate_scores(pred, [0.5] * 6, truth)
+    assert entry["confusion_normal_positive"] == {"tp": 2, "fp": 2, "tn": 1, "fn": 1}
 
 
 def test_confusion_input_errors():
@@ -62,8 +58,16 @@ def test_confusion_input_errors():
 
 
 def test_negative_counts_rejected():
-    with pytest.raises(ValueError):
-        ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
+    for name in ("tp", "fp", "tn", "fn"):
+        counts = {"tp": 1, "fp": 1, "tn": 1, "fn": 1, name: -1}
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            compute_metrics(counts)
+
+
+def test_zero_counts_rejected():
+    with pytest.raises(VanetlabError, match="confusion counts sum to zero") as exc:
+        compute_metrics({"tp": 0, "fp": 0, "tn": 0, "fn": 0})
+    assert exc.value.exit_code == 4
 
 
 def derive_anchor_matrix():
@@ -80,42 +84,43 @@ def derive_anchor_matrix():
     den_n = total - den_p
     fp = round(GB_FPR * den_n)
     assert fp == 12
-    return ConfusionCounts(tp=tp, fp=fp, tn=den_n - fp, fn=den_p - tp)
+    return {"tp": tp, "fp": fp, "tn": den_n - fp, "fn": den_p - tp}
 
 
 def test_anchor_matrix_scalar_metrics():
     c = derive_anchor_matrix()
-    assert (c.tp, c.fn, c.fp, c.tn) == (124, 19, 12, 555)
+    assert c == {"tp": 124, "fp": 12, "tn": 555, "fn": 19}
     rep = compute_metrics(c)
-    assert rep.sensitivity == pytest.approx(0.867133, abs=1e-6)
-    assert rep.ppv == pytest.approx(0.911765, abs=1e-6)
-    assert rep.f1 == pytest.approx(0.888889, abs=1e-6)
-    assert rep.npv == pytest.approx(0.966899, abs=1e-6)
-    assert rep.accuracy == pytest.approx(0.956338, abs=1e-6)
-    assert rep.degenerate == []
+    assert rep["sensitivity"] == pytest.approx(0.867133, abs=1e-6)
+    assert rep["ppv"] == pytest.approx(0.911765, abs=1e-6)
+    assert rep["f1"] == pytest.approx(0.888889, abs=1e-6)
+    assert rep["npv"] == pytest.approx(0.966899, abs=1e-6)
+    assert rep["accuracy"] == pytest.approx(0.956338, abs=1e-6)
+    assert rep["degenerate"] == []
 
 
 def test_perfect_predictor_scores_ones():
-    rep = compute_metrics(ConfusionCounts(tp=50, fp=0, tn=50, fn=0))
-    assert rep.accuracy == rep.sensitivity == rep.ppv == rep.npv == rep.f1 == 1.0
+    rep = compute_metrics({"tp": 50, "fp": 0, "tn": 50, "fn": 0})
+    assert rep == {"accuracy": 1.0, "sensitivity": 1.0, "ppv": 1.0, "npv": 1.0,
+                   "f1": 1.0, "degenerate": []}
 
 
 def test_never_positive_predictor_degenerates():
-    rep = compute_metrics(ConfusionCounts(tp=0, fp=0, tn=80, fn=20))
-    assert rep.ppv == 0.0
-    assert "ppv" in rep.degenerate
-    assert rep.accuracy == 0.8
-    assert rep.sensitivity == 0.0
+    rep = compute_metrics({"tp": 0, "fp": 0, "tn": 80, "fn": 20})
+    assert rep["ppv"] == 0.0
+    assert rep["degenerate"] == ["ppv"]
+    assert rep["accuracy"] == 0.8
+    assert rep["sensitivity"] == 0.0
 
 
 def test_f1_is_harmonic_mean_of_ppv_and_sensitivity():
     rng = random.Random(2024)
     for _ in range(200):
-        c = ConfusionCounts(tp=rng.randint(1, 500), fp=rng.randint(0, 500),
-                            tn=rng.randint(0, 500), fn=rng.randint(0, 500))
+        c = {"tp": rng.randint(1, 500), "fp": rng.randint(0, 500),
+             "tn": rng.randint(0, 500), "fn": rng.randint(0, 500)}
         rep = compute_metrics(c)
-        harmonic = 2 * rep.ppv * rep.sensitivity / (rep.ppv + rep.sensitivity)
-        assert rep.f1 == pytest.approx(harmonic, abs=1e-12)
+        harmonic = 2 * rep["ppv"] * rep["sensitivity"] / (rep["ppv"] + rep["sensitivity"])
+        assert rep["f1"] == pytest.approx(harmonic, abs=1e-12)
 
 
 def test_roc_perfect_separation_passes_through_corner():
@@ -238,10 +243,16 @@ def test_evaluate_scores_populates_every_field():
     pred = [1, 1, 0, 0, 1, 0]
     scores = [0.9, 0.8, 0.4, 0.3, 0.7, 0.2]
     truth = [1, 0, 1, 0, 1, 0]
-    rep = evaluate_scores(pred, scores, truth)
-    assert rep.counts.total == 6
-    assert rep.roc_points is not None
-    assert rep.auc == auc_trapezoid(rep.roc_points)
-    c = rep.counts
-    expected_sp = single_point_auc(c.tp / (c.tp + c.fn), c.fp / (c.fp + c.tn))
-    assert rep.single_point_auc == expected_sp
+    entry, points = evaluate_scores(pred, scores, truth)
+    c = confusion(pred, truth)
+    assert entry == {
+        **compute_metrics(c),
+        "auc": auc_trapezoid(points),
+        "single_point_auc": single_point_auc(c["tp"] / (c["tp"] + c["fn"]),
+                                             c["fp"] / (c["fp"] + c["tn"])),
+        "confusion": c,
+        "confusion_normal_positive": {"tp": c["tn"], "fp": c["fn"],
+                                      "tn": c["tp"], "fn": c["fp"]},
+    }
+    assert points == roc_points(scores, truth)
+
