@@ -1,4 +1,4 @@
-"""The six detection models behind one fit/classify/predict/score contract.
+"""The six detection models behind one fit/classify/score contract.
 
 Larger score always means more likely malicious. GB, GNB and LR score
 probabilities against threshold 0.5; SVM scores the signed margin

@@ -1,5 +1,5 @@
 """Shared classifier plumbing: input validation, the
-fit/classify/predict/score contract, feature standardization for the
+fit/classify/score contract, feature standardization for the
 distance and gradient models, and the one squared-distance formula that
 the SVM kernel and KNN share.
 """
@@ -73,13 +73,10 @@ class Standardizer:
             raise VanetlabError("standardizer used before fit")
         return (X - self.mean) / self.std
 
-    def to_state(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
 
 class Classifier:
-    """Base contract: fit(X, y), score(X) -> reals, predict(X) -> {0,1}
-    labels, and classify(X) -> (labels, scores) from one scoring pass.
+    """Base contract: fit(X, y), score(X) -> reals, and classify(X) ->
+    ({0,1} labels, scores) from one scoring pass.
 
     Larger score means more likely malicious. label == 1 iff
     score >= self.threshold for every subclass with the documented
@@ -88,9 +85,6 @@ class Classifier:
 
     kind: str = "?"
     threshold: float = 0.5
-    # the attributes a fit sets, written by to_state after the header;
-    # each model's settings are module constants, so none is stored
-    fitted: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.n_features_: Optional[int] = None
@@ -111,7 +105,7 @@ class Classifier:
 
     def _check_ready(self, X) -> np.ndarray:
         if self.n_features_ is None:
-            raise VanetlabError(f"{self.kind}: predict/score before fit")
+            raise VanetlabError(f"{self.kind}: classify/score before fit")
         X = check_matrix(X)
         if X.shape[1] != self.n_features_:
             raise VanetlabError(
@@ -126,25 +120,6 @@ class Classifier:
         """(labels, scores) of X from one scoring pass."""
         scores = self.score(X)
         return (scores >= self.threshold).astype(np.int64), scores
-
-    def predict(self, X) -> np.ndarray:
-        return self.classify(X)[0]
-
-    def to_state(self) -> dict:
-        """JSON-ready record: kind, n_features and the `fitted` attributes
-        (arrays as lists). Tests pin its SHA-256, which makes
-        "byte-identical models" checkable."""
-        if self.n_features_ is None:
-            raise VanetlabError(f"{self.kind}: to_state before fit")
-        state = {"kind": self.kind, "n_features": self.n_features_}
-        for name in self.fitted:
-            value = getattr(self, name)
-            if isinstance(value, Standardizer):
-                value = value.to_state()
-            elif isinstance(value, np.ndarray):
-                value = value.tolist()
-            state[name] = value
-        return state
 
 
 def labels_to_pm(y: np.ndarray) -> np.ndarray:

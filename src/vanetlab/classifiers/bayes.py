@@ -21,7 +21,6 @@ VAR_SMOOTHING_FACTOR = 1e-9
 class GaussianNaiveBayes(Classifier):
     kind = "GNB"
     threshold = 0.5
-    fitted = ("log_priors", "means", "variances", "epsilon")
 
     def __init__(self):
         super().__init__()

@@ -29,7 +29,6 @@ MAX_DEPTH = 10
 class GradientBoosting(Classifier):
     kind = "GB"
     threshold = 0.5
-    fitted = ("f0", "trees")
 
     def __init__(self):
         super().__init__()

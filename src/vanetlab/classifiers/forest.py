@@ -55,7 +55,6 @@ def bootstrap_rows(rng: random.Random, n: int) -> np.ndarray:
 
 class RandomForest(Classifier):
     kind = "RF"
-    fitted = ("trees",)
 
     def __init__(self, seed: int = 0):
         super().__init__()

@@ -44,7 +44,6 @@ def gradient(
 class LogisticRegression(Classifier):
     kind = "LR"
     threshold = 0.5
-    fitted = ("standardizer", "w", "b")
 
     def __init__(self):
         super().__init__()

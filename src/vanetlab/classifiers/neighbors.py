@@ -26,7 +26,6 @@ K = 5
 class KNearestNeighbors(Classifier):
     kind = "KNN"
     threshold = 0.5
-    fitted = ("standardizer", "train_X", "train_y")
 
     def __init__(self):
         super().__init__()

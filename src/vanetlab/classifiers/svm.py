@@ -51,7 +51,6 @@ def rbf_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class SupportVectorMachine(Classifier):
     kind = "SVM"
     threshold = 0.0
-    fitted = ("standardizer", "sv_X", "sv_y", "sv_alpha", "b", "converged")
 
     def __init__(self):
         super().__init__()

@@ -243,7 +243,7 @@ def cmd_simulate(config_path: str, out_path: str) -> dict:
     return _write_manifest(
         cfg, meta, os.path.dirname(os.path.abspath(out_path)),
         {"flows": os.path.basename(out_path)},
-        class_counts(label_flows(records)),
+        {key: sum(row[key] for row in meta) for key in ("positive", "negative")},
     )
 
 

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from flow_audit import flow_key, recompute_from_log, record_observations
+from model_state import state
 
 from vanetlab import cli
 from vanetlab.cli import SPLIT_SEED, _model_for, cmd_pipeline, cmd_simulate
@@ -282,7 +283,7 @@ def test_criterion_5_classifier_oracles(monkeypatch):
     knn = KNearestNeighbors().fit(X, y)
     rng = substream(13, 2)
     probes = np.array([[rng.gauss(25.0, 15.0) for _ in range(4)] for _ in range(40)])
-    got = knn.predict(probes)
+    got = knn.classify(probes)[0]
     train_std = knn.standardizer.transform(X)
     agree = 0
     for q in range(probes.shape[0]):
@@ -352,14 +353,14 @@ def test_criterion_5_classifier_oracles(monkeypatch):
     Xx = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     yx = np.array([0, 0, 1, 1])
     xor_fit = SupportVectorMachine().fit(Xx, yx)
-    checks.append(("SVM XOR-4", xor_fit.predict(Xx).tolist() == [0, 0, 1, 1]))
+    checks.append(("SVM XOR-4", xor_fit.classify(Xx)[0].tolist() == [0, 0, 1, 1]))
 
     # RF: prediction equals the mode of the tree votes on every test row
     monkeypatch.setattr(forest, "N_TREES", 25)
     rf = RandomForest(seed=5).fit(X, y)
     votes = np.stack([tree_apply(t, probes) for t in rf.trees])
     mode = (votes.sum(axis=0) * 2 > 25).astype(int)
-    checks.append(("RF vote mode", np.array_equal(rf.predict(probes), mode)))
+    checks.append(("RF vote mode", np.array_equal(rf.classify(probes)[0], mode)))
 
     # GB: training loss strictly improves over the prior
     gb = GradientBoosting().fit(X, y)
@@ -438,7 +439,7 @@ def default_training_split(run_dir):
 
 
 def state_sha256(model) -> str:
-    text = json.dumps(model.to_state(), sort_keys=True)
+    text = json.dumps(state(model), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -33,7 +33,7 @@ WRAPPED = {
     "vanetlab.engine.Engine": ("run_until", "transmit", "neighbors", "distance"),
     "vanetlab.aodv.AodvNode": ("on_frame", "send_data"),
     "vanetlab.flows.FlowMonitor": ("observe", "finalize"),
-    "vanetlab.classifiers.base.Classifier": ("fit", "predict", "score"),
+    "vanetlab.classifiers.base.Classifier": ("fit", "score"),
 }
 
 

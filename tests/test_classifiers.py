@@ -19,6 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from model_state import SAVED, state
 from tree_reference import grow_gini_tree, grow_mse_tree
 
 from vanetlab.classifiers import (
@@ -92,7 +93,7 @@ def test_knn_matches_exhaustive_oracle(separable400):
     rng = substream(13, 2)
     probes = np.array([[rng.gauss(25.0, 15.0) for _ in range(4)] for _ in range(30)])
     probes = np.vstack([probes, X[:10]])  # include exact training points
-    got_labels = model.predict(probes)
+    got_labels = model.classify(probes)[0]
     got_scores = model.score(probes)
     train_std = model.standardizer.transform(X)
     for q in range(probes.shape[0]):
@@ -215,7 +216,6 @@ def test_knn_classify_matches_the_per_row_vote(case, separable400, monkeypatch):
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(scores, want_scores)
     assert np.array_equal(scores, model.score(queries))
-    assert np.array_equal(labels, model.predict(queries))
     assert (scores == 0.5).any()  # the fixture exercises the split-vote rule
 
 
@@ -227,24 +227,24 @@ def test_knn_split_vote_goes_to_nearer_class():
     model = make("KNN")
     # malicious pair is closer to the query
     model.fit(X, np.array([1, 1, 0, 0]))
-    assert model.predict(np.array([[0.0]]))[0] == 1
+    assert model.classify(np.array([[0.0]]))[0][0] == 1
     # same geometry, roles reversed
     model.fit(X, np.array([0, 0, 1, 1]))
-    assert model.predict(np.array([[0.0]]))[0] == 0
+    assert model.classify(np.array([[0.0]]))[0][0] == 0
 
 
 def test_knn_split_vote_equal_distance_goes_normal():
     X = np.array([[1.0], [-1.0]])
     model = make("KNN").fit(X, np.array([1, 0]))
     assert model.score(np.array([[0.0]]))[0] == 0.5  # >= threshold, yet
-    assert model.predict(np.array([[0.0]]))[0] == 0
+    assert model.classify(np.array([[0.0]]))[0][0] == 0
 
 
 def test_knn_coincident_points_majority():
     X = np.array([[2.0, 2.0]] * 5)
     y = np.array([1, 1, 1, 0, 0])
     model = KNearestNeighbors().fit(X, y)
-    assert model.predict(X[:1])[0] == 1
+    assert model.classify(X[:1])[0][0] == 1
     assert model.score(X[:1])[0] == pytest.approx(0.6)
 
 
@@ -252,7 +252,7 @@ def test_knn_k_clamps_to_training_size():
     X = np.array([[0.0], [1.0], [10.0]])
     y = np.array([0, 0, 1])
     model = KNearestNeighbors().fit(X, y)
-    assert model.predict(np.array([[9.0]]))[0] == 0  # all 3 vote, majority 0
+    assert model.classify(np.array([[9.0]]))[0][0] == 0  # all 3 vote, majority 0
     assert model.score(np.array([[9.0]]))[0] == pytest.approx(1 / 3)
 
 
@@ -262,7 +262,7 @@ def test_knn_feature_rescaling_is_absorbed(separable400):
     probes = np.array([[rng.gauss(25.0, 15.0) for _ in range(4)] for _ in range(20)])
     a = KNearestNeighbors().fit(X, y)
     b = KNearestNeighbors().fit(X * 3.7, y)
-    assert np.array_equal(a.predict(probes), b.predict(probes * 3.7))
+    assert np.array_equal(a.classify(probes)[0], b.classify(probes * 3.7)[0])
     assert np.allclose(a.score(probes), b.score(probes * 3.7))
 
 
@@ -317,7 +317,7 @@ def test_gnb_zero_variance_stays_finite():
     model = GaussianNaiveBayes().fit(X, y)
     scores = model.score(X)
     assert np.isfinite(scores).all()
-    assert model.predict(X).tolist() == [0, 0, 1, 1]
+    assert model.classify(X)[0].tolist() == [0, 0, 1, 1]
 
 
 # -- logistic regression ------------------------------------------------------
@@ -429,7 +429,7 @@ def test_svm_fully_fits_xor():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([0, 0, 1, 1])
     model = SupportVectorMachine().fit(X, y)
-    assert model.predict(X).tolist() == [0, 0, 1, 1]
+    assert model.classify(X)[0].tolist() == [0, 0, 1, 1]
     # the four points are fully symmetric, so the offset vanishes and
     # the margins come in equal and opposite pairs
     assert model.b == pytest.approx(0.0, abs=1e-9)
@@ -568,7 +568,7 @@ def test_svm_duplicate_non_support_row_barely_moves(svm_forty):
     X2 = np.vstack([X, X[idx]])
     y2 = np.append(y, y[idx])
     again = SupportVectorMachine().fit(X2, y2)
-    assert np.array_equal(base.predict(X), again.predict(X))
+    assert np.array_equal(base.classify(X)[0], again.classify(X)[0])
     rng = substream(55, 9)
     probes = np.array([[rng.gauss(25.0, 12.0) for _ in range(4)] for _ in range(50)])
     drift = np.abs(base.score(probes) - again.score(probes))
@@ -587,7 +587,7 @@ def test_svm_flags_nonconvergence_and_still_predicts(caplog, monkeypatch):
     assert not model.converged
     assert model.sweeps_run == 3
     assert "iteration cap" in caplog.text
-    pred = model.predict(X)
+    pred = model.classify(X)[0]
     assert pred.shape == (n,)
     assert set(pred.tolist()) <= {0, 1}
 
@@ -800,7 +800,7 @@ def test_rf_label_is_majority_of_tree_votes(separable400, monkeypatch):
     model = RandomForest(seed=3).fit(X, y)
     votes = np.stack([tree_apply(t, X[::10]) for t in model.trees])
     majority = (votes.sum(axis=0) >= 5).astype(int)
-    assert np.array_equal(model.predict(X[::10]), majority)
+    assert np.array_equal(model.classify(X[::10])[0], majority)
     assert np.allclose(model.score(X[::10]), votes.sum(axis=0) / 9)
 
 
@@ -809,27 +809,27 @@ def test_rf_stub_votes_follow_threshold_rule(monkeypatch):
     X = np.zeros((1, 2))
     assert two_one.score(X)[0] == pytest.approx(2 / 3)
     assert two_one.threshold == pytest.approx(2 / 3)
-    assert two_one.predict(X)[0] == 1
+    assert two_one.classify(X)[0][0] == 1
 
 
 def test_rf_even_split_vote_goes_normal(monkeypatch):
     half = stub_forest(monkeypatch, [{"value": 1.0}, {"value": 0.0}])
     X = np.zeros((1, 2))
     assert half.score(X)[0] == 0.5
-    assert half.predict(X)[0] == 0  # threshold (2//2+1)/2 = 1.0
+    assert half.classify(X)[0][0] == 0  # threshold (2//2+1)/2 = 1.0
     quarters = stub_forest(monkeypatch, [{"value": 1.0}] * 2 + [{"value": 0.0}] * 2)
-    assert quarters.predict(X)[0] == 0
+    assert quarters.classify(X)[0][0] == 0
 
 
 def test_rf_unanimous_stub_forest(monkeypatch):
     model = stub_forest(monkeypatch, [{"value": 1.0}] * 5)
-    assert model.predict(np.zeros((3, 2))).tolist() == [1, 1, 1]
+    assert model.classify(np.zeros((3, 2)))[0].tolist() == [1, 1, 1]
 
 
 def test_rf_fits_training_data(separable400):
     X, y = separable400
     model = RandomForest(seed=5).fit(X, y)
-    assert (model.predict(X) == y).mean() >= 0.99
+    assert (model.classify(X)[0] == y).mean() >= 0.99
 
 
 def test_rf_seed_determinism(separable400, monkeypatch):
@@ -871,7 +871,7 @@ def test_gb_fits_xor_with_shallow_trees(monkeypatch):
     y = np.array([0, 0, 1, 1])
     monkeypatch.setattr(boosting, "MAX_DEPTH", 2)
     model = GradientBoosting().fit(X, y)
-    assert model.predict(X).tolist() == [0, 0, 1, 1]
+    assert model.classify(X)[0].tolist() == [0, 0, 1, 1]
 
 
 def test_gb_loss_history_descends_and_matches_decision(separable400):
@@ -902,7 +902,7 @@ ALL_KINDS = list(KINDS)
 def test_every_model_fits_separated_clusters(kind, separable400):
     X, y = separable400
     model = make(kind).fit(X, y)
-    assert (model.predict(X) == y).mean() >= 0.95
+    assert (model.classify(X)[0] == y).mean() >= 0.95
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -911,7 +911,7 @@ def test_label_equals_score_against_threshold(kind, separable400):
     model = make(kind).fit(X, y)
     probes = X[::7]
     expected = (model.score(probes) >= model.threshold).astype(np.int64)
-    assert np.array_equal(model.predict(probes), expected)
+    assert np.array_equal(model.classify(probes)[0], expected)
 
 
 def overlap120():
@@ -921,7 +921,7 @@ def overlap120():
     return X, y, np.array([[rng.gauss(25.0, 12.0) for _ in range(4)] for _ in range(80)])
 
 
-# SHA-256 of json.dumps([predict, score]) on overlap120's probes, taken
+# SHA-256 of json.dumps([labels, scores]) on overlap120's probes, taken
 # before classify existed; the KNN and RF extras patch in an even K and
 # an even tree count, so their split votes and threshold ties are
 # covered too.
@@ -953,7 +953,6 @@ def test_classify_matches_pinned_predict_and_score(case, monkeypatch):
     labels, scores = model.classify(probes)
     text = json.dumps([labels.tolist(), scores.tolist()], sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CLASSIFY_SHA256[case]
-    assert np.array_equal(labels, model.predict(probes))
     assert np.array_equal(scores, model.score(probes))
 
 
@@ -961,18 +960,15 @@ def test_classify_matches_pinned_predict_and_score(case, monkeypatch):
 def test_untrained_and_width_errors(kind, separable400):
     X, y = separable400
     model = make(kind)
-    with pytest.raises(VanetlabError, match=f"{kind}: predict/score before fit") as exc:
-        model.predict(X)
+    with pytest.raises(VanetlabError, match=f"{kind}: classify/score before fit") as exc:
+        model.score(X)
     assert exc.value.exit_code == 4
-    with pytest.raises(VanetlabError, match=f"{kind}: predict/score before fit") as exc:
+    with pytest.raises(VanetlabError, match=f"{kind}: classify/score before fit") as exc:
         model.classify(X)
-    assert exc.value.exit_code == 4
-    with pytest.raises(VanetlabError, match=f"{kind}: to_state before fit") as exc:
-        model.to_state()
     assert exc.value.exit_code == 4
     model.fit(X, y)
     with pytest.raises(VanetlabError, match=f"{kind}: fit width 4, got 3") as exc:
-        model.predict(X[:, :3])
+        model.score(X[:, :3])
     assert exc.value.exit_code == 4
     with pytest.raises(VanetlabError, match=f"{kind}: fit width 4, got 3") as exc:
         model.classify(X[:, :3])
@@ -1061,7 +1057,7 @@ def test_standardizer_names_the_feature_whose_std_overflows():
         Standardizer().fit(X)
 
 
-# attributes a model holds that to_state leaves out on purpose: diagnostics
+# attributes a model holds that its record leaves out on purpose: diagnostics
 # of the fit, and RF's seed and threshold, which the saved trees and
 # N_TREES determine
 UNSAVED = {
@@ -1076,12 +1072,12 @@ UNSAVED = {
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_to_state_names_every_fitted_attribute(kind, separable400):
-    """Each attribute of a fitted model is in `fitted`, n_features_ or
+    """Each attribute of a fitted model is in SAVED, n_features_ or
     named above, so an attribute a later fit adds cannot drop out of the
     pinned state unnoticed."""
     model = make(kind).fit(*separable400)
-    assert set(vars(model)) - set(model.fitted) == {"n_features_"} | UNSAVED[kind]
-    assert set(model.to_state()) == {"kind", "n_features", *model.fitted}
+    assert set(vars(model)) - set(SAVED[kind]) == {"n_features_"} | UNSAVED[kind]
+    assert set(state(model)) == {"kind", "n_features", *SAVED[kind]}
 
 
 def test_only_the_forest_seed_is_settable():
@@ -1103,7 +1099,7 @@ STATE_SHA256 = {
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_saved_state_matches_its_pinned_digest(kind, separable400):
-    text = json.dumps(make(kind).fit(*separable400).to_state(), sort_keys=True)
+    text = json.dumps(state(make(kind).fit(*separable400)), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STATE_SHA256[kind]
 
 

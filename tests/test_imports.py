@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and
+the simulator half of the package loads without numpy.
 
 Each module under src/ and tests/ is parsed with `ast`. A name counts as
 read when it appears as a name anywhere in the module, in an annotation
@@ -7,10 +8,17 @@ or as the base of an attribute included, or when `__all__` lists it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+# the modules that simulate, label and score; the corpus script runs on
+# them under interpreters that have neither numpy nor pytest
+NUMPY_FREE = ("vanetlab.engine", "vanetlab.aodv", "vanetlab.flows", "vanetlab.scenario",
+              "vanetlab.config", "vanetlab.dataset", "vanetlab.metrics", "corpus_pins")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,3 +63,16 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {path.relative_to(ROOT).as_posix(): names for path in MODULES
              if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def test_the_simulator_half_loads_neither_numpy_nor_pytest():
+    code = (
+        "import sys\n"
+        f"for name in {NUMPY_FREE!r}:\n"
+        "    __import__(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'pytest')))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert child.stdout == "[]\n"
