@@ -185,24 +185,20 @@ def _model_for(kind: str, seed: int):
 
 
 def train_and_report(
-    rows: list[DatasetRow],
-    seed: int,
-    split_fraction: float,
-    stratified: bool,
-    report_path: str,
-    roc_path: str,
+    rows: list[DatasetRow], cfg: ScenarioConfig, report_path: str, roc_path: str
 ) -> dict:
     counts = class_counts(rows)
     if 0 in counts.values():
         raise DataError("evaluation needs both classes, got {positive} positive / "
                         "{negative} negative".format(**counts))
-    train, test = split(rows, split_fraction, derived_seed(seed, SPLIT_SEED), stratified)
+    train, test = split(rows, cfg.split_fraction, derived_seed(cfg.seed, SPLIT_SEED),
+                        cfg.stratified_split)
     X_train, y_train = as_arrays(train)
     X_test, y_test = as_arrays(test)
 
     report = {
-        "seed": seed,
-        "split_fraction": split_fraction,
+        "seed": cfg.seed,
+        "split_fraction": cfg.split_fraction,
         "rows": {"train": len(train), "test": len(test)},
         "class_counts": {
             "dataset": counts,
@@ -214,7 +210,7 @@ def train_and_report(
     roc_lines = ["classifier,fpr,tpr"]
     for kind in KINDS:
         log.info("training %s on %d rows", kind, len(train))
-        model = _model_for(kind, seed).fit(X_train, y_train)
+        model = _model_for(kind, cfg.seed).fit(X_train, y_train)
         pred, scores = model.classify(X_test)
         entry, points = evaluate_scores(pred.tolist(), scores.tolist(), y_test.tolist())
         report["classifiers"][kind] = entry
@@ -247,19 +243,21 @@ def cmd_simulate(config_path: str, out_path: str) -> dict:
     )
 
 
-def cmd_evaluate(
-    dataset_path: str,
-    split_fraction: float,
-    seed: int,
-    report_path: str,
-    roc_path: str,
-    balance_counts=None,
-) -> dict:
+def _balanced(rows: list[DatasetRow], cfg: ScenarioConfig) -> list[DatasetRow]:
+    """`rows` subsampled to cfg.balance, or as they are when it is None."""
+    if cfg.balance is None:
+        return rows
+    return balance(rows, *cfg.balance, derived_seed(cfg.seed, BALANCE_SEED))
+
+
+def cmd_evaluate(dataset_path: str, cfg: ScenarioConfig, report_path: str,
+                 roc_path: str) -> dict:
+    """Label (if need be), balance, split and score a flows or dataset
+    table: the learning half of `pipeline`, on cfg's seed, split_fraction,
+    stratified_split and balance."""
     _check_out_dirs(report_path, roc_path)
-    rows = _load_any_dataset(dataset_path)
-    if balance_counts is not None:
-        rows = balance(rows, *balance_counts, derived_seed(seed, BALANCE_SEED))
-    return train_and_report(rows, seed, split_fraction, False, report_path, roc_path)
+    rows = _balanced(_load_any_dataset(dataset_path), cfg)
+    return train_and_report(rows, cfg, report_path, roc_path)
 
 
 def cmd_pipeline(config_path: str, out_dir: str) -> dict:
@@ -270,17 +268,11 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
 
     rows = label_flows(records)
     raw_counts = class_counts(rows)
-    if cfg.balance is not None:
-        rows = balance(rows, *cfg.balance, derived_seed(cfg.seed, BALANCE_SEED))
+    rows = _balanced(rows, cfg)
     write_csv(rows, os.path.join(out_dir, "dataset.csv"))
 
     report = train_and_report(
-        rows,
-        cfg.seed,
-        cfg.split_fraction,
-        cfg.stratified_split,
-        os.path.join(out_dir, "report.json"),
-        os.path.join(out_dir, "roc.csv"),
+        rows, cfg, os.path.join(out_dir, "report.json"), os.path.join(out_dir, "roc.csv")
     )
     _write_manifest(
         cfg, meta, out_dir,
@@ -291,15 +283,14 @@ def cmd_pipeline(config_path: str, out_dir: str) -> dict:
     return report
 
 
-def _parse_balance(text: str):
+def _parse_balance(text: str) -> list[int]:
+    """`--balance POS:NEG` as the config's JSON pair; the config checks
+    the counts."""
     try:
         pos, neg = text.split(":")
-        counts = (int(pos), int(neg))
+        return [int(pos), int(neg)]
     except ValueError:
         raise ConfigError(f"--balance expects POS:NEG, got {text!r}") from None
-    if min(counts) < 1:
-        raise ConfigError(f"--balance counts must be positive, got {text!r}")
-    return counts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,14 +325,12 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             cmd_simulate(args.config, args.out)
         elif args.command == "evaluate":
-            if not 0.0 < args.split < 1.0:
-                raise ConfigError(f"--split must lie in (0, 1), got {args.split}")
-            if args.seed < 0 or args.seed > 0xFFFFFFFFFFFFFFFF:
-                raise ConfigError("--seed must fit in 64 bits")
-            balance_counts = _parse_balance(args.balance) if args.balance is not None else None
-            cmd_evaluate(
-                args.dataset, args.split, args.seed, args.report, args.roc, balance_counts
-            )
+            cfg = ScenarioConfig.from_dict({
+                "seed": args.seed,
+                "split_fraction": args.split,
+                "balance": None if args.balance is None else _parse_balance(args.balance),
+            })
+            cmd_evaluate(args.dataset, cfg, args.report, args.roc)
         else:
             cmd_pipeline(args.config, args.out_dir)
     except VanetlabError as e:

@@ -26,11 +26,9 @@ FLOW_START_MAX_S = 5.0
 _SAMPLE = 103
 
 
-def _int_range(value, name: str) -> None:
-    try:
-        lo, hi = int(value[0]), int(value[1])
-    except (TypeError, ValueError, IndexError):
-        raise ConfigError(f"{name} must be a [lo, hi] integer pair") from None
+def _int_range(value: tuple[int, int], name: str) -> None:
+    """Order and sign of a pair that `_parse` has made exact integers."""
+    lo, hi = value
     if lo > hi:
         raise ConfigError(f"{name}: lo {lo} exceeds hi {hi}")
     if lo <= 0:
@@ -73,9 +71,9 @@ class ScenarioConfig:
                 f"sim_duration_s must be finite in ns and exceed the flow start window "
                 f"({FLOW_START_MAX_S}s)"
             )
-        for name in ("vehicles", "malicious", "data_rate_kbps", "packet_count",
-                     "packet_size_bytes"):
-            _int_range(getattr(self, name), name)
+        for name, hint in _FIELDS[ScenarioConfig].items():
+            if hint == _PAIR:
+                _int_range(getattr(self, name), name)
         for v_end, m_end in zip(self.vehicles, self.malicious):
             if m_end + 2 > v_end:
                 raise ConfigError(

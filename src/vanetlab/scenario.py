@@ -55,7 +55,6 @@ class ScenarioParams:
 
 @dataclass
 class ScenarioResult:
-    params: ScenarioParams
     records: list[FlowRecord]
     monitor: FlowMonitor
     nodes: dict[int, AodvNode]
@@ -119,4 +118,4 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
 
     engine.run_until(params.sim_duration_ns)
     records = monitor.finalize(params.sim_duration_ns)
-    return ScenarioResult(params, records, monitor, nodes)
+    return ScenarioResult(records, monitor, nodes)

@@ -235,11 +235,12 @@ def test_criterion_4_blackhole_hand_trace():
     route_a = attacked.nodes[0].routes[2]
     delivery_a = rec_a.rx_packets / rec_a.tx_packets
 
-    honest = run_scenario(chain_params(blackhole=False))
+    honest_params = chain_params(blackhole=False)
+    honest = run_scenario(honest_params)
     rec_h = honest.records[0]
     route_h = honest.nodes[0].routes[2]
     delivery_h = rec_h.rx_packets / rec_h.tx_packets
-    bfs = bfs_hops(honest.nodes[0].engine, 0, 2, honest.params.radio.range_m)
+    bfs = bfs_hops(honest.nodes[0].engine, 0, 2, honest_params.radio.range_m)
 
     elapsed = time.perf_counter() - started
     ok = (
@@ -392,6 +393,22 @@ def test_criterion_6_pipeline_determinism(pipeline_runs):
         f"two pipeline runs byte-identical ({sizes})" if not mismatched
         else f"differs: {', '.join(mismatched)}",
     )
+
+
+@pytest.mark.parametrize("dataset, flags", [
+    ("flows.csv", ["--balance", "500:1500"]),
+    ("dataset.csv", []),
+])
+def test_evaluate_reproduces_the_pipeline_report(pipeline_runs, tmp_path, dataset, flags):
+    """`evaluate` on the default run's flows (balanced as the config
+    balances them) or on its balanced dataset, with default flags, takes
+    the pipeline's own learning path: the same report and ROC points."""
+    run1 = pipeline_runs.run1
+    report, roc = tmp_path / "report.json", tmp_path / "roc.csv"
+    assert cli.main(["evaluate", "--dataset", str(run1 / dataset), *flags,
+                     "--report", str(report), "--roc", str(roc)]) == 0
+    assert report.read_bytes() == (run1 / "report.json").read_bytes()
+    assert roc.read_bytes() == (run1 / "roc.csv").read_bytes()
 
 
 # SHA-256 of the default-config pipeline artifacts. A change that moves

@@ -261,18 +261,22 @@ def test_missing_config_exits_two(tmp_path):
     assert rc == 2
 
 
-def test_bad_evaluate_flags_exit_two(bridged_flows, tmp_path):
+def test_bad_evaluate_flags_exit_two(bridged_flows, tmp_path, capsys):
     _, _, flows = bridged_flows
     base = ["evaluate", "--dataset", str(flows),
             "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")]
+    # the flags are config keys, checked by the config's own rules
     assert main(base + ["--split", "1.5"]) == 2
+    assert "split_fraction" in capsys.readouterr().err
     assert main(base + ["--split", "0"]) == 2
     assert main(base + ["--seed", "-1"]) == 2
+    assert main(base + ["--seed", str(2**64)]) == 2
     assert main(base + ["--balance", "500:x"]) == 2
     assert main(base + ["--balance", "2000"]) == 2
     assert main(base + ["--balance=-1:5"]) == 2
     assert main(base + ["--balance=3:-2"]) == 2
     assert main(base + ["--balance=0:5"]) == 2
+    assert main(base + ["--balance=5:0"]) == 2
     assert main(base + ["--balance="]) == 2
 
 
@@ -577,11 +581,12 @@ def test_one_error_class_per_exit_code():
 
 
 def test_parse_balance():
-    assert _parse_balance("500:1500") == (500, 1500)
+    assert _parse_balance("500:1500") == [500, 1500]
     with pytest.raises(ConfigError):
         _parse_balance("500")
     with pytest.raises(ConfigError):
         _parse_balance("a:b")
+    # the counts' sign is the config's rule
     for text in ("-1:5", "3:-2", "0:5", "5:0"):
         with pytest.raises(ConfigError):
-            _parse_balance(text)
+            ScenarioConfig.from_dict({"balance": _parse_balance(text)})
