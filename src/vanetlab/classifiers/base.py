@@ -122,11 +122,6 @@ class Classifier:
         return (scores >= self.threshold).astype(np.int64), scores
 
 
-def labels_to_pm(y: np.ndarray) -> np.ndarray:
-    """{0,1} labels to the {-1,+1} convention."""
-    return 2.0 * y - 1.0
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)

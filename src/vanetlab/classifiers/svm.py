@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Classifier, Standardizer, labels_to_pm, row_blocks, sq_dists
+from .base import Classifier, Standardizer, row_blocks, sq_dists
 
 log = logging.getLogger("vanetlab.svm")
 
@@ -64,7 +64,7 @@ class SupportVectorMachine(Classifier):
 
     def _fit(self, X: np.ndarray, y01: np.ndarray) -> None:
         Xs = self.standardizer.fit(X).transform(X)
-        y = labels_to_pm(y01)
+        y = 2.0 * y01 - 1.0  # {0,1} labels to {-1,+1}
         # the kernel rows SMO has asked for, by row index
         rows: dict[int, np.ndarray] = {}
 

@@ -125,13 +125,13 @@ def _gather(scenarios: list[ScenarioParams], results):
         positive = sum(map(record_label, scenario_records))
         log.info(
             "scenario %d: %d vehicles, %d blackholes, %d of %d flows positive",
-            params.index, params.vehicles, len(params.blackholes),
+            params.index, len(params.nodes), len(params.blackholes),
             positive, len(scenario_records),
         )
         meta.append(
             {
                 "index": params.index,
-                "vehicles": params.vehicles,
+                "vehicles": len(params.nodes),
                 "blackholes": list(params.blackholes),
                 "flows": len(scenario_records),
                 "positive": positive,

@@ -1,5 +1,7 @@
-"""Sweep configuration: parameter ranges, per-scenario sampling, and the
-JSON config file format used by the command line."""
+"""Sweep configuration: parameter ranges, the JSON config file format
+used by the command line, and per-scenario sampling. Sampling takes
+every random draw a scenario needs (its attackers, its traffic and each
+vehicle's start), so run_scenario only wires and runs what it is given."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from typing import Optional, get_type_hints
 from .engine import NS_PER_S, RadioConfig, mix64, seconds, substream
 from .errors import ConfigError
 from .flows import FlowSpec
-from .scenario import ArenaConfig, MobilityConfig, ScenarioParams
+from .scenario import ScenarioParams
 
 SRC_PORT_BASE = 49153
 DST_PORT = 9
@@ -23,7 +25,19 @@ FLOW_START_MIN_S = 1.0
 FLOW_START_MAX_S = 5.0
 
 # substream purposes, mixed with (seed, scenario index)
+_PLACEMENT = 101
+_VELOCITY = 102
 _SAMPLE = 103
+
+# Corridor layout. Honest vehicles travel as two platoons at a fixed
+# headway; the space left over in the usable span becomes the single
+# inter-platoon gap. Attackers idle near the middle of that gap, so
+# whether they fall inside radio reach of a platoon edge is decided by
+# the vehicle count, not by placement luck.
+PLATOON_HEADWAY_M = 25.0
+SPAN_FRACTION = 0.9
+ATTACKER_JITTER_M = 2.0
+MIN_GAP_M = 60.0
 
 
 def _int_range(value: tuple[int, int], name: str) -> None:
@@ -33,6 +47,20 @@ def _int_range(value: tuple[int, int], name: str) -> None:
         raise ConfigError(f"{name}: lo {lo} exceeds hi {hi}")
     if lo <= 0:
         raise ConfigError(f"{name}: bounds must be positive")
+
+
+@dataclass
+class ArenaConfig:
+    length_m: float = 1760.0
+    width_m: float = 20.0
+
+
+@dataclass
+class MobilityConfig:
+    """Each vehicle's speed is drawn uniformly from [min, max]."""
+
+    speed_min_mps: float = 0.4
+    speed_max_mps: float = 1.0
 
 
 @dataclass
@@ -171,11 +199,40 @@ def _grid(lo: int, hi: int, index: int, count: int) -> int:
     return lo + round(index * (hi - lo) / (count - 1))
 
 
+def _layout_positions(vehicles: int, blackholes: tuple[int, ...], length_m: float,
+                      rng) -> dict[int, float]:
+    """Corridor x coordinate per node id.
+
+    Honest ids, in ascending order, form a front and a rear platoon at
+    PLATOON_HEADWAY_M spacing inside the usable span; whatever length is
+    left over becomes the single inter-platoon gap. Attacker ids are
+    dropped near the gap midpoint with a little jitter.
+    """
+    honest = [n for n in range(vehicles) if n not in blackholes]
+    span = SPAN_FRACTION * length_m
+    x0 = (length_m - span) / 2.0
+    front = honest[: (len(honest) + 1) // 2]
+    rear = honest[(len(honest) + 1) // 2:]
+    gap = max(span - PLATOON_HEADWAY_M * max(len(honest) - 2, 0), MIN_GAP_M)
+
+    xs: dict[int, float] = {}
+    for i, n in enumerate(front):
+        xs[n] = x0 + i * PLATOON_HEADWAY_M
+    front_end = x0 + PLATOON_HEADWAY_M * max(len(front) - 1, 0)
+    for i, n in enumerate(rear):
+        xs[n] = front_end + gap + i * PLATOON_HEADWAY_M
+    mid = front_end + gap / 2.0
+    for n in blackholes:
+        xs[n] = mid + rng.uniform(-ATTACKER_JITTER_M, ATTACKER_JITTER_M)
+    return xs
+
+
 def sample_scenario(cfg: ScenarioConfig, index: int) -> ScenarioParams:
-    """Scenario `index` of the sweep. Vehicle and attacker counts walk an
-    ascending grid over their ranges, the way a load sweep steps through
-    its operating points; traffic parameters are drawn per flow from a
-    (seed, index)-derived substream."""
+    """Scenario `index` of the sweep, every draw taken. Vehicle and
+    attacker counts walk an ascending grid over their ranges, the way a
+    load sweep steps through its operating points; the attackers and the
+    traffic, each vehicle's placement, and its speed and direction each
+    come from their own (seed, index)-derived substream."""
     rng = substream(cfg.seed, index, _SAMPLE)
     vehicles = _grid(cfg.vehicles[0], cfg.vehicles[1], index, cfg.scenario_count)
     malicious = min(
@@ -183,7 +240,7 @@ def sample_scenario(cfg: ScenarioConfig, index: int) -> ScenarioParams:
         vehicles - 2,
     )
     blackholes = tuple(sorted(rng.sample(range(vehicles), malicious)))
-    honest = [n for n in range(vehicles) if n not in set(blackholes)]
+    honest = [n for n in range(vehicles) if n not in blackholes]
 
     # Traffic concentrates on a fixed pool of conversation pairs so the
     # same endpoints exchange packets repeatedly, as fleet telemetry and
@@ -207,16 +264,26 @@ def sample_scenario(cfg: ScenarioConfig, index: int) -> ScenarioParams:
                 start=seconds(rng.uniform(FLOW_START_MIN_S, FLOW_START_MAX_S)),
             )
         )
+
+    # each vehicle's start, in id order; an attacker sits mid-width and
+    # draws no y, and its x jitter is drawn first, inside the layout
+    place_rng = substream(cfg.seed, index, _PLACEMENT)
+    speed_rng = substream(cfg.seed, index, _VELOCITY)
+    xs = _layout_positions(vehicles, blackholes, cfg.arena.length_m, place_rng)
+    width, mobility = cfg.arena.width_m, cfg.mobility
+    nodes = []
+    for n in range(vehicles):
+        y = width / 2.0 if n in blackholes else place_rng.uniform(0.0, width)
+        speed = speed_rng.uniform(mobility.speed_min_mps, mobility.speed_max_mps)
+        direction = 1.0 if speed_rng.random() < 0.5 else -1.0
+        nodes.append((xs[n], y, speed * direction, 0.0))
     return ScenarioParams(
         index=index,
-        seed=cfg.seed,
-        vehicles=vehicles,
+        nodes=nodes,
         blackholes=blackholes,
         flows=flows,
         sim_duration_ns=seconds(cfg.sim_duration_s),
-        arena=replace(cfg.arena),
         radio=replace(cfg.radio),
-        mobility=replace(cfg.mobility),
     )
 
 

@@ -43,7 +43,7 @@ from vanetlab.metrics import (
     compute_metrics,
     single_point_auc,
 )
-from vanetlab.scenario import ArenaConfig, MobilityConfig, ScenarioParams, run_scenario
+from vanetlab.scenario import ScenarioParams, run_scenario
 
 LEGEND_POINTS = {
     "GB": (0.86713287, 0.02116402, 0.923),
@@ -186,29 +186,22 @@ def test_criterion_3_default_pipeline_quality(pipeline_runs):
 
 
 def chain_params(blackhole: bool) -> ScenarioParams:
-    """Three-vehicle corridor A-B-C; B is the attacker when asked.
-
-    Arena lengths are chosen so A and C sit out of direct radio range
-    while both hops through the middle vehicle stay inside it.
-    """
+    """Three standing vehicles A-B-C on one line; B is the attacker when
+    asked. A and C are out of direct radio range of each other, while
+    both hops through B are inside it."""
     if blackhole:
-        length = 400.0 / 0.9  # usable span 400 m, hops about 200 m
-        blackholes = (1,)
+        xs, blackholes = (0.0, 200.0, 400.0), (1,)
     else:
-        length = 265.0 / 0.9  # A-B 25 m, B-C 240 m, A-C 265 m
-        blackholes = ()
+        xs, blackholes = (0.0, 25.0, 265.0), ()
     flow = FlowSpec(0, 2, 49153, 9, packet_size_bytes=1024,
                     data_rate_bps=1_024_000, packet_count=10, start=seconds(1))
     return ScenarioParams(
         index=0,
-        seed=7,
-        vehicles=3,
+        nodes=[(x, 0.0, 0.0, 0.0) for x in xs],
         blackholes=blackholes,
         flows=[flow],
         sim_duration_ns=seconds(10),
-        arena=ArenaConfig(length_m=length, width_m=2.0),
         radio=RadioConfig(),
-        mobility=MobilityConfig(speed_min_mps=0.0, speed_max_mps=0.0),
     )
 
 

@@ -51,9 +51,10 @@ def test_sample_scenario_respects_bounds():
     cfg = ScenarioConfig()
     for index in range(cfg.scenario_count):
         params = sample_scenario(cfg, index)
-        assert cfg.vehicles[0] <= params.vehicles <= cfg.vehicles[1]
+        vehicles = len(params.nodes)
+        assert cfg.vehicles[0] <= vehicles <= cfg.vehicles[1]
         assert 1 <= len(params.blackholes) <= cfg.malicious[1]
-        assert len(params.blackholes) <= params.vehicles - 2
+        assert len(params.blackholes) <= vehicles - 2
         assert list(params.blackholes) == sorted(set(params.blackholes))
         assert len(params.flows) == cfg.flows_per_scenario
         bh = set(params.blackholes)
@@ -67,14 +68,17 @@ def test_sample_scenario_respects_bounds():
             assert cfg.data_rate_kbps[0] * 1000 <= spec.data_rate_bps <= cfg.data_rate_kbps[1] * 1000
             assert cfg.packet_count[0] <= spec.packet_count <= cfg.packet_count[1]
             assert seconds(FLOW_START_MIN_S) <= spec.start <= seconds(FLOW_START_MAX_S)
+        m = cfg.mobility
+        for x, y, vx, vy in params.nodes:
+            assert 0.0 < x < cfg.arena.length_m and 0.0 <= y <= cfg.arena.width_m
+            assert m.speed_min_mps <= abs(vx) <= m.speed_max_mps and vy == 0.0
 
 
 def test_sample_scenario_is_deterministic():
     cfg = ScenarioConfig()
     a = sample_scenario(cfg, 7)
     b = sample_scenario(cfg, 7)
-    assert a.blackholes == b.blackholes
-    assert a.flows == b.flows
+    assert a == b  # attackers, traffic and every vehicle's start
 
 
 def test_sample_scenario_varies_with_seed():
@@ -292,13 +296,11 @@ def test_derived_seed_is_plain_mix():
     assert derived_seed(0, 1) != derived_seed(1, 0)
 
 
-def test_arena_and_radio_are_copied_not_shared():
+def test_radio_is_copied_not_shared():
     cfg = ScenarioConfig()
     params = sample_scenario(cfg, 0)
-    assert params.arena is not cfg.arena
     assert params.radio is not cfg.radio
-    assert params.mobility is not cfg.mobility
-    assert (params.arena, params.radio, params.mobility) == (cfg.arena, cfg.radio, cfg.mobility)
+    assert params.radio == cfg.radio
 
 
 def test_each_section_has_one_default():

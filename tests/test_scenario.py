@@ -1,47 +1,28 @@
 """Scenario layout and end-to-end run tests."""
 
 import collections
+import random
 
 import pytest
 from flow_audit import record_observations
 
 from vanetlab.aodv import AodvNode, Rreq
-from vanetlab.config import ScenarioConfig, sample_scenario
-from vanetlab.engine import BROADCAST, Engine, RadioConfig, seconds, substream
-from vanetlab.flows import FlowMonitor, FlowSpec
-from vanetlab.scenario import (
+from vanetlab.config import (
     ATTACKER_JITTER_M,
     MIN_GAP_M,
     PLATOON_HEADWAY_M,
     SPAN_FRACTION,
-    ArenaConfig,
-    MobilityConfig,
-    ScenarioParams,
+    ScenarioConfig,
     _layout_positions,
-    _PLACEMENT,
-    run_scenario,
+    sample_scenario,
 )
-
-
-def make_params(vehicles, blackholes, length_m=2000.0, seed=7, index=0,
-                flows=None, duration=10.0, speeds=(0.0, 0.0)):
-    return ScenarioParams(
-        index=index,
-        seed=seed,
-        vehicles=vehicles,
-        blackholes=tuple(blackholes),
-        flows=flows or [],
-        sim_duration_ns=seconds(duration),
-        arena=ArenaConfig(length_m=length_m, width_m=20.0),
-        radio=RadioConfig(),
-        mobility=MobilityConfig(speed_min_mps=speeds[0], speed_max_mps=speeds[1]),
-    )
+from vanetlab.engine import BROADCAST, Engine
+from vanetlab.flows import FlowMonitor
+from vanetlab.scenario import run_scenario
 
 
 def test_layout_platoon_geometry():
-    params = make_params(vehicles=10, blackholes=(4, 5))
-    rng = substream(params.seed, params.index, _PLACEMENT)
-    xs = _layout_positions(params, rng)
+    xs = _layout_positions(10, (4, 5), 2000.0, random.Random(7))
     honest = [n for n in range(10) if n not in (4, 5)]
     span = SPAN_FRACTION * 2000.0
     x0 = (2000.0 - span) / 2.0
@@ -65,9 +46,7 @@ def test_layout_platoon_geometry():
 
 
 def test_layout_honest_ids_ascend_left_to_right():
-    params = make_params(vehicles=12, blackholes=(3,))
-    rng = substream(params.seed, params.index, _PLACEMENT)
-    xs = _layout_positions(params, rng)
+    xs = _layout_positions(12, (3,), 2000.0, random.Random(7))
     honest = [n for n in range(12) if n != 3]
     ordered = [xs[n] for n in honest]
     assert ordered == sorted(ordered)
@@ -76,9 +55,7 @@ def test_layout_honest_ids_ascend_left_to_right():
 def test_layout_gap_clamped_to_minimum():
     # a short arena would squeeze the platoons together; the layout must
     # keep the attacker corridor open instead
-    params = make_params(vehicles=10, blackholes=(4,), length_m=200.0)
-    rng = substream(params.seed, params.index, _PLACEMENT)
-    xs = _layout_positions(params, rng)
+    xs = _layout_positions(10, (4,), 200.0, random.Random(7))
     honest = [n for n in range(10) if n != 4]
     front_last = xs[honest[4]]
     rear_first = xs[honest[5]]
@@ -94,23 +71,45 @@ def test_run_scenario_is_deterministic():
 
 
 def test_run_scenario_blackhole_places_attacker_mid_width(monkeypatch):
-    flows = [FlowSpec(0, 2, 49153, 9, packet_size_bytes=1024,
-                      data_rate_bps=1_024_000, packet_count=5,
-                      start=seconds(1))]
-    params = make_params(vehicles=3, blackholes=(1,), length_m=444.0,
-                         flows=flows)
-    registered = {}
+    """Sampling puts each attacker mid-width and standing across it, and
+    run_scenario registers every vehicle at its sampled start."""
+    cfg = ScenarioConfig()
+    params = sample_scenario(cfg, 9)
+    registered = []
     register = Engine.register_node
 
     def recorded(engine, node_id, position, velocity=(0.0, 0.0), receiver=None):
-        registered[node_id] = (position, velocity)
+        registered.append((*position, *velocity))
         register(engine, node_id, position, velocity, receiver)
 
     monkeypatch.setattr(Engine, "register_node", recorded)
     result = run_scenario(params)
-    (_, y), (_, vy) = registered[1]
-    assert y == params.arena.width_m / 2.0 and vy == 0.0
-    assert result.records[0].tx_packets == 5
+    assert registered == params.nodes
+    for b in params.blackholes:
+        _, y, _, vy = registered[b]
+        assert y == cfg.arena.width_m / 2.0 and vy == 0.0
+    assert sum(r.tx_packets for r in result.records) > 0
+
+
+# the random.Random methods a draw goes through
+DRAWS = ("random", "uniform", "randint", "randrange", "sample", "getrandbits")
+
+
+@pytest.mark.parametrize("index", [0, 9])
+def test_run_scenario_takes_no_draw(index, monkeypatch):
+    """A sampled scenario is fully drawn: run_scenario gives the same
+    records with every random draw made to raise."""
+    params = sample_scenario(ScenarioConfig(), index)
+    want = run_scenario(params).records
+
+    def refused(*args, **kwargs):
+        raise AssertionError("run_scenario took a random draw")
+
+    for name in DRAWS:
+        monkeypatch.setattr(random.Random, name, refused)
+    with pytest.raises(AssertionError):
+        random.Random(1).uniform(0.0, 1.0)
+    assert run_scenario(params).records == want
 
 
 def test_default_sweep_low_end_is_clean_and_high_end_is_poisoned():
