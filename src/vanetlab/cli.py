@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 
 from .classifiers import KINDS, as_arrays, make
 from .config import ScenarioConfig, derived_seed, sample_scenario
@@ -80,21 +81,16 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def run_sweep(cfg: ScenarioConfig):
-    """All scenarios in index order; (records, per-scenario manifest rows).
-
-    Scenarios are sampled here and run in forked worker processes, one
-    per usable CPU up to the scenario count; with one, they run in
-    process. Each scenario draws only from its own (seed, index)
-    substreams and the results are gathered in index order, so the
-    records are the same either way. No worker outlives the call, and
-    an exception in the parent (Ctrl-C, say) stops the workers first."""
-    scenarios = [sample_scenario(cfg, i) for i in range(cfg.scenario_count)]
-    workers = min(_usable_cpus(), len(scenarios))
+def _forked_map(fn, items: list, stage: str) -> list:
+    """[fn(item) for item in items] from forked workers, one per usable CPU
+    up to the item count, or in process with one. No worker outlives the
+    call, an exception in the parent (Ctrl-C, say) stops the workers
+    first, and a worker's death is a VanetlabError naming `stage`."""
+    workers = min(_usable_cpus(), len(items))
     if workers < 2:
-        return _gather(scenarios, map(_scenario_records, scenarios))
+        return list(map(fn, items))
 
-    # imported here so that a start that never sweeps does not pay for them
+    # imported here so that a start that never forks does not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -104,16 +100,26 @@ def run_sweep(cfg: ScenarioConfig):
     # in each worker would cost about what the second CPU saves
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return _gather(scenarios, pool.map(_scenario_records, scenarios))
+        return list(pool.map(fn, items))
     except BrokenProcessPool as e:
-        raise VanetlabError(f"scenario sweep: a worker process died: {e}") from None
+        raise VanetlabError(f"{stage}: a worker process died: {e}") from None
     except BaseException:
-        # stop the workers, or shutdown waits for the scenarios they run
+        # stop the workers, or shutdown waits for the items they run
         for worker in set(multiprocessing.active_children()) - before:
             worker.terminate()
         raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def run_sweep(cfg: ScenarioConfig):
+    """All scenarios in index order; (records, per-scenario manifest rows).
+
+    Scenarios are sampled here and run in _forked_map's workers, or in
+    process on one usable CPU. Each draws only from its own (seed, index)
+    substreams, so the records are the same either way."""
+    scenarios = [sample_scenario(cfg, i) for i in range(cfg.scenario_count)]
+    return _gather(scenarios, _forked_map(_scenario_records, scenarios, "scenario sweep"))
 
 
 def _gather(scenarios: list[ScenarioParams], results):
@@ -184,9 +190,17 @@ def _model_for(kind: str, seed: int):
     return make(kind)
 
 
+def _fit_and_classify(seed: int, X_train, y_train, X_test, kind: str):
+    """One model's (labels, scores) on the test rows: a fit worker's unit."""
+    return _model_for(kind, seed).fit(X_train, y_train).classify(X_test)
+
+
 def train_and_report(
     rows: list[DatasetRow], cfg: ScenarioConfig, report_path: str, roc_path: str
 ) -> dict:
+    """Split, fit and score the six models; write report.json and roc.csv.
+    The fits run in the sweep's _forked_map (in process on one usable
+    CPU); the rest runs here in KINDS order, so the bytes never differ."""
     counts = class_counts(rows)
     if 0 in counts.values():
         raise DataError("evaluation needs both classes, got {positive} positive / "
@@ -210,8 +224,8 @@ def train_and_report(
     roc_lines = ["classifier,fpr,tpr"]
     for kind in KINDS:
         log.info("training %s on %d rows", kind, len(train))
-        model = _model_for(kind, cfg.seed).fit(X_train, y_train)
-        pred, scores = model.classify(X_test)
+    fit = partial(_fit_and_classify, cfg.seed, X_train, y_train, X_test)
+    for kind, (pred, scores) in zip(KINDS, _forked_map(fit, KINDS, "model fits")):
         entry, points = evaluate_scores(pred.tolist(), scores.tolist(), y_test.tolist())
         report["classifiers"][kind] = entry
         for fpr, tpr in points:

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from vanetlab import cli, errors
+from vanetlab.classifiers import KINDS, make
 from vanetlab.cli import _parse_balance, main
 from vanetlab.config import ScenarioConfig
 from vanetlab.dataset import DATASET_HEADER, FLOWS_HEADER
@@ -456,20 +457,48 @@ def assert_no_worker_left():
     assert left == []
 
 
-def failing_at(index, fail):
-    """A run_scenario that calls fail() on scenario `index`."""
-    run = cli.run_scenario
+# each stage _forked_map runs, and the unit that break_stage breaks in it
+UNITS = {"scenario sweep": "scenario 2", "model fits": "SVM"}
 
-    def run_scenario(params):
-        if params.index == index:
+
+def break_stage(stage, monkeypatch, fail, every=False):
+    """Make one unit of `stage` call fail() before its work: scenario 2
+    of the sweep, or the SVM's fit; with `every`, each unit does."""
+    if stage == "scenario sweep":
+        run = cli.run_scenario
+
+        def run_scenario(params):
+            if every or params.index == 2:
+                fail()
+            return run(params)
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        return
+    for kind in KINDS if every else ("SVM",):
+        model_class = type(make(kind))
+        fit = model_class._fit
+
+        def _fit(model, X, y, fit=fit):
             fail()
-        return run(params)
+            return fit(model, X, y)
 
-    return run_scenario
+        monkeypatch.setattr(model_class, "_fit", _fit)
 
 
-def test_sweep_workers_follow_the_usable_cpus(monkeypatch):
-    cfg = ScenarioConfig.from_dict({**SWEEP, "scenario_count": 3})
+def stage_command(stage, tmp_path, flows):
+    """The main() argv that runs `stage` on the small sweep or on the
+    bridged flows, and the output it writes on success."""
+    if stage == "scenario sweep":
+        out = tmp_path / "flows.csv"
+        cfg = write_config(tmp_path / "config.json", SWEEP)
+        return ["simulate", "--config", cfg, "--out", str(out)], out
+    out = tmp_path / "report.json"
+    return ["evaluate", "--dataset", str(flows), "--report", str(out),
+            "--roc", str(tmp_path / "roc.csv")], out
+
+
+def spy_on_pools(monkeypatch) -> list:
+    """The (workers, start method) of every pool opened from now on."""
     pools = []
     pool_class = concurrent.futures.ProcessPoolExecutor
 
@@ -478,6 +507,12 @@ def test_sweep_workers_follow_the_usable_cpus(monkeypatch):
         return pool_class(workers, mp_context=mp_context)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return pools
+
+
+def test_sweep_workers_follow_the_usable_cpus(monkeypatch):
+    cfg = ScenarioConfig.from_dict({**SWEEP, "scenario_count": 3})
+    pools = spy_on_pools(monkeypatch)
     usable_cpus(monkeypatch, 1)
     in_process = cli.run_sweep(cfg)
     assert pools == []
@@ -486,6 +521,23 @@ def test_sweep_workers_follow_the_usable_cpus(monkeypatch):
     assert pools == [(3, "fork")]
     assert_no_worker_left()
     assert pooled == in_process
+
+
+def test_fit_workers_follow_the_usable_cpus(bridged_flows, tmp_path, monkeypatch):
+    """The six fits run in the sweep's pool, one worker per usable CPU up
+    to the model count, and give the same report and bytes as in process."""
+    rows = cli._load_any_dataset(str(bridged_flows[2]))
+    pools = spy_on_pools(monkeypatch)
+    outcomes = []
+    for cpus, opened in ((1, []), (5, [(5, "fork")])):
+        usable_cpus(monkeypatch, cpus)
+        report, roc = tmp_path / f"report-{cpus}.json", tmp_path / f"roc-{cpus}.csv"
+        result = cli.train_and_report(rows, ScenarioConfig(), str(report), str(roc))
+        assert_no_worker_left()
+        assert pools == opened
+        outcomes.append((result, report.read_bytes(), roc.read_bytes()))
+    assert outcomes[0] == outcomes[1]
+    assert list(outcomes[0][0]["classifiers"]) == list(KINDS)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -499,50 +551,63 @@ def test_sweep_logs_each_scenario_once_in_index_order(monkeypatch, caplog, cpus)
     assert [line.split(":")[0] for line in lines] == [f"scenario {i}" for i in range(4)]
 
 
-def test_scenario_error_exits_alike_in_and_out_of_process(tmp_path, monkeypatch, capsys):
-    def fail():
-        raise DataError("scenario 2 cannot run")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_training_logs_each_model_once_in_kinds_order(bridged_flows, tmp_path, monkeypatch,
+                                                      caplog, cpus):
+    """The parent logs the six training lines; a fit worker logs none."""
+    rows = cli._load_any_dataset(str(bridged_flows[2]))
+    usable_cpus(monkeypatch, cpus)
+    with caplog.at_level(logging.INFO, logger="vanetlab.cli"):
+        cli.train_and_report(rows, ScenarioConfig(), str(tmp_path / "r.json"),
+                             str(tmp_path / "c.csv"))
+    assert_no_worker_left()
+    lines = [r for r in caplog.records if r.name == "vanetlab.cli"]
+    assert [r.getMessage().split(" on ")[0] for r in lines] == [f"training {k}" for k in KINDS]
+    assert {r.process for r in lines} == {os.getpid()}
 
-    monkeypatch.setattr(cli, "run_scenario", failing_at(2, fail))
-    cfg = write_config(tmp_path / "config.json", SWEEP)
+
+def check_error_exits_alike_in_and_out_of_process(stage, flows, tmp_path, monkeypatch,
+                                                  capsys):
+    unit = UNITS[stage]
+
+    def fail():
+        raise DataError(f"{unit} cannot run")
+
+    break_stage(stage, monkeypatch, fail)
+    argv, out = stage_command(stage, tmp_path, flows)
     outcomes = []
     for cpus in (1, 2):
         usable_cpus(monkeypatch, cpus)
-        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "flows.csv")])
+        rc = main(argv)
         assert_no_worker_left()
         outcomes.append((rc, capsys.readouterr().err))
-    assert outcomes == [(3, "data error: scenario 2 cannot run\n")] * 2
-    assert not (tmp_path / "flows.csv").exists()
+    assert outcomes == [(3, f"data error: {unit} cannot run\n")] * 2
+    assert not out.exists()
 
 
-def test_dying_worker_exits_four_naming_the_sweep(tmp_path, monkeypatch, capsys):
+def check_dying_worker_exits_four_naming_the_stage(stage, flows, tmp_path, monkeypatch,
+                                                   capsys):
     test_process = os.getpid()
 
     def die():
         # os._exit in the test process would end the test run
-        assert os.getpid() != test_process, "scenario ran in process"
+        assert os.getpid() != test_process, f"{UNITS[stage]} ran in process"
         os._exit(1)
 
-    monkeypatch.setattr(cli, "run_scenario", failing_at(2, die))
+    break_stage(stage, monkeypatch, die)
     usable_cpus(monkeypatch, 2)
-    cfg = write_config(tmp_path / "config.json", SWEEP)
-    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "flows.csv")])
+    argv, out = stage_command(stage, tmp_path, flows)
+    rc = main(argv)
     assert_no_worker_left()
     assert rc == 4
-    assert capsys.readouterr().err.startswith(
-        "runtime error: scenario sweep: a worker process died: ")
-    assert not (tmp_path / "flows.csv").exists()
+    assert capsys.readouterr().err.startswith(f"runtime error: {stage}: a worker process died: ")
+    assert not out.exists()
 
 
-def test_interrupt_stops_the_workers_at_once(monkeypatch):
-    """An exception raised in the parent mid-sweep, as Ctrl-C or a time
-    limit's alarm raises it, stops the workers: the sweep does not wait
-    for the scenarios they are running."""
-    run = cli.run_scenario
-
-    def slow(params):
-        time.sleep(3)
-        return run(params)
+def check_interrupt_stops_the_workers_at_once(stage, flows, tmp_path, monkeypatch):
+    """An exception raised in the parent mid-stage, as Ctrl-C or a time
+    limit's alarm raises it, stops the workers: the stage does not wait
+    for the scenarios or fits they are running."""
 
     class Interrupt(Exception):
         pass
@@ -550,21 +615,84 @@ def test_interrupt_stops_the_workers_at_once(monkeypatch):
     def interrupt(signum, frame):
         raise Interrupt
 
-    monkeypatch.setattr(cli, "run_scenario", slow)
+    break_stage(stage, monkeypatch, lambda: time.sleep(3), every=True)
     usable_cpus(monkeypatch, 2)
-    cfg = ScenarioConfig.from_dict(SWEEP)
+    argv, _ = stage_command(stage, tmp_path, flows)
     previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.monotonic()
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.5)
         with pytest.raises(Interrupt):
-            cli.run_sweep(cfg)
+            main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     elapsed = time.monotonic() - start
     assert_no_worker_left()
     assert elapsed < 2
+
+
+def test_scenario_error_exits_alike_in_and_out_of_process(bridged_flows, tmp_path,
+                                                         monkeypatch, capsys):
+    check_error_exits_alike_in_and_out_of_process(
+        "scenario sweep", bridged_flows[2], tmp_path, monkeypatch, capsys)
+
+
+def test_fit_error_exits_alike_in_and_out_of_process(bridged_flows, tmp_path, monkeypatch,
+                                                    capsys):
+    check_error_exits_alike_in_and_out_of_process(
+        "model fits", bridged_flows[2], tmp_path, monkeypatch, capsys)
+
+
+def test_dying_worker_exits_four_naming_the_sweep(bridged_flows, tmp_path, monkeypatch,
+                                                  capsys):
+    check_dying_worker_exits_four_naming_the_stage(
+        "scenario sweep", bridged_flows[2], tmp_path, monkeypatch, capsys)
+
+
+def test_dying_fit_worker_exits_four_naming_the_fits(bridged_flows, tmp_path, monkeypatch,
+                                                     capsys):
+    check_dying_worker_exits_four_naming_the_stage(
+        "model fits", bridged_flows[2], tmp_path, monkeypatch, capsys)
+
+
+def test_interrupt_stops_the_workers_at_once(bridged_flows, tmp_path, monkeypatch):
+    check_interrupt_stops_the_workers_at_once(
+        "scenario sweep", bridged_flows[2], tmp_path, monkeypatch)
+
+
+def test_interrupt_stops_the_fit_workers_at_once(bridged_flows, tmp_path, monkeypatch):
+    check_interrupt_stops_the_workers_at_once(
+        "model fits", bridged_flows[2], tmp_path, monkeypatch)
+
+
+def test_pooled_svm_still_warns_at_its_iteration_cap(bridged_flows, tmp_path):
+    """A solver that stops short says so from its fit worker too: a child
+    interpreter caps the SVM at 3 pair updates, fits on 2 usable CPUs,
+    and its stderr carries the warning, logged by another process."""
+    child = f"""
+import logging, os, sys
+from vanetlab import cli
+from vanetlab.classifiers import svm
+svm.MAX_ITER = 3
+os.sched_getaffinity = lambda pid: {{0, 1}}
+logging.basicConfig(format="%(process)d %(name)s %(message)s")
+print(os.getpid())
+sys.exit(cli.main(["evaluate", "--dataset", {str(bridged_flows[2])!r},
+                   "--report", {str(tmp_path / "r.json")!r}, "--roc", {str(tmp_path / "c.csv")!r}]))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    warnings = [line.split(" ", 2) for line in done.stderr.splitlines()
+                if "iteration cap" in line]
+    assert len(warnings) == 1
+    pid, logger, _ = warnings[0]
+    assert logger == "vanetlab.svm"
+    assert pid != done.stdout.strip()
 
 
 def test_one_error_class_per_exit_code():
