@@ -49,8 +49,8 @@ MODEL_SEED = 303
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("VANETLAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = logging.getLevelName(os.environ.get("VANETLAB_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -205,8 +205,7 @@ def train_and_report(
     if 0 in counts.values():
         raise DataError("evaluation needs both classes, got {positive} positive / "
                         "{negative} negative".format(**counts))
-    train, test = split(rows, cfg.split_fraction, derived_seed(cfg.seed, SPLIT_SEED),
-                        cfg.stratified_split)
+    train, test = split(rows, cfg.split_fraction, derived_seed(cfg.seed, SPLIT_SEED))
     X_train, y_train = as_arrays(train)
     X_test, y_test = as_arrays(test)
 
@@ -267,8 +266,8 @@ def _balanced(rows: list[DatasetRow], cfg: ScenarioConfig) -> list[DatasetRow]:
 def cmd_evaluate(dataset_path: str, cfg: ScenarioConfig, report_path: str,
                  roc_path: str) -> dict:
     """Label (if need be), balance, split and score a flows or dataset
-    table: the learning half of `pipeline`, on cfg's seed, split_fraction,
-    stratified_split and balance."""
+    table: the learning half of `pipeline`, on cfg's seed, split_fraction
+    and balance, each of which has an `evaluate` flag."""
     _check_out_dirs(report_path, roc_path)
     rows = _balanced(_load_any_dataset(dataset_path), cfg)
     return train_and_report(rows, cfg, report_path, roc_path)
@@ -320,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="train and score the six classifiers")
     p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--split", type=float, default=0.6)
-    p_eval.add_argument("--seed", type=int, default=1729)
+    p_eval.add_argument("--split", type=float, default=ScenarioConfig.split_fraction)
+    p_eval.add_argument("--seed", type=int, default=ScenarioConfig.seed)
     p_eval.add_argument("--report", required=True)
     p_eval.add_argument("--roc", required=True)
     p_eval.add_argument("--balance", default=None)

@@ -83,7 +83,6 @@ class ScenarioConfig:
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
     balance: Optional[tuple[int, int]] = (500, 1500)
     split_fraction: float = 0.6
-    stratified_split: bool = False
 
     def validate(self) -> None:
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
@@ -150,8 +149,7 @@ def _json_pairs(items) -> dict:
 _PAIR = tuple[int, int]
 _OPTIONAL_PAIR = Optional[_PAIR]
 # scalar field type -> (the exact Python types json may give for it, wording)
-_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-            bool: ((bool,), "true or false")}
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
 def _parse(value, hint, name: str, default):

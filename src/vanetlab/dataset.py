@@ -55,35 +55,21 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split(rows: list[DatasetRow], fraction: float, seed: int,
-          stratified: bool = False) -> tuple[list[DatasetRow], list[DatasetRow]]:
+def split(rows: list[DatasetRow], fraction: float,
+          seed: int) -> tuple[list[DatasetRow], list[DatasetRow]]:
     """Uniform random partition; first round(fraction*N) permuted rows train.
 
-    With stratified=True the rounding rule applies per class instead.
     ValueError unless 0 < fraction < 1; DataError if either side would
     be empty.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"split fraction must lie in (0, 1), got {fraction}")
     n = len(rows)
-    rng = random.Random(seed)
-    if stratified:
-        train: list[DatasetRow] = []
-        test: list[DatasetRow] = []
-        for label in (1, 0):
-            group = [r for r in rows if r.label == label]
-            rng.shuffle(group)
-            k = _round_half_up(fraction * len(group))
-            train.extend(group[:k])
-            test.extend(group[k:])
-        rng.shuffle(train)
-        rng.shuffle(test)
-    else:
-        order = list(range(n))
-        rng.shuffle(order)
-        n_train = _round_half_up(fraction * n)
-        train = [rows[i] for i in order[:n_train]]
-        test = [rows[i] for i in order[n_train:]]
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    n_train = _round_half_up(fraction * n)
+    train = [rows[i] for i in order[:n_train]]
+    test = [rows[i] for i in order[n_train:]]
     if not train or not test:
         raise DataError(
             f"a {fraction} split of {n} rows leaves "

@@ -388,20 +388,33 @@ def test_criterion_6_pipeline_determinism(pipeline_runs):
     )
 
 
+# a small unbalanced run off the default seed and split
+OFF_DEFAULT_SPLIT = {"scenario_count": 4, "flows_per_scenario": 20, "seed": 7,
+                     "split_fraction": 0.5, "balance": None}
+
+
 @pytest.mark.parametrize("dataset, flags", [
     ("flows.csv", ["--balance", "500:1500"]),
     ("dataset.csv", []),
+    pytest.param("dataset.csv", ["--seed", "7", "--split", "0.5"], id="seed-7-split-0.5"),
 ])
 def test_evaluate_reproduces_the_pipeline_report(pipeline_runs, tmp_path, dataset, flags):
-    """`evaluate` on the default run's flows (balanced as the config
-    balances them) or on its balanced dataset, with default flags, takes
-    the pipeline's own learning path: the same report and ROC points."""
-    run1 = pipeline_runs.run1
+    """`evaluate` on a pipeline's data, with flags that restate its
+    config, takes the pipeline's own learning path: the same report and
+    ROC points. The default run's flows are balanced as the config
+    balances them; off the default seed and split, a small run of
+    OFF_DEFAULT_SPLIT is re-scored from its dataset."""
+    run = pipeline_runs.run1
+    if "--seed" in flags:
+        run = tmp_path / "run"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(OFF_DEFAULT_SPLIT) + "\n")
+        cmd_pipeline(str(config_path), str(run))
     report, roc = tmp_path / "report.json", tmp_path / "roc.csv"
-    assert cli.main(["evaluate", "--dataset", str(run1 / dataset), *flags,
+    assert cli.main(["evaluate", "--dataset", str(run / dataset), *flags,
                      "--report", str(report), "--roc", str(roc)]) == 0
-    assert report.read_bytes() == (run1 / "report.json").read_bytes()
-    assert roc.read_bytes() == (run1 / "roc.csv").read_bytes()
+    assert report.read_bytes() == (run / "report.json").read_bytes()
+    assert roc.read_bytes() == (run / "roc.csv").read_bytes()
 
 
 # SHA-256 of the default-config pipeline artifacts. A change that moves
@@ -411,7 +424,7 @@ PINNED_SHA256 = {
     "dataset.csv": "c532a0ce7a1a7ec4728c6f5fe2fb5e58e3dd64ed327a0773551df39ae6e37bfa",
     "report.json": "3f7bf3bf88d3649856d29bd3bdf5238bca722647417bfea483bdc441a75e2123",
     "roc.csv": "279cf910f4fecec95ac8a0cbc10a1b8fa81a7c5b416cc22b39e351547b514ec4",
-    "manifest.json": "87a99fda1606c25ad2a0af22ecfbfb62f1c532b97a7ed90894282741b115560d",
+    "manifest.json": "87f47bf1f05dff169b838446da927dd7c318eaee28845a523c93234009960e92",
 }
 
 
@@ -444,7 +457,7 @@ def default_training_split(run_dir):
     """(X, y) of the training split train_and_report takes from run_dir."""
     cfg = ScenarioConfig()
     train, _ = split(read_csv(run_dir / "dataset.csv"), cfg.split_fraction,
-                     derived_seed(cfg.seed, SPLIT_SEED), cfg.stratified_split)
+                     derived_seed(cfg.seed, SPLIT_SEED))
     return as_arrays(train)
 
 
@@ -504,12 +517,12 @@ SIMULATOR_PINNED_SHA256 = {
         {"vehicles": [55, 65], "malicious": [1, 1], "scenario_count": 6,
          "radio": {"bandwidth_bps": 60_000}},
         {"flows.csv": "538411caa4ca0472ba4fc4067c79c02b1a3005c82a25840f57e382293ed794ba",
-         "manifest.json": "b1b86e8171091472b98f28c615c08f4c20d5285cdefddf248ddf526f403b8c51"},
+         "manifest.json": "7cf075947ac75e216a2603c6eb87331ceaa208306329a02fdf2683ccfa5cff23"},
     ),
     "sim-partitioned": (
         {"vehicles": [10, 50], "malicious": [1, 8], "scenario_count": 9},
         {"flows.csv": "daa70fab9c4fd478734233cda6bab8799a5a6b531a220009ebf1412cb3732073",
-         "manifest.json": "df8de9d5fbd3627d665326d482a463d315abdc7789d25558825fea237a42ba69"},
+         "manifest.json": "9e33e8d54b5f65b5e9709a8f1eb8d290e1462d5df71aa4f36b68b815d2c1ddbd"},
     ),
 }
 

@@ -232,7 +232,7 @@ def _must_not_run(*args, **kwargs):
     '{"sim_duration_s": 1e300}',
     '{"radio": {"prop_delay_s_per_m": 1e300}}',
     # types are exact: nothing is coerced, truncated or cut short
-    '{"stratified_split": "no"}',
+    '{"seed": true}',
     '{"seed": 1.7}',
     '{"seed": "12"}',
     '{"balance": "12"}',
@@ -254,6 +254,14 @@ def test_bad_config_exits_two(tmp_path, monkeypatch, payload):
     cfg_path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "f.csv")])
     assert rc == 2
+
+
+def test_a_config_that_sets_stratified_split_exits_two(tmp_path, monkeypatch, capsys):
+    """The split has one rule, so the key that chose another is unknown."""
+    monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+    cfg = write_config(tmp_path / "config.json", {"stratified_split": False})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: ['stratified_split']\n"
 
 
 def test_missing_config_exits_two(tmp_path):
@@ -351,22 +359,41 @@ def test_dataset_that_is_not_utf8_exits_three(tmp_path, capsys, where):
     assert f"data error: {bad}:" in capsys.readouterr().err
 
 
+def child_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this vanetlab."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point_reports_a_data_error(tmp_path):
     """`python -m vanetlab` runs main and exits with its code, with no
     traceback."""
     bad = tmp_path / "bad.csv"
     bad.write_bytes(NOT_UTF8["row"])
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-m", "vanetlab", "evaluate", "--dataset", str(bad),
          "--report", str(tmp_path / "r.json"), "--roc", str(tmp_path / "c.csv")],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert done.returncode == 3
     assert done.stderr.startswith(f"data error: {bad}: not UTF-8 text")
     assert "Traceback" not in done.stderr
+
+
+# names in logging that are not levels: a format string and a dict
+@pytest.mark.parametrize("level", ["basic_format", "_styles"])
+def test_a_log_setting_that_is_no_level_falls_back_to_warning(tmp_path, level):
+    """A fresh interpreter, since basicConfig sets no level where the
+    root logger already has a handler, as it does under pytest."""
+    cfg = write_config(tmp_path / "config.json", COUNTING)
+    done = subprocess.run(
+        [sys.executable, "-m", "vanetlab", "simulate", "--config", cfg,
+         "--out", str(tmp_path / "flows.csv")],
+        capture_output=True, text=True, env=child_env(VANETLAB_LOG=level), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("rows", [
@@ -681,11 +708,8 @@ print(os.getpid())
 sys.exit(cli.main(["evaluate", "--dataset", {str(bridged_flows[2])!r},
                    "--report", {str(tmp_path / "r.json")!r}, "--roc", {str(tmp_path / "c.csv")!r}]))
 """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=child_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     warnings = [line.split(" ", 2) for line in done.stderr.splitlines()
                 if "iteration cap" in line]
@@ -706,6 +730,13 @@ def test_one_error_class_per_exit_code():
     codes = {cls.exit_code: cls for cls in (VanetlabError, DataError, ConfigError)}
     assert codes == {4: VanetlabError, 3: DataError, 2: ConfigError}
     assert set(cli._PREFIXES) == set(codes)
+
+
+def test_evaluate_flag_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(
+        ["evaluate", "--dataset", "d.csv", "--report", "r.json", "--roc", "c.csv"])
+    default = ScenarioConfig()
+    assert (args.seed, args.split) == (default.seed, default.split_fraction)
 
 
 def test_parse_balance():

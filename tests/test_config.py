@@ -90,7 +90,6 @@ def test_sample_scenario_varies_with_seed():
 
 def test_round_trip_through_dict():
     cfg = ScenarioConfig()
-    cfg.stratified_split = True
     cfg.balance = None
     again = ScenarioConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
@@ -99,6 +98,8 @@ def test_round_trip_through_dict():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"seeed": 3})
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict({"stratified_split": False})
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"arena": {"length_m": 100, "height_m": 9}})
     with pytest.raises(ConfigError):
@@ -193,8 +194,6 @@ def _fuzz_value(rng, depth=0):
 def _near(rng, default):
     """A value of the default's own JSON type, often a valid one; a
     random value where there is no scalar or pair default."""
-    if isinstance(default, bool):
-        return rng.random() < 0.5
     if isinstance(default, int):
         return rng.randint(1, 2 * default)
     if isinstance(default, float):

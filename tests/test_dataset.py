@@ -107,24 +107,15 @@ def test_split_is_deterministic_and_seed_sensitive():
     assert c_train != a_train
 
 
-def test_stratified_split_preserves_class_ratio():
-    ds = make_rows(100, 300)
-    train, test = split(ds, 0.6, seed=5, stratified=True)
-    assert class_counts(train) == {"positive": 60, "negative": 180}
-    assert class_counts(test) == {"positive": 40, "negative": 120}
-
-
 def test_split_too_few_rows():
     cases = [
-        (make_rows(1, 0), 0.6, False),
-        (make_rows(5, 5), 0.99, False),  # no test rows
-        (make_rows(5, 5), 0.01, False),  # no train rows
-        (make_rows(5, 5), 0.99, True),
-        (make_rows(5, 5), 0.05, True),
+        (make_rows(1, 0), 0.6),
+        (make_rows(5, 5), 0.99),  # no test rows
+        (make_rows(5, 5), 0.01),  # no train rows
     ]
-    for ds, fraction, stratified in cases:
+    for ds, fraction in cases:
         with pytest.raises(DataError, match="both need at least one"):
-            split(ds, fraction, seed=1, stratified=stratified)
+            split(ds, fraction, seed=1)
 
 
 def test_split_validates_fraction_first():
