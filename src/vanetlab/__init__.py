@@ -3,15 +3,3 @@ networks — deterministic traffic simulation, flow statistics, labeled
 dataset generation, and six from-scratch detection models."""
 
 __version__ = "0.1.0"
-
-from .engine import BROADCAST, NS_PER_S, Engine, RadioConfig, SimTime, seconds
-
-__all__ = [
-    "BROADCAST",
-    "Engine",
-    "NS_PER_S",
-    "RadioConfig",
-    "SimTime",
-    "__version__",
-    "seconds",
-]

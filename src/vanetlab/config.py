@@ -5,6 +5,7 @@ vehicle's start), so run_scenario only wires and runs what it is given."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Optional, get_type_hints
@@ -163,7 +164,7 @@ def _parse(value, hint, name: str, default):
         hints = _FIELDS[hint]
         unknown = value.keys() - hints.keys()
         if unknown:
-            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown {name} keys: {json.dumps(sorted(unknown))}")
         return replace(default, **{
             key: _parse(item, hints[key], f"{name}.{key}", getattr(default, key))
             for key, item in value.items()
@@ -176,7 +177,7 @@ def _parse(value, hint, name: str, default):
         return tuple(value)
     types, wording = _SCALARS[hint]
     if type(value) not in types:
-        raise ConfigError(f"{name} must be {wording}, got {value!r}")
+        raise ConfigError(f"{name} must be {wording}, got {json.dumps(value)}")
     try:
         return hint(value)
     except OverflowError:

@@ -9,7 +9,6 @@ own small inputs.
 """
 
 import collections
-import hashlib
 import json
 import math
 import os
@@ -20,22 +19,30 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from flow_audit import flow_key, recompute_from_log, record_observations
-from model_state import state
+from pins import (
+    LEARNED_ARTIFACTS,
+    WORKLOADS,
+    artifact_digests,
+    default_training_split,
+    load,
+    simulate_workload,
+    split_state,
+)
 
 from vanetlab import cli
-from vanetlab.cli import SPLIT_SEED, _model_for, cmd_pipeline, cmd_simulate
+from vanetlab.cli import cmd_pipeline
 from vanetlab.classifiers import (
+    KINDS,
     GaussianNaiveBayes,
     GradientBoosting,
     KNearestNeighbors,
     RandomForest,
     SupportVectorMachine,
-    as_arrays,
 )
 from vanetlab.classifiers import boosting, forest, linear, svm, tree
 from vanetlab.classifiers.tree import tree_apply
-from vanetlab.config import ScenarioConfig, derived_seed
-from vanetlab.dataset import read_csv, record_label, split
+from vanetlab.config import ScenarioConfig
+from vanetlab.dataset import record_label
 from vanetlab.engine import RadioConfig, seconds, substream
 from vanetlab.flows import FlowSpec
 from vanetlab.metrics import (
@@ -53,6 +60,7 @@ LEGEND_POINTS = {
     "GNB": (0.15384615, 0.0026455, 0.576),
     "LR": (0.30769231, 0.0978836, 0.605),
 }
+PINS = load()
 
 
 def log_loss(y, raw):
@@ -417,62 +425,28 @@ def test_evaluate_reproduces_the_pipeline_report(pipeline_runs, tmp_path, datase
     assert roc.read_bytes() == (run / "roc.csv").read_bytes()
 
 
-# SHA-256 of the default-config pipeline artifacts. A change that moves
-# any of these alters behaviour and must re-pin with its reason recorded.
-PINNED_SHA256 = {
-    "flows.csv": "c841ceb50c1bc15f401cd1fefdd6504a7ef79a3c84284b39733dd982fd43934f",
-    "dataset.csv": "c532a0ce7a1a7ec4728c6f5fe2fb5e58e3dd64ed327a0773551df39ae6e37bfa",
-    "report.json": "3f7bf3bf88d3649856d29bd3bdf5238bca722647417bfea483bdc441a75e2123",
-    "roc.csv": "279cf910f4fecec95ac8a0cbc10a1b8fa81a7c5b416cc22b39e351547b514ec4",
-    "manifest.json": "87f47bf1f05dff169b838446da927dd7c318eaee28845a523c93234009960e92",
-}
+# the default pipeline's artifacts, whose flows.csv the numpy-free sweep
+# pins too. A change that moves any of these alters behaviour and must
+# re-pin with its reason recorded.
+PINNED_SHA256 = {"flows.csv": PINS["simulator"]["default flows.csv"],
+                 **PINS["learning"]["pipeline"]}
 
 
 def test_default_pipeline_artifacts_match_pinned_digests(pipeline_runs):
     run1 = pipeline_runs.run1
-    digests = {
-        name: hashlib.sha256((run1 / name).read_bytes()).hexdigest()
-        for name in PINNED_SHA256
-    }
+    digests = artifact_digests(run1, ("flows.csv", *LEARNED_ARTIFACTS))
     assert digests == PINNED_SHA256
 
 
-# SHA-256 of json.dumps(state, sort_keys=True) of each model fitted on the
-# default pipeline's training split, as train_and_report fits them. The
-# 1200 rows hold many repeated values and dst_port is constant, so these
-# pin the RF bootstrap draw and the trees' constant-feature skip on the
-# paper's own data, and the SVM's support vectors and alphas, which
-# report.json's metrics would not show.
-DEFAULT_SPLIT_STATE_SHA256 = {
-    "RF": "ce2cc30ac681eae2be9244b2dfc2d772f1419971bfb40bd78c22f6c2159942f6",
-    "GB": "f64c166b5f25d6d55c4de3ac06be94cc7492e28569b72de948c43f88dbb47961",
-    "SVM": "9b20fb67c57b6a2e241ee26311be852f2868ae3cfdcbe3f7386b3692e0b1f150",
-    "KNN": "2e0bd32b854eb5af5b46f2a6b4817fc41d6fd7251fb67f743d7ce34b046057fc",
-    "LR": "16edac5ae5631abae2917f8185c24dbbeeec6105a013d00812852bda94158f85",
-    "GNB": "513a899bf2aefb7e7431dad7c30d60b2efeec25d401ff29a14ad9775f96d2da5",
-}
+DEFAULT_SPLIT_STATE_SHA256 = PINS["learning"]["default split states"]
 
 
-def default_training_split(run_dir):
-    """(X, y) of the training split train_and_report takes from run_dir."""
-    cfg = ScenarioConfig()
-    train, _ = split(read_csv(run_dir / "dataset.csv"), cfg.split_fraction,
-                     derived_seed(cfg.seed, SPLIT_SEED))
-    return as_arrays(train)
-
-
-def state_sha256(model) -> str:
-    text = json.dumps(state(model), sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@pytest.mark.parametrize("kind", sorted(DEFAULT_SPLIT_STATE_SHA256))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_default_training_split_states_match_pinned_digests(kind, pipeline_runs):
     run1 = pipeline_runs.run1
     X, y = default_training_split(run1)
     assert X.shape == (1200, 4) and np.unique(X[:, 3]).size == 1
-    model = _model_for(kind, ScenarioConfig().seed).fit(X, y)
-    assert state_sha256(model) == DEFAULT_SPLIT_STATE_SHA256[kind]
+    assert split_state(kind, X, y) == DEFAULT_SPLIT_STATE_SHA256[kind]
 
 
 def test_gb_node_sort_budget_bounds_memory_not_the_model(pipeline_runs, monkeypatch):
@@ -500,41 +474,16 @@ def test_gb_node_sort_budget_bounds_memory_not_the_model(pipeline_runs, monkeypa
     for budget in (0, 50_000, default):
         monkeypatch.setattr(tree, "SORT_BYTES", budget)
         built.clear()
-        model = _model_for("GB", ScenarioConfig().seed).fit(X, y)
-        assert state_sha256(model) == DEFAULT_SPLIT_STATE_SHA256["GB"], budget
+        assert split_state("GB", X, y) == DEFAULT_SPLIT_STATE_SHA256["GB"], budget
         kept = tries[-1].kept_bytes
         assert kept <= budget
         assert (kept == sum(built)) == (budget == default), (budget, kept, sum(built))
 
 
-# flows.csv and manifest.json SHA-256 of the benchmark's two simulator
-# workloads at config seed 1729: a dense corridor on a 60 kb/s radio
-# (multi-hop unicast forwarding) and a split corridor (route-discovery
-# floods, retries and no_route drops), which weight the radio and routing
-# paths differently from the default run.
-SIMULATOR_PINNED_SHA256 = {
-    "sim-connected": (
-        {"vehicles": [55, 65], "malicious": [1, 1], "scenario_count": 6,
-         "radio": {"bandwidth_bps": 60_000}},
-        {"flows.csv": "538411caa4ca0472ba4fc4067c79c02b1a3005c82a25840f57e382293ed794ba",
-         "manifest.json": "7cf075947ac75e216a2603c6eb87331ceaa208306329a02fdf2683ccfa5cff23"},
-    ),
-    "sim-partitioned": (
-        {"vehicles": [10, 50], "malicious": [1, 8], "scenario_count": 9},
-        {"flows.csv": "daa70fab9c4fd478734233cda6bab8799a5a6b531a220009ebf1412cb3732073",
-         "manifest.json": "9e33e8d54b5f65b5e9709a8f1eb8d290e1462d5df71aa4f36b68b815d2c1ddbd"},
-    ),
-}
-
-
-@pytest.mark.parametrize("workload", sorted(SIMULATOR_PINNED_SHA256))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_simulator_workload_flows_match_pinned_digests(workload, tmp_path):
-    overrides, want = SIMULATOR_PINNED_SHA256[workload]
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({**overrides, "seed": 1729}) + "\n")
-    cmd_simulate(str(config_path), str(tmp_path / "flows.csv"))
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
-    assert digests == want
+    want = PINS["learning"]["workloads"][workload]
+    assert simulate_workload(workload, tmp_path) == want
 
 
 def test_criterion_7_flow_accounting(pipeline_runs):

@@ -5,7 +5,8 @@ and reads some of its attributes. Only a separate CI step runs it, so a
 rename or deletion under src/ would otherwise first show there. These
 tests list what it needs and fail in the Tier-1 verify instead. Every
 function that `bench/run.py` names as a string literal in a `wrap` or
-`count` call must appear in WRAPPED.
+`count` call must appear in WRAPPED. The bench's own copy of four pinned
+digests must equal their entries in `pins.json`.
 """
 
 import ast
@@ -14,6 +15,7 @@ import importlib
 from pathlib import Path
 
 import pytest
+from pins import load
 
 from vanetlab import aodv, engine, flows
 from vanetlab.classifiers import KINDS, make
@@ -63,6 +65,19 @@ def bench_assignments() -> dict:
             except (AttributeError, ValueError):
                 pass
     return found
+
+
+def test_the_bench_pinned_digests_match_the_registry():
+    """bench/run.py keeps its own copy of four digests, the one copy of a
+    pin outside pins.json: it must not drift from the registry."""
+    pins = load()
+    workloads = pins["learning"]["workloads"]
+    assert bench_assignments()["PINNED"] == {
+        "pipeline-default": {"flows.csv": pins["simulator"]["default flows.csv"],
+                             "dataset.csv": pins["learning"]["pipeline"]["dataset.csv"]},
+        "sim-connected": {"flows.csv": workloads["sim-connected"]["flows.csv"]},
+        "sim-partitioned": {"flows.csv": workloads["sim-partitioned"]["flows.csv"]},
+    }
 
 
 def test_every_literal_wrap_in_the_bench_is_listed():

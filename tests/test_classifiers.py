@@ -10,7 +10,6 @@ forest's lockstep grower and the boosting stages' shared node sorts.
 """
 
 import collections
-import hashlib
 import inspect
 import json
 import logging
@@ -20,6 +19,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from model_state import SAVED, state
+from pins import (
+    CLASSIFY_EXTRAS,
+    classify_case,
+    constant_column_trees,
+    gauss_clusters,
+    load,
+    saved_state,
+    separable_clusters,
+)
 from tree_reference import grow_gini_tree, grow_mse_tree
 
 from vanetlab.classifiers import (
@@ -44,20 +52,12 @@ from vanetlab.engine import substream
 from vanetlab.errors import DataError, VanetlabError
 
 
-def gauss_clusters(seed, n_per_class, sigma, mean0=10.0, mean1=40.0, dims=4):
-    rng = substream(seed, 3)
-
-    def cluster(mean, cnt):
-        return [[rng.gauss(mean, sigma) for _ in range(dims)] for _ in range(cnt)]
-
-    X = np.array(cluster(mean0, n_per_class) + cluster(mean1, n_per_class))
-    y = np.array([0] * n_per_class + [1] * n_per_class)
-    return X, y
+LEARNING = load()["learning"]
 
 
 @pytest.fixture(scope="module")
 def separable400():
-    return gauss_clusters(seed=7, n_per_class=200, sigma=2.0)
+    return separable_clusters()
 
 
 @pytest.fixture(scope="module")
@@ -595,35 +595,16 @@ def test_svm_flags_nonconvergence_and_still_predicts(caplog, monkeypatch):
 # -- CART trees ---------------------------------------------------------------
 
 
-def constant_first_rows():
-    """90 rows whose column 0 is constant, with noisy parity labels."""
-    rng = substream(31, 4)
-    X = np.array([[5.0, rng.randrange(6), rng.gauss(0, 1)] for _ in range(90)])
-    y = np.array([int(row[1] % 2 == 0) ^ (rng.random() < 0.2) for row in X])
-    return X, y
-
-
 def test_grow_tree_skips_a_constant_column_walked_first():
     """Skipping the root-constant column changes neither the tree nor the
     draws: the per-node shuffle still runs and the constant column still
     costs no budget. Pinned before the skip existed."""
-    X, y = constant_first_rows()
     order = [0, 1, 2]
     substream(0, 1).shuffle(order)
     assert order[0] == 0  # the root walks the constant column first
-    rng = substream(0, 1)
-    (tree,) = grow_forest(X, y, [np.arange(len(y))], [rng], max_features=1)
-    text = json.dumps(tree, sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "deef8616c1eafd25be9868fe2cb2afec0d043a3d82007dab19fda5ae687f5c8c")
-    assert rng.random() == 0.6880757343025422
-    assert '"feature": 0' not in text
-    # without an rng the walk is 0, 1, 2: the constant column always leads
-    t = y - 0.5
-    tree = grow_tree(SortTrie(X), t, max_depth=4, leaf_value=lambda idx: float(t[idx].mean()))
-    text = json.dumps(tree, sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "4694cfd1915b1aef6e20199f0b52674de602feb87ed5a90c32e9cdb59b8fe6bf")
+    pinned, forest_text = constant_column_trees()
+    assert pinned == LEARNING["constant-column trees"]
+    assert '"feature": 0' not in forest_text
 
 
 # a few values, with both zeros and two adjacent floats whose midpoint
@@ -914,46 +895,11 @@ def test_label_equals_score_against_threshold(kind, separable400):
     assert np.array_equal(model.classify(probes)[0], expected)
 
 
-def overlap120():
-    """Two overlapping clusters and 80 probes between them."""
-    X, y = gauss_clusters(seed=21, n_per_class=60, sigma=9.0)
-    rng = substream(22, 2)
-    return X, y, np.array([[rng.gauss(25.0, 12.0) for _ in range(4)] for _ in range(80)])
-
-
-# SHA-256 of json.dumps([labels, scores]) on overlap120's probes, taken
-# before classify existed; the KNN and RF extras patch in an even K and
-# an even tree count, so their split votes and threshold ties are
-# covered too.
-CLASSIFY_SHA256 = {
-    "GB": "a24b1e28894cf9afebf1a47b81b4f82cf7687b3d9c40a2b3b60c9e925b8d4e6d",
-    "RF": "8cc0c01cf203038084168237697d80a93b5a604ea62ebd64d53e7900b610a464",
-    "SVM": "b8d12351c255e97fcc5f40b684ad666ce1327c33a51d2e2e798edc087da95e05",
-    "KNN": "72c356531c59a6a208874dec8b6766ee133ea14b6923a597cba5fd43c2e0b7cb",
-    "GNB": "4986d8bb63f2f080709506a404f0a3d60b93844c6b30f9bc69e4e9f415c1738e",
-    "LR": "768a2f817981dcbf47125f6a4aa74c09d743439ae86ae04181c9560eaab5d966",
-    "KNN-k4": "d33de4a2d0517f608b46cd25d47b808f8111f80fd58cf7893392f97b20faa748",
-    "RF-10": "43739e9f1abf50196038c283992ebc405c28be7c364ee358bd983680bc806bf0",
-}
-# case -> (kind, constructor arguments, module constant patched in)
-CLASSIFY_MODELS = {
-    **{kind: (kind, {}, None) for kind in KINDS},
-    "KNN-k4": ("KNN", {}, (neighbors, "K", 4)),
-    "RF-10": ("RF", {"seed": 3}, (forest, "N_TREES", 10)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(CLASSIFY_MODELS))
-def test_classify_matches_pinned_predict_and_score(case, monkeypatch):
-    X, y, probes = overlap120()
-    kind, args, patch = CLASSIFY_MODELS[case]
-    if patch:
-        monkeypatch.setattr(*patch)
-    model = make(kind, **args).fit(X, y)
-    labels, scores = model.classify(probes)
-    text = json.dumps([labels.tolist(), scores.tolist()], sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CLASSIFY_SHA256[case]
-    assert np.array_equal(scores, model.score(probes))
+@pytest.mark.parametrize("case", sorted([*KINDS, *CLASSIFY_EXTRAS]))
+def test_classify_matches_pinned_predict_and_score(case):
+    digest, scores, scored = classify_case(case)
+    assert digest == LEARNING["classify"][case]
+    assert np.array_equal(scores, scored)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -1086,21 +1032,9 @@ def test_only_the_forest_seed_is_settable():
     assert params == {kind: ["seed"] if kind == "RF" else [] for kind in KINDS}
 
 
-# SHA-256 of json.dumps(state, sort_keys=True) of each kind fitted on separable400
-STATE_SHA256 = {
-    "GB": "33fa0cb9339fe41f3c09e9ebc660cb4455102a3916fd24d5143dbdcae64bfaad",
-    "RF": "be711de3c2d49bfb5543893158c6ad863a91191f35134d2402925730b06e212a",
-    "SVM": "36e58fed3d6d57d5f67e960db6eba158defe8bf469706cbdcc7d9ce3bb4682a8",
-    "KNN": "4ab1518bd25c84d927253f83f9a3fcc92e17a0e723d7e362021f7fca539ccc5a",
-    "GNB": "4a97770c2c62b06517d89c82b2f75cd692ce37d6b59b547abf56e8bf98dc1a01",
-    "LR": "f9e43837f1589eb1018969a49891dfb2bf1d09d856b6af5e891fff3a8ebcfdd1",
-}
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_saved_state_matches_its_pinned_digest(kind, separable400):
-    text = json.dumps(state(make(kind).fit(*separable400)), sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STATE_SHA256[kind]
+    assert saved_state(kind, *separable400) == LEARNING["states"][kind]
 
 
 def test_make_rejects_unknown_kind():

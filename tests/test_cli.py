@@ -261,7 +261,21 @@ def test_a_config_that_sets_stratified_split_exits_two(tmp_path, monkeypatch, ca
     monkeypatch.setattr(cli, "run_sweep", _must_not_run)
     cfg = write_config(tmp_path / "config.json", {"stratified_split": False})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "f.csv")]) == 2
-    assert capsys.readouterr().err == "config error: unknown config keys: ['stratified_split']\n"
+    assert capsys.readouterr().err == 'config error: unknown config keys: ["stratified_split"]\n'
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{"seed": true}', "config.seed must be an integer, got true"),
+    ('{"radio": {"bandwidth_bps": Infinity}}',
+     "config.radio.bandwidth_bps must be an integer, got Infinity"),
+], ids=["seed-true", "bandwidth-Infinity"])
+def test_a_config_error_quotes_the_value_as_json(tmp_path, monkeypatch, capsys, payload, message):
+    """The refused value is named as the config spelled it, not as Python does."""
+    monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(payload)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_missing_config_exits_two(tmp_path):

@@ -1,12 +1,14 @@
 """Golden corpus: pinned simulator output on small off-default configs.
 
-`corpus_pins` holds the configs, their pins and the script that
-regenerates them. A change that claims to keep the simulator's
-behaviour must leave every pin as it is.
+`pins` holds the configs and their computation, and `pins.json` their
+pins. A change that claims to keep the simulator's behaviour must leave
+every pin as it is.
 """
 
 import pytest
-from corpus_pins import CONFIGS, PINNED, measure
+from pins import CONFIGS, corpus, load
+
+PINNED = load()["simulator"]["corpus"]
 
 
 def test_the_pins_cover_every_config():
@@ -15,4 +17,4 @@ def test_the_pins_cover_every_config():
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_corpus_config_matches_its_pin(name, tmp_path):
-    assert measure(name, tmp_path) == PINNED[name]
+    assert corpus(name, tmp_path) == PINNED[name]

@@ -15,10 +15,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
-# the modules that simulate, label and score; the corpus script runs on
-# them under interpreters that have neither numpy nor pytest
+# the modules that simulate, label and score; the pin script regenerates
+# its simulator section on them under interpreters that have neither
+# numpy nor pytest
 NUMPY_FREE = ("vanetlab.engine", "vanetlab.aodv", "vanetlab.flows", "vanetlab.scenario",
-              "vanetlab.config", "vanetlab.dataset", "vanetlab.metrics", "corpus_pins")
+              "vanetlab.config", "vanetlab.dataset", "vanetlab.metrics", "pins")
 
 
 def unused_imports(source: str) -> list[str]:

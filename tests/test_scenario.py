@@ -5,6 +5,7 @@ import random
 
 import pytest
 from flow_audit import record_observations
+from pins import TRACED, WORKLOADS, load, trace
 
 from vanetlab.aodv import AodvNode, Rreq
 from vanetlab.config import (
@@ -16,7 +17,7 @@ from vanetlab.config import (
     _layout_positions,
     sample_scenario,
 )
-from vanetlab.engine import BROADCAST, Engine
+from vanetlab.engine import Engine
 from vanetlab.flows import FlowMonitor
 from vanetlab.scenario import run_scenario
 
@@ -148,58 +149,20 @@ def test_every_observation_passes_once_through_one_per_kind_method(monkeypatch):
     assert result.monitor.log == []
 
 
-# Per default-config scenario: events run, transmits by kind, frames
-# received by payload type, observations by kind, distance checks and the
-# AODV counters summed over nodes. Scenario 0 is a split corridor with its
-# attacker out of reach; scenario 9 has attackers in reach of both platoons.
-TRACES = {
-    0: {"events": 15780, "broadcast": 299, "unicast": 5802,
-        "Rreq": 238, "Rrep": 9, "DataPacket": 5793,
-        "tx": 9670, "rx": 5791, "drop": 3879, "distance": 6040,
-        "rreq_tx": 299, "rrep_tx": 9, "rrep_lost": 0, "data_tx": 5793, "data_forwarded": 2},
-    9: {"events": 34311, "broadcast": 627, "unicast": 23955,
-        "Rreq": 1003, "Rrep": 496, "DataPacket": 23459,
-        "tx": 9326, "rx": 1664, "drop": 7662, "distance": 27292,
-        "rreq_tx": 627, "rrep_tx": 496, "rrep_lost": 0, "data_tx": 23459,
-        "data_forwarded": 14218},
-}
+PINNED_TRACES = load()["simulator"]["traces"]
 
 
-@pytest.mark.parametrize("index", sorted(TRACES))
-def test_default_scenario_keeps_its_event_trace(index, monkeypatch):
+@pytest.mark.parametrize("index", TRACED)
+def test_default_scenario_keeps_its_event_trace(index):
     """The boundaries behind the benchmark's per-layer counts, counted on a
     default scenario: a faster engine or routing path must run the same trace."""
-    counts = collections.Counter()
-
-    def count(owner, attr, key, add_result=False):
-        orig = getattr(owner, attr)
-
-        def counting(*args, **kwargs):
-            result = orig(*args, **kwargs)
-            counts[key(*args)] += result if add_result else 1
-            return result
-
-        monkeypatch.setattr(owner, attr, counting)
-
-    count(Engine, "run_until", lambda *a: "events", add_result=True)
-    count(Engine, "transmit",
-          lambda eng, src, dst, *rest: "broadcast" if dst == BROADCAST else "unicast")
-    count(Engine, "distance", lambda *a: "distance")
-    count(AodvNode, "on_frame", lambda node, prev_hop, payload: type(payload).__name__)
-    for kind in ("tx", "rx", "drop"):
-        count(FlowMonitor, f"observe_{kind}", lambda *a, kind=kind: kind)
-    result = run_scenario(sample_scenario(ScenarioConfig(), index))
-    for node in result.nodes.values():
-        counts.update(node.counters)
-    assert dict(counts) == TRACES[index]
+    assert trace(index) == PINNED_TRACES[str(index)]
 
 
 # (config overrides, seed, scenario index): the two default scenarios of
-# TRACES, and dense-corridor and split-corridor configs like the
-# benchmark's simulator workloads at two seeds each
-CONNECTED = {"vehicles": [55, 65], "malicious": [1, 1], "scenario_count": 6,
-             "radio": {"bandwidth_bps": 60_000}}
-PARTITIONED = {"vehicles": [10, 50], "malicious": [1, 8], "scenario_count": 9}
+# the pinned event traces, and the benchmark's dense-corridor and
+# split-corridor simulator workloads at two other seeds each
+CONNECTED, PARTITIONED = WORKLOADS["sim-connected"], WORKLOADS["sim-partitioned"]
 FLOOD_RUNS = {
     "default-0": ({}, 1729, 0),
     "default-9": ({}, 1729, 9),
